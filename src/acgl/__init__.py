@@ -44,6 +44,7 @@ from .harness import (
     SyntheticSpec,
     evaluate_task,
     run_experiment,
+    task_test_features,
 )
 from .metrics import (
     RunReport,
@@ -92,6 +93,7 @@ __all__ = [
     "run_experiment",
     "save_dataset",
     "session_subgraph",
+    "task_test_features",
     "train_base",
     "update_R",
     "update_weights",

@@ -107,13 +107,16 @@ def one_hot(labels: np.ndarray, class_ids) -> np.ndarray:
     return out
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky solve; raises ValueError when the matrix is not SPD."""
+def _spd_factor(matrix: np.ndarray):
+    """Cholesky factor; raises ValueError when the matrix is not SPD."""
     try:
-        c, low = scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"matrix numerically singular or indefinite: {exc}") from exc
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+
+
+def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return scipy.linalg.cho_solve(_spd_factor(matrix), rhs, check_finite=False)
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -124,9 +127,10 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
                class_ids=None) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
-    Solves (X^T X + gamma I) W = X^T Y via Cholesky and materializes
-    R = (X^T X + gamma I)^{-1} for the recursion. ``class_ids`` defaults to
-    0..C0-1 when the base classes are not explicitly named.
+    Factors G = X^T X + gamma I once by Cholesky, then solves G W = X^T Y
+    and materializes R = G^{-1} for the recursion from that one factor.
+    ``class_ids`` defaults to 0..C0-1 when the base classes are not
+    explicitly named.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -136,8 +140,9 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
         class_ids = tuple(range(Y0.shape[1]))
     d = X0.shape[1]
     gram = _symmetrize(X0.T @ X0) + gamma * np.eye(d)
-    weights = _spd_solve(gram, X0.T @ Y0)
-    inv_gram = _symmetrize(_spd_solve(gram, np.eye(d)))
+    factor = _spd_factor(gram)
+    weights = scipy.linalg.cho_solve(factor, X0.T @ Y0, check_finite=False)
+    inv_gram = _symmetrize(scipy.linalg.cho_solve(factor, np.eye(d), check_finite=False))
     return AnalyticState(
         weights=weights,
         inv_gram=inv_gram,
@@ -238,11 +243,15 @@ def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
 
     Ties (including all-zero rows) resolve to the smallest class id among
     the tied columns, independent of the order classes were learned in.
+    Non-finite scores (from NaN or inf features or weights) raise
+    ValueError rather than yielding an id outside ``seen_classes``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != state.feature_dim:
         raise ValueError(f"feature dim {X.shape[1]} != state dim {state.feature_dim}")
     scores = X @ state.weights
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite classifier scores; features or weights contain NaN or inf")
     ids = np.asarray(state.seen_classes, dtype=np.int64)
     best = scores.max(axis=1, keepdims=True)
     candidates = np.where(scores == best, ids[None, :], np.iinfo(np.int64).max)

@@ -256,9 +256,3 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> Backb
         params, state = adam_step(params, grads, state)
     return params
 
-
-def extract_hidden(graph: Graph, params: BackboneParams) -> np.ndarray:
-    """Frozen-backbone embeddings of every node (inference mode, no dropout)."""
-    adj = normalize_adjacency(graph)
-    hidden, _ = gcn_forward(adj, graph.features, params, training=False)
-    return hidden

@@ -5,9 +5,15 @@ backpropagation on the base session only, then frozen. Its embeddings are
 pushed through the frozen random expander and the analytic classifier is
 fit in closed form on the base session. Every later session is absorbed
 with one feature-extraction pass and one recursive update; no session's
-data is kept afterwards. After each session the classifier is evaluated on
-the test split of every task seen so far, filling the lower-triangular
-performance matrix M[k][i].
+training rows are kept afterwards.
+
+Because the backbone and expander never change after the base session, a
+task's expanded features are fixed from the session that introduces it.
+That session's single extraction yields both its training batch and the
+task's test rows; the test rows are kept and, after each session, every
+seen task's rows are scored to fill the lower-triangular performance
+matrix M[k][i]. The kept rows are evaluation data (sum of n_test * d
+floats), not learner state: the classifier still holds only W and R.
 """
 
 from __future__ import annotations
@@ -137,29 +143,42 @@ def _extract_expanded(graph: Graph, backbone: BackboneParams,
     return expand(hidden, expander, adj)
 
 
-def evaluate_task(state: AnalyticState, backbone: BackboneParams,
-                  expander: ExpanderParams, task_graph: Graph) -> float:
-    """Test accuracy on one task's induced subgraph, argmaxing over all seen classes."""
+def task_test_features(task_graph: Graph, backbone: BackboneParams,
+                       expander: ExpanderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Expanded features and labels of one task's test nodes, extracted on its subgraph."""
     if not task_graph.test_mask.any():
         raise ValueError("task has an empty test set")
     feats = _extract_expanded(task_graph, backbone, expander)
-    preds = predict(feats[task_graph.test_mask], state)
-    return float((preds == task_graph.labels[task_graph.test_mask]).mean())
+    test = task_graph.test_mask
+    return feats[test], task_graph.labels[test]
 
 
-def _session_batch(sub: Graph, backbone, expander,
-                   class_ids, session: int) -> SessionBatch:
+def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy on one task's precomputed test rows, argmaxing over all seen classes."""
+    if len(labels) == 0:
+        raise ValueError("task has an empty test set")
+    return float((predict(features, state) == labels).mean())
+
+
+def _session_batch(sub: Graph, backbone, expander, class_ids, session: int,
+                   ) -> tuple[SessionBatch, tuple[np.ndarray, np.ndarray]]:
+    """One extraction of a session's subgraph: its train batch and its task's test rows."""
     if not sub.train_mask.any():
         raise RuntimeError(
             f"session {session} (classes {list(class_ids)}) has an empty train split"
         )
+    if not sub.test_mask.any():
+        raise ValueError(
+            f"session {session} (classes {list(class_ids)}) has an empty test set"
+        )
     feats = _extract_expanded(sub, backbone, expander)
-    train = sub.train_mask
-    return SessionBatch(
+    train, test = sub.train_mask, sub.test_mask
+    batch = SessionBatch(
         features=feats[train],
         targets=one_hot(sub.labels[train], class_ids),
         class_ids=tuple(int(c) for c in class_ids),
     )
+    return batch, (feats[test], sub.labels[test])
 
 
 def _union_eval_row(graph, plan, state, backbone, expander, k) -> list[float]:
@@ -172,8 +191,6 @@ def _union_eval_row(graph, plan, state, backbone, expander, k) -> list[float]:
     row = []
     for i in range(k + 1):
         in_task = np.isin(truth, np.asarray(plan.groups[i], dtype=np.int64))
-        if not in_task.any():
-            raise ValueError(f"task {i} has no test nodes in the union graph")
         row.append(float((preds[in_task] == truth[in_task]).mean()))
     return row
 
@@ -202,37 +219,35 @@ def run_experiment(config: ExperimentConfig, keep_batches: bool = False) -> RunR
     )
 
     t0 = time.perf_counter()
-    base_batch = _session_batch(session_subgraph(graph, plan.groups[0]),
-                                backbone, expander, plan.groups[0], session=0)
+    base_batch, base_test = _session_batch(session_subgraph(graph, plan.groups[0]),
+                                           backbone, expander, plan.groups[0], session=0)
     state = align_base(base_batch.features, base_batch.targets, config.gamma,
                        class_ids=base_batch.class_ids)
     t_align = time.perf_counter() - t0
 
     batches = [base_batch] if keep_batches else None
+    test_rows = [base_test]          # (features, labels) of each seen task
     rows: list[tuple[float, ...]] = []
     update_times: list[float] = []
     eval_times: list[float] = []
 
     def fill_row(k: int):
-        # Task subgraphs are rebuilt per evaluation; nothing graph-shaped is
-        # retained between sessions besides the source graph itself.
         t_eval = time.perf_counter()
         if config.eval_union:
             row = _union_eval_row(graph, plan, state, backbone, expander, k)
         else:
-            row = [evaluate_task(state, backbone, expander,
-                                 session_subgraph(graph, plan.groups[i]))
-                   for i in range(k + 1)]
+            row = [evaluate_task(state, feats, labels) for feats, labels in test_rows]
         eval_times.append(time.perf_counter() - t_eval)
         rows.append(tuple(row))
 
     fill_row(0)
     for k in range(1, plan.num_sessions):
         t0 = time.perf_counter()
-        batch = _session_batch(session_subgraph(graph, plan.groups[k]),
-                               backbone, expander, plan.groups[k], session=k)
+        batch, task_test = _session_batch(session_subgraph(graph, plan.groups[k]),
+                                          backbone, expander, plan.groups[k], session=k)
         state = update_weights(state, batch)
         update_times.append(time.perf_counter() - t0)
+        test_rows.append(task_test)
         if batches is not None:
             batches.append(batch)
         fill_row(k)

@@ -26,7 +26,13 @@ from acgl.analytic import (
 from acgl.backbone import gcn_backward, init_backbone
 from acgl.cli import EXIT_OK, main
 from acgl.graph import normalize_adjacency, session_subgraph
-from acgl.harness import PerformanceMatrix, evaluate_task, resolve_graph, run_experiment
+from acgl.harness import (
+    PerformanceMatrix,
+    evaluate_task,
+    resolve_graph,
+    run_experiment,
+    task_test_features,
+)
 from acgl.metrics import average_forgetting, average_performance
 
 from conftest import FIXTURE_EXPERIMENT, SWEEP_FIXTURE_LINES, random_graph
@@ -180,7 +186,8 @@ def test_zero_classifier_level_forgetting():
         )
         for i in range(k + 1):
             task = session_subgraph(graph, res.plan.groups[i])
-            acc = evaluate_task(joint_state, res.backbone, res.expander, task)
+            acc = evaluate_task(joint_state,
+                                *task_test_features(task, res.backbone, res.expander))
             diff = abs(acc - res.matrix.entry(k, i))
             worst = max(worst, diff)
             assert diff <= 1e-12, f"M[{k}][{i}] differs by {diff:.3e}"

@@ -273,6 +273,20 @@ class TestPredict:
         preds = predict(np.zeros((2, 3)), state)
         np.testing.assert_array_equal(preds, [4, 4])
 
+    def test_nan_feature_row_rejected(self):
+        state = self.make_state(np.eye(3), (4, 7, 9))
+        X = np.eye(3)
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(X, state)
+
+    def test_non_finite_weights_rejected(self):
+        W = np.eye(3)
+        W[2, 2] = np.inf
+        state = self.make_state(W, (4, 7, 9))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(np.ones((1, 3)), state)
+
     def test_predictions_identical_for_recursive_and_joint_weights(self):
         rng = np.random.default_rng(16)
         batches = random_stream(rng, d=10, num_sessions=4)

@@ -99,6 +99,28 @@ class TestRun:
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["matrix"]) == 3  # c0 defaults to ceil(4/2), k=1
 
+    def test_nan_feature_is_runtime_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "20", "--features", "8",
+                     "--seed", "9"]) == EXIT_OK
+        # Poison one test node of the last class: it never reaches the
+        # backbone's training, only the last session's features.
+        labels = (ds / "labels.csv").read_text().split()
+        split = (ds / "split.csv").read_text().split()
+        node = next(i for i, (y, s) in enumerate(zip(labels, split))
+                    if y == "3" and s == "test")
+        rows = (ds / "features.csv").read_text().splitlines()
+        rows[node] = ",".join(["nan"] + rows[node].split(",")[1:])
+        (ds / "features.csv").write_text("\n".join(rows) + "\n")
+        code = main(["run", "--out", str(tmp_path / "out"),
+                     "--set", f"dataset.path={ds}",
+                     "--set", "backbone.hidden=8",
+                     "--set", "backbone.epochs=5",
+                     "--set", "expander.dim=16"])
+        assert code == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_single_value_sweep_matches_run(self, run_config_file, tmp_path):

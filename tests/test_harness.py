@@ -5,6 +5,7 @@ import pytest
 
 from acgl.analytic import AnalyticState, joint_solve, one_hot, align_base
 from acgl.backbone import BackboneConfig
+from acgl.datasets import save_dataset
 from acgl.expander import init_expander
 from acgl.graph import session_subgraph
 from acgl.harness import (
@@ -15,9 +16,21 @@ from acgl.harness import (
     evaluate_task,
     resolve_graph,
     run_experiment,
+    task_test_features,
 )
 
 from conftest import FIXTURE_EXPERIMENT, make_graph
+
+
+def run_one_class_sessions(g, directory):
+    """Save ``g`` and run a tiny stream over it, one class per session."""
+    save_dataset(g, directory)
+    return run_experiment(ExperimentConfig(
+        dataset_path=str(directory), c0=1, k=1, gamma=1.0,
+        backbone=BackboneConfig(hidden=4, epochs=2, dropout=0.0, seed=0),
+        expander=ExpanderConfig(dim=8, seed=0),
+        data_seed=0,
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +97,11 @@ class TestRunExperiment:
             )
             for i in range(k + 1):
                 task = session_subgraph(graph, res.plan.groups[i])
-                acc = evaluate_task(joint_state, res.backbone, res.expander, task)
+                acc = evaluate_task(joint_state,
+                                    *task_test_features(task, res.backbone, res.expander))
                 assert abs(acc - res.matrix.entry(k, i)) <= 1e-12
 
-    def test_empty_train_split_aborts_with_session_context(self):
+    def test_empty_train_split_aborts_with_session_context(self, tmp_path):
         g = make_graph(
             6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
             train=[True, False, True, False, False, False],
@@ -95,20 +109,45 @@ class TestRunExperiment:
             test=[False, True, False, True, True, True],
         )
         # Class 2 (session 2) has no train nodes.
-        import acgl.harness as harness
-        import acgl.datasets as datasets
-        import tempfile, pathlib
+        with pytest.raises(RuntimeError, match="session 2 .* empty train split"):
+            run_one_class_sessions(g, tmp_path)
 
-        with tempfile.TemporaryDirectory() as tmp:
-            datasets.save_dataset(g, tmp)
-            cfg = ExperimentConfig(
-                dataset_path=tmp, c0=1, k=1, gamma=1.0,
-                backbone=BackboneConfig(hidden=4, epochs=2, dropout=0.0, seed=0),
-                expander=ExpanderConfig(dim=8, seed=0),
-                data_seed=0,
-            )
-            with pytest.raises(RuntimeError, match="session 2 .* empty train split"):
-                harness.run_experiment(cfg)
+    def test_empty_test_split_aborts_in_its_session(self, tmp_path):
+        g = make_graph(
+            6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
+            train=[True, False, True, False, True, False],
+            val=[False] * 6,
+            test=[False, True, False, True, False, False],
+        )
+        # Class 2 (session 2) has no test nodes.
+        with pytest.raises(ValueError, match="session 2 .* empty test set"):
+            run_one_class_sessions(g, tmp_path)
+
+    def test_each_task_extracted_once(self, monkeypatch):
+        """Frozen features are extracted in the session that introduces a task, never again."""
+        import acgl.harness as harness
+
+        calls = []
+        original = harness.gcn_forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "gcn_forward", counting)
+        res = run_experiment(FIXTURE_EXPERIMENT)
+        assert len(calls) == res.plan.num_sessions
+
+    def test_final_row_equals_fresh_extraction(self, fixture_result):
+        """Scoring cached rows matches re-extracting each task from scratch, bit for bit."""
+        res = fixture_result
+        graph = resolve_graph(FIXTURE_EXPERIMENT)
+        fresh = tuple(
+            evaluate_task(res.state, *task_test_features(
+                session_subgraph(graph, group), res.backbone, res.expander))
+            for group in res.plan.groups
+        )
+        assert res.matrix.final_row == fresh
 
     def test_shuffled_class_order_is_deterministic(self):
         cfg = dataclasses.replace(FIXTURE_EXPERIMENT, shuffle_classes=True)
@@ -128,8 +167,8 @@ class TestEvaluateTask:
     def test_saturated_state_scores_one(self, fixture_result):
         graph = resolve_graph(FIXTURE_EXPERIMENT)
         task0 = session_subgraph(graph, fixture_result.plan.groups[0])
-        acc = evaluate_task(fixture_result.state, fixture_result.backbone,
-                            fixture_result.expander, task0)
+        acc = evaluate_task(fixture_result.state, *task_test_features(
+            task0, fixture_result.backbone, fixture_result.expander))
         assert acc == 1.0
 
     def test_random_weights_score_near_chance(self):
@@ -149,7 +188,7 @@ class TestEvaluateTask:
                 weights=rng.normal(size=(12, c)),
                 inv_gram=np.eye(12), gamma=1.0, seen_classes=tuple(range(c)),
             )
-            accs.append(evaluate_task(state, backbone, expander, g))
+            accs.append(evaluate_task(state, *task_test_features(g, backbone, expander)))
         mean = np.mean(accs)
         assert abs(mean - 1.0 / c) < 0.12
 
@@ -161,16 +200,16 @@ class TestEvaluateTask:
             weights=rng.normal(size=(64, 2)), inv_gram=np.eye(64), gamma=1.0,
             seen_classes=(0, 1),
         )
-        acc = evaluate_task(partial, fixture_result.backbone,
-                            fixture_result.expander, task3)
+        acc = evaluate_task(partial, *task_test_features(
+            task3, fixture_result.backbone, fixture_result.expander))
         assert acc == 0.0  # true labels are never in the seen set
 
     def test_empty_test_set_rejected(self, fixture_result):
         g = make_graph(4, [(0, 1)], [0, 0, 1, 1], 2,
                        train=[True] * 4, val=[False] * 4, test=[False] * 4)
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate_task(fixture_result.state, fixture_result.backbone,
-                          fixture_result.expander, g)
+            evaluate_task(fixture_result.state, *task_test_features(
+                g, fixture_result.backbone, fixture_result.expander))
 
 
 def test_feature_dim_flows_from_expander():
@@ -193,5 +232,5 @@ def test_align_base_state_reproduces_first_row(fixture_result):
                        FIXTURE_EXPERIMENT.gamma, class_ids=base_batch.class_ids)
     graph = resolve_graph(FIXTURE_EXPERIMENT)
     task0 = session_subgraph(graph, res.plan.groups[0])
-    acc = evaluate_task(state, res.backbone, res.expander, task0)
+    acc = evaluate_task(state, *task_test_features(task0, res.backbone, res.expander))
     assert acc == res.matrix.entry(0, 0)
