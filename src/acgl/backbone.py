@@ -2,12 +2,14 @@
 
 The forward map is
 
-    hidden = relu(A_hat @ X @ W0)        (dropout on hidden while training)
+    hidden = relu(A_hat @ X @ W0)        (times a dropout mask while training)
     logits = A_hat @ hidden @ W1
 
-with A_hat the symmetrically normalized adjacency. Gradients are derived
-by hand so training is exactly reproducible with plain numpy; dropout uses
-inverted scaling (mask / keep_prob at train time, identity at inference).
+with A_hat the symmetrically normalized adjacency. One function,
+:func:`gcn_forward`, computes it for both training and inference; the
+backward pass reuses it. Gradients are derived by hand so training is
+exactly reproducible with plain numpy; dropout uses inverted scaling
+(mask / keep_prob at train time, no mask at inference).
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, SessionPlan, normalize_adjacency, session_subgraph
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,6 @@ class BackboneParams:
         if not (np.isfinite(self.W0).all() and np.isfinite(self.W1).all()):
             raise ValueError("parameters must be finite")
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.W0.shape[1]
-
 
 @dataclass(frozen=True)
 class AdamState:
@@ -53,9 +55,6 @@ class AdamState:
     v_W1: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
@@ -93,38 +92,20 @@ def sample_dropout_mask(rng: np.random.Generator, shape: tuple[int, int],
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def _forward(adj: sp.csr_array, X: np.ndarray, params: BackboneParams,
-             dropout_mask: np.ndarray | None):
-    """Shared forward pass; returns pre-activation, dropped hidden, logits."""
-    z0 = adj @ (X @ params.W0)
-    hidden = np.maximum(z0, 0.0)
-    dropped = hidden if dropout_mask is None else hidden * dropout_mask
-    logits = adj @ (dropped @ params.W1)
-    return z0, dropped, logits
-
-
-def gcn_forward(
-    adj: sp.csr_array,
-    X: np.ndarray,
-    params: BackboneParams,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def gcn_forward(adj: sp.csr_array, X: np.ndarray, params: BackboneParams,
+                dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the two-layer GCN; returns (hidden, logits).
 
-    In training mode with a positive dropout rate an inverted-dropout mask
-    is sampled from ``rng`` and applied to the hidden layer (the returned
-    hidden includes it). Inference applies no dropout and no scaling.
+    ``hidden`` is relu(adj @ X @ W0), multiplied by ``dropout_mask`` (an
+    already scaled inverted-dropout mask) when one is given; the logits are
+    computed from that hidden layer. Inference passes no mask.
     """
     if X.shape[1] != params.W0.shape[0]:
         raise ValueError(f"feature dim {X.shape[1]} != W0 rows {params.W0.shape[0]}")
-    mask = None
-    if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training with dropout requires an rng")
-        mask = sample_dropout_mask(rng, (X.shape[0], params.hidden_dim), dropout_rate)
-    _, hidden, logits = _forward(adj, X, params, mask)
+    hidden = np.maximum(adj @ (X @ params.W0), 0.0)
+    if dropout_mask is not None:
+        hidden = hidden * dropout_mask
+    logits = adj @ (hidden @ params.W1)
     return hidden, logits
 
 
@@ -159,9 +140,11 @@ def gcn_backward(
 
     ``dropout_mask`` must be the same (already scaled) mask used in the
     paired forward pass, or None. The relu subgradient at 0 is taken as 0.
+    The relu gate is read from the returned hidden layer: a unit the mask
+    drops has a zero gradient either way.
     """
     mask = np.asarray(mask, dtype=bool)
-    z0, dropped, logits = _forward(adj, X, params, dropout_mask)
+    hidden, logits = gcn_forward(adj, X, params, dropout_mask)
     _, probs = masked_softmax_cross_entropy(logits, labels, mask)
 
     n_masked = int(mask.sum())
@@ -172,10 +155,11 @@ def gcn_backward(
 
     # adj is symmetric, so adj.T @ M == adj @ M throughout.
     back1 = adj @ d_logits
-    grad_W1 = dropped.T @ back1
-    d_dropped = back1 @ params.W1.T
-    d_hidden = d_dropped if dropout_mask is None else d_dropped * dropout_mask
-    d_z0 = d_hidden * (z0 > 0.0)
+    grad_W1 = hidden.T @ back1
+    d_hidden = back1 @ params.W1.T
+    if dropout_mask is not None:
+        d_hidden = d_hidden * dropout_mask
+    d_z0 = d_hidden * (hidden > 0.0)
     grad_W0 = (adj @ X).T @ d_z0
     return grad_W0, grad_W1
 
@@ -183,11 +167,11 @@ def gcn_backward(
 def _adam_update(param, grad, m, v, state: AdamState, t: int):
     if state.weight_decay:
         grad = grad + state.weight_decay * param
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def adam_step(

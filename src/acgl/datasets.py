@@ -44,13 +44,8 @@ def _read_lines(path: Path) -> list[str]:
         return [line.rstrip("\n") for line in f]
 
 
-def load_dataset(path, fmt: str = FORMAT_NAME, row_normalize: bool = False) -> Graph:
-    """Load a dataset directory into a validated :class:`Graph`.
-
-    ``fmt`` names the on-disk layout; only ``"csv-dir"`` is supported.
-    """
-    if fmt != FORMAT_NAME:
-        raise DatasetFormatError(f"unknown dataset format {fmt!r}; supported: {FORMAT_NAME!r}")
+def load_dataset(path) -> Graph:
+    """Load a dataset directory into a validated :class:`Graph`."""
     root = Path(path)
     meta_path = root / "meta.json"
     if not meta_path.is_file():
@@ -79,7 +74,7 @@ def load_dataset(path, fmt: str = FORMAT_NAME, row_normalize: bool = False) -> G
         except ValueError:
             raise _parse_error(edges_path, i, f"non-integer edge entry {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"{edges_path}:{i}: edge ({u}, {v}) out of range for {n} nodes")
+            raise _parse_error(edges_path, i, f"edge ({u}, {v}) out of range for {n} nodes")
         raw_edges.append((u, v))
     edges = canonical_edges(np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2), n)
 
@@ -108,9 +103,7 @@ def load_dataset(path, fmt: str = FORMAT_NAME, row_normalize: bool = False) -> G
         except ValueError:
             raise _parse_error(label_path, i, f"non-integer label {line!r}") from None
         if not 0 <= labels[i - 1] < c:
-            raise ValueError(
-                f"{label_path}:{i}: label {labels[i - 1]} out of range [0, {c})"
-            )
+            raise _parse_error(label_path, i, f"label {labels[i - 1]} out of range [0, {c})")
 
     split_path = root / "split.csv"
     split_lines = _read_lines(split_path)
@@ -124,7 +117,7 @@ def load_dataset(path, fmt: str = FORMAT_NAME, row_normalize: bool = False) -> G
         if tag != "none":
             masks[tag][i - 1] = True
 
-    graph = Graph(
+    return Graph(
         num_nodes=n,
         edges=edges,
         features=features,
@@ -134,11 +127,6 @@ def load_dataset(path, fmt: str = FORMAT_NAME, row_normalize: bool = False) -> G
         test_mask=masks["test"],
         num_classes=c,
     )
-    if row_normalize:
-        from .graph import row_normalize_features
-
-        graph = row_normalize_features(graph)
-    return graph
 
 
 def save_dataset(graph: Graph, path) -> None:

@@ -20,13 +20,10 @@ class ExpanderParams:
     weight: np.ndarray          # (h, d_out), frozen
     seed: int
     uses_adjacency: bool = False
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.weight.ndim != 2:
             raise ValueError("expansion weight must be a matrix")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         w = np.ascontiguousarray(self.weight, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weight", w)
@@ -34,10 +31,6 @@ class ExpanderParams:
     @property
     def input_dim(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weight.shape[1]
 
 
 def init_expander(h: int, d_out: int, seed: int, uses_adjacency: bool = False) -> ExpanderParams:

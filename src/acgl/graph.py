@@ -10,7 +10,7 @@ self-loop needed by GCN message passing is added inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,8 +41,9 @@ def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
 class Graph:
     """Immutable attributed graph with train/val/test node masks.
 
-    Invariants (checked at construction): canonical edge list, labels in
-    [0, num_classes), masks boolean, same length, and pairwise disjoint.
+    Invariants (checked at construction): canonical edge list, finite
+    features, labels in [0, num_classes), masks boolean, same length, and
+    pairwise disjoint.
     """
 
     num_nodes: int
@@ -70,6 +71,8 @@ class Graph:
         labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2 or features.shape[0] != n:
             raise ValueError(f"features must be (N, d) with N={n}")
+        if not np.isfinite(features).all():
+            raise ValueError("features contain non-finite values (NaN or inf)")
         if labels.shape != (n,):
             raise ValueError("labels must be a length-N vector")
         if labels.min() < 0 or labels.max() >= self.num_classes:
@@ -153,12 +156,10 @@ class SessionPlan:
     """Ordered class groups for one class-incremental run.
 
     ``groups[0]`` is the base group (size c0); the rest are incremental
-    groups of size k (the last may be smaller). ``node_lists[i]`` holds the
-    original node indices whose label falls in ``groups[i]``.
+    groups of size k (the last may be smaller).
     """
 
     groups: tuple[tuple[int, ...], ...]
-    node_lists: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -168,8 +169,6 @@ class SessionPlan:
             if seen & set(g):
                 raise ValueError("class groups must be disjoint")
             seen.update(g)
-        for arr in self.node_lists:
-            arr.setflags(write=False)
 
     @property
     def num_sessions(self) -> int:
@@ -201,7 +200,7 @@ def build_session_plan(
     """Split the class set into a base group and incremental groups of size k.
 
     ``class_order`` must be a permutation of [0, num_classes); default is
-    ascending class id. Every node lands in exactly one session's node list.
+    ascending class id. Every class lands in exactly one group.
     """
     c = graph.num_classes
     if class_order is None:
@@ -217,12 +216,7 @@ def build_session_plan(
     rest = class_order[c0:]
     for start in range(0, len(rest), k):
         groups.append(tuple(rest[start : start + k]))
-
-    node_lists = []
-    for g in groups:
-        members = np.isin(graph.labels, np.asarray(g, dtype=np.int64))
-        node_lists.append(np.flatnonzero(members))
-    return SessionPlan(groups=tuple(groups), node_lists=tuple(node_lists))
+    return SessionPlan(groups=tuple(groups))
 
 
 def session_subgraph(graph: Graph, class_set) -> Graph:
@@ -230,7 +224,8 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
 
     Node ids are compacted (ascending original order); features, labels and
     masks are restricted. Labels keep their original ids and num_classes is
-    inherited from the parent graph.
+    inherited from the parent graph. The compaction is monotone, so the
+    parent's canonical edges stay canonical after remapping.
     """
     class_arr = np.asarray(sorted(set(int(c) for c in class_set)), dtype=np.int64)
     if class_arr.size == 0:
@@ -242,15 +237,11 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
     remap = np.full(graph.num_nodes, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
     e = graph.edges
-    if e.size:
-        inside = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
-        sub_edges = remap[e[inside]]
-    else:
-        sub_edges = np.empty((0, 2), dtype=np.int64)
+    inside = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
 
     return Graph(
         num_nodes=int(keep.size),
-        edges=canonical_edges(sub_edges, int(keep.size)),
+        edges=remap[e[inside]],
         features=graph.features[keep],
         labels=graph.labels[keep],
         train_mask=graph.train_mask[keep],

@@ -139,7 +139,7 @@ def _extract_expanded(graph: Graph, backbone: BackboneParams,
                       expander: ExpanderParams) -> np.ndarray:
     """Frozen backbone + expander features for every node of one subgraph."""
     adj = normalize_adjacency(graph)
-    hidden, _ = gcn_forward(adj, graph.features, backbone, training=False)
+    hidden, _ = gcn_forward(adj, graph.features, backbone)
     return expand(hidden, expander, adj)
 
 

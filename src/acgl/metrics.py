@@ -213,19 +213,3 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
         written.append(path)
     return written
 
-
-def summarize_runs(aps: list[float], afs: list[float]) -> dict:
-    """Mean/std combinator for repeated runs (population std, ddof 0)."""
-
-    def _mean(vals):
-        return sum(vals) / len(vals)
-
-    def _std(vals):
-        mu = _mean(vals)
-        return (sum((v - mu) ** 2 for v in vals) / len(vals)) ** 0.5
-
-    out = {"ap_mean": _mean(aps), "ap_std": _std(aps)}
-    if afs:
-        out["af_mean"] = _mean(afs)
-        out["af_std"] = _std(afs)
-    return out

@@ -73,12 +73,21 @@ class TestForward:
         np.testing.assert_allclose(hidden, np.maximum(X, 0.0))
         np.testing.assert_allclose(logits, np.maximum(X, 0.0))
 
+    def test_dropout_mask_scales_hidden_before_second_layer(self):
+        _, adj, params, _, _ = random_instance(0)
+        X = np.random.default_rng(1).normal(size=(6, 4))
+        plain, _ = gcn_forward(adj, X, params)
+        drop = sample_dropout_mask(np.random.default_rng(2), plain.shape, 0.5)
+        hidden, logits = gcn_forward(adj, X, params, drop)
+        np.testing.assert_array_equal(hidden, plain * drop)
+        np.testing.assert_array_equal(logits, adj @ (hidden @ params.W1))
+
     def test_zero_dropout_training_equals_inference(self):
         _, adj, params, _, _ = random_instance(0)
         X = np.random.default_rng(1).normal(size=(6, 4))
-        rng = np.random.default_rng(2)
-        h_train, l_train = gcn_forward(adj, X, params, 0.0, rng, training=True)
-        h_eval, l_eval = gcn_forward(adj, X, params, 0.0, training=False)
+        h_eval, l_eval = gcn_forward(adj, X, params)
+        mask = sample_dropout_mask(np.random.default_rng(2), h_eval.shape, 0.0)
+        h_train, l_train = gcn_forward(adj, X, params, mask)
         np.testing.assert_array_equal(h_train, h_eval)
         np.testing.assert_array_equal(l_train, l_eval)
 

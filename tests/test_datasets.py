@@ -36,12 +36,12 @@ class TestLoad:
 
     def test_edge_out_of_range(self, tmp_path):
         write_toy_dataset(tmp_path / "bad", edges="0,99\n")
-        with pytest.raises(ValueError, match=r"edge \(0, 99\) out of range"):
+        with pytest.raises(DatasetFormatError, match=r"edges\.csv:1: edge \(0, 99\) out of range"):
             load_dataset(tmp_path / "bad")
 
     def test_label_out_of_range(self, tmp_path):
         write_toy_dataset(tmp_path / "bad", labels="0\n1\n7\n")
-        with pytest.raises(ValueError, match="label 7 out of range"):
+        with pytest.raises(DatasetFormatError, match=r"labels\.csv:3: label 7 out of range"):
             load_dataset(tmp_path / "bad")
 
     def test_parse_error_carries_line_number(self, tmp_path):
@@ -64,11 +64,6 @@ class TestLoad:
         (tmp_path / "bad" / "labels.csv").unlink()
         with pytest.raises(DatasetFormatError, match="missing"):
             load_dataset(tmp_path / "bad")
-
-    def test_unknown_format_descriptor(self, tmp_path):
-        write_toy_dataset(tmp_path / "toy")
-        with pytest.raises(DatasetFormatError, match="unknown dataset format"):
-            load_dataset(tmp_path / "toy", fmt="parquet")
 
     def test_directed_duplicates_are_merged(self, tmp_path):
         write_toy_dataset(tmp_path / "toy", edges="0,1\n1,0\n0,1\n2,1\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgl.graph import (
     Graph,
@@ -96,6 +98,16 @@ class TestGraphInvariants:
             make_graph(2, [], [0, 1], 2,
                        train=[True, False], val=[True, False], test=[False, False])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        g = make_graph(3, [(0, 1)], [0, 1, 1], 2, d=2)
+        features = np.array(g.features)
+        features[1, 0] = bad
+        with pytest.raises(ValueError, match="features contain non-finite"):
+            Graph(num_nodes=3, edges=g.edges, features=features, labels=g.labels,
+                  train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
+                  num_classes=2)
+
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)
         np.testing.assert_array_equal(edges, [[0, 1]])
@@ -130,8 +142,9 @@ class TestSessionPlan:
         plan = build_session_plan(g, 2, 2)
         all_classes = sorted(c for grp in plan.groups for c in grp)
         assert all_classes == list(range(5))
-        all_nodes = np.sort(np.concatenate(plan.node_lists))
-        np.testing.assert_array_equal(all_nodes, np.arange(40))
+        group_of_node = [[i for i, grp in enumerate(plan.groups) if y in grp]
+                         for y in g.labels]
+        assert all(len(found) == 1 for found in group_of_node)
 
     def test_last_group_may_be_smaller(self):
         g = make_graph(7, [], list(range(7)), 7)
@@ -185,6 +198,24 @@ class TestSessionSubgraph:
         sub = session_subgraph(g, {0})
         assert sub.num_nodes == 4
         assert (sub.labels == 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 14), num_classes=st.integers(1, 4))
+    def test_edges_are_the_canonical_induced_edges(self, data, n, num_classes):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        g = make_graph(n, edges, labels, num_classes)
+        present = sorted(set(labels))
+        class_set = data.draw(st.sets(st.sampled_from(present), min_size=1))
+        sub = session_subgraph(g, class_set)
+        np.testing.assert_array_equal(sub.edges, canonical_edges(sub.edges, sub.num_nodes))
+        keep = [i for i in range(n) if labels[i] in class_set]
+        new_id = {old: new for new, old in enumerate(keep)}
+        induced = sorted((new_id[u], new_id[v]) for u, v in g.edges.tolist()
+                         if u in new_id and v in new_id)
+        np.testing.assert_array_equal(sub.edges.reshape(-1, 2),
+                                      np.asarray(induced, dtype=np.int64).reshape(-1, 2))
 
     def test_empty_induced_set_rejected(self):
         g = make_graph(3, [], [0, 0, 1], 3)

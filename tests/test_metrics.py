@@ -14,7 +14,6 @@ from acgl.metrics import (
     matrix_from_csv,
     matrix_to_csv,
     report_to_json,
-    summarize_runs,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "report"
@@ -146,10 +145,3 @@ class TestEmission:
             golden = (GOLDEN_DIR / name).read_bytes()
             produced = (tmp_path / name).read_bytes()
             assert produced == golden, f"{name} deviates from the reviewed golden copy"
-
-
-def test_summarize_runs():
-    out = summarize_runs([0.5, 0.7], [0.1, 0.3])
-    assert out["ap_mean"] == pytest.approx(0.6)
-    assert out["ap_std"] == pytest.approx(0.1)
-    assert out["af_mean"] == pytest.approx(0.2)
