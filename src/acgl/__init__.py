@@ -5,7 +5,17 @@ Classes arriving in later sessions are absorbed by a closed-form ridge
 classifier over randomly expanded embeddings, updated recursively so the
 result is numerically identical to refitting on every session at once
 while retaining only two fixed-size matrices between sessions.
+
+Importing the package pins BLAS to one thread unless the caller has set the
+thread variables. A BLAS reads them once, when numpy is first imported, so a
+program that imports numpy before acgl must set them itself.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .analytic import (
     AnalyticState,

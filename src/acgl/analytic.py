@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 __all__ = [
     "AnalyticState",
@@ -119,8 +120,50 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(_spd_factor(matrix), rhs, check_finite=False)
 
 
+# Edge of the square tiles the d x d passes walk, so that a tile and its
+# mirror image both stay in cache.
+_TILE = 128
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of the tiles on and above the diagonal of an n x n matrix."""
+    starts = range(0, n, _TILE)
+    for i in starts:
+        for j in starts[i // _TILE:]:
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix from its Cholesky factor (LAPACK potrf + potri).
+
+    Only the lower triangle of ``matrix`` is read. potri returns the lower
+    triangle of the inverse, which is mirrored into the upper one, so the
+    result is exactly symmetric. Raises ValueError when the matrix is not SPD.
+    """
+    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
+    if info == 0:
+        inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"matrix numerically singular or indefinite: LAPACK info {info}")
+    for rows, cols in _tile_pairs(len(inverse)):
+        if rows == cols:
+            tile = inverse[rows, rows]
+            tile[...] = np.tril(tile) + np.tril(tile, -1).T
+        else:
+            inverse[rows, cols] = inverse[cols, rows].T
+    # LAPACK works in Fortran order; the transpose of a symmetric matrix is
+    # the same matrix, here in C order without a copy.
+    return inverse.T
+
+
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2.0
+    """(mat + mat.T) / 2, one pair of mirrored tiles at a time."""
+    out = np.empty_like(mat)
+    for rows, cols in _tile_pairs(len(mat)):
+        half = (mat[rows, cols] + mat[cols, rows].T) / 2.0
+        out[rows, cols] = half
+        out[cols, rows] = half.T
+    return out
 
 
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
@@ -139,7 +182,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     if class_ids is None:
         class_ids = tuple(range(Y0.shape[1]))
     d = X0.shape[1]
-    gram = _symmetrize(X0.T @ X0) + gamma * np.eye(d)
+    gram = X0.T @ X0 + gamma * np.eye(d)
     factor = _spd_factor(gram)
     weights = scipy.linalg.cho_solve(factor, X0.T @ Y0, check_finite=False)
     inv_gram = _symmetrize(scipy.linalg.cho_solve(factor, np.eye(d), check_finite=False))
@@ -159,8 +202,9 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
 
         R_prev - R_prev Xn^T (I + Xn R_prev Xn^T)^{-1} Xn R_prev
 
-    otherwise the matrix is re-inverted directly for better conditioning.
-    A singular inner matrix raises ValueError.
+    otherwise the Gram is rebuilt as R_prev^{-1} + Xn^T Xn and inverted
+    directly, two Cholesky inverses for better conditioning. The result is
+    exactly symmetric. A singular or indefinite matrix raises ValueError.
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
@@ -169,15 +213,12 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}")
     n = Xn.shape[0]
     if n == 0:
-        return _symmetrize(R_prev.copy())
-    if n < d:
-        K = Xn @ R_prev                                   # (n, d)
-        inner = np.eye(n) + _symmetrize(K @ Xn.T)         # (n, n)
-        R_new = R_prev - K.T @ _spd_solve(inner, K)
-    else:
-        gram_prev = _spd_solve(R_prev, np.eye(d))
-        R_new = _spd_solve(_symmetrize(gram_prev) + Xn.T @ Xn, np.eye(d))
-    return _symmetrize(R_new)
+        return _symmetrize(R_prev)
+    if n >= d:
+        return _spd_inverse(_spd_inverse(R_prev) + Xn.T @ Xn)
+    K = Xn @ R_prev                                       # (n, d)
+    inner = np.eye(n) + _symmetrize(K @ Xn.T)             # (n, n)
+    return _symmetrize(R_prev - K.T @ _spd_solve(inner, K))
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:

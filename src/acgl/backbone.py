@@ -135,13 +135,15 @@ def gcn_backward(
     labels: np.ndarray,
     mask: np.ndarray,
     dropout_mask: np.ndarray | None = None,
+    adj_X: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the masked mean cross-entropy w.r.t. W0 and W1.
 
     ``dropout_mask`` must be the same (already scaled) mask used in the
     paired forward pass, or None. The relu subgradient at 0 is taken as 0.
     The relu gate is read from the returned hidden layer: a unit the mask
-    drops has a zero gradient either way.
+    drops has a zero gradient either way. ``adj_X`` is ``adj @ X``, for a
+    caller that computes it once across epochs; it is formed here if None.
     """
     mask = np.asarray(mask, dtype=bool)
     hidden, logits = gcn_forward(adj, X, params, dropout_mask)
@@ -160,7 +162,9 @@ def gcn_backward(
     if dropout_mask is not None:
         d_hidden = d_hidden * dropout_mask
     d_z0 = d_hidden * (hidden > 0.0)
-    grad_W0 = (adj @ X).T @ d_z0
+    if adj_X is None:
+        adj_X = adj @ X
+    grad_W0 = adj_X.T @ d_z0
     return grad_W0, grad_W1
 
 
@@ -228,6 +232,7 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> Backb
 
     adj = normalize_adjacency(base)
     X = base.features
+    adj_X = adj @ X                 # constant across epochs
     rng = np.random.default_rng(config.seed)
     params = init_backbone(X.shape[1], config.hidden, len(plan.base_classes), rng)
     state = AdamState.init(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -236,7 +241,7 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> Backb
         mask_drop = None
         if config.dropout > 0.0:
             mask_drop = sample_dropout_mask(rng, (X.shape[0], config.hidden), config.dropout)
-        grads = gcn_backward(adj, X, params, y, base.train_mask, mask_drop)
+        grads = gcn_backward(adj, X, params, y, base.train_mask, mask_drop, adj_X=adj_X)
         params, state = adam_step(params, grads, state)
     return params
 

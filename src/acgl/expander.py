@@ -61,4 +61,4 @@ def expand(hidden: np.ndarray, params: ExpanderParams,
         if adj is None:
             raise ValueError("adjacency-variant expander needs the normalized adjacency")
         pre = adj @ pre
-    return np.maximum(pre, 0.0)
+    return np.maximum(pre, 0.0, out=pre)

@@ -2,8 +2,8 @@
 
 A :class:`Graph` is a single undirected attributed graph: edge list, dense
 node features, integer labels, and disjoint train/val/test masks. Edges are
-stored canonically (each pair once, smaller id first, no self-loops); the
-self-loop needed by GCN message passing is added inside
+stored canonically (each pair once, smaller id first, no self-loops, rows in
+sorted order); the self-loop needed by GCN message passing is added inside
 :func:`normalize_adjacency`, never stored.
 """
 
@@ -47,7 +47,7 @@ class Graph:
     """
 
     num_nodes: int
-    edges: np.ndarray        # (E, 2) int64, u < v, unique
+    edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique
     features: np.ndarray     # (N, d) float64
     labels: np.ndarray       # (N,) int64
     train_mask: np.ndarray   # (N,) bool
@@ -65,8 +65,11 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] >= edges[:, 1]):
                 raise ValueError("edges must be canonical (u < v, no self-loops)")
-            if len(np.unique(edges, axis=0)) != len(edges):
-                raise ValueError("duplicate edges")
+            # Rows strictly increasing in lexicographic order: sorted and unique.
+            du = np.diff(edges[:, 0])
+            dv = np.diff(edges[:, 1])
+            if np.any((du < 0) | ((du == 0) & (dv <= 0))):
+                raise ValueError("edges must be sorted and free of duplicates")
         features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2 or features.shape[0] != n:

@@ -73,16 +73,13 @@ def generate_synthetic(
     features = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
 
     class_members = [np.flatnonzero(labels == c) for c in range(num_classes)]
+    class_others = [np.flatnonzero(labels != c) for c in range(num_classes)]
     num_edges = int(round(avg_degree * n / 2))
     pairs = set()
     for _ in range(num_edges):
         u = int(rng.integers(n))
         cu = labels[u]
-        if rng.random() < homophily:
-            pool = class_members[cu]
-        else:
-            others = np.flatnonzero(labels != cu)
-            pool = others
+        pool = class_members[cu] if rng.random() < homophily else class_others[cu]
         v = int(pool[rng.integers(len(pool))])
         if v == u:  # only possible on the intra-class branch
             v = int(class_members[cu][(np.searchsorted(class_members[cu], u) + 1) % nodes_per_class])

@@ -1,3 +1,4 @@
+import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy loads)
 import numpy as np
 import pytest
 

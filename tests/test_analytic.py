@@ -6,6 +6,8 @@ import pytest
 from acgl.analytic import (
     AnalyticState,
     SessionBatch,
+    _spd_inverse,
+    _symmetrize,
     align_base,
     joint_solve,
     one_hot,
@@ -150,17 +152,31 @@ class TestUpdateR:
         assert rel_fro(update_R(R_prev, Xn), expected) < 1e-9
 
     def test_output_symmetric(self):
+        # Exactly symmetric on both branches, at a d spanning several tiles.
         rng = np.random.default_rng(6)
-        A = rng.normal(size=(8, 8))
-        R_prev = np.linalg.inv(A @ A.T + np.eye(8))
-        out = update_R(R_prev, rng.normal(size=(4, 8)))
-        np.testing.assert_allclose(out, out.T, atol=1e-12)
+        d = 300
+        A = rng.normal(size=(d, d))
+        R_prev = np.linalg.inv(A @ A.T + np.eye(d))
+        for n in (4, d):  # Woodbury, direct
+            out = update_R(R_prev, rng.normal(size=(n, d)))
+            assert np.array_equal(out, out.T)
 
     def test_singular_input_rejected(self):
-        # A negative-definite "R" makes the inner matrix indefinite.
+        # A negative-definite "R" makes the inner matrix indefinite (n = 1,
+        # Woodbury) and cannot be factored for the re-inversion (n = 3, direct).
         R_bad = -np.eye(3) * 1e12
-        with pytest.raises(ValueError, match="singular|indefinite"):
-            update_R(R_bad, np.ones((1, 3)))
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="singular|indefinite"):
+                update_R(R_bad, np.ones((n, 3)))
+
+    def test_tiled_passes_match_dense_forms(self):
+        rng = np.random.default_rng(18)
+        M = rng.normal(size=(300, 300))
+        assert np.array_equal(_symmetrize(M), (M + M.T) / 2.0)
+        spd = M @ M.T + np.eye(300)
+        inverse = _spd_inverse(spd)
+        assert np.array_equal(inverse, inverse.T)
+        assert rel_fro(inverse, np.linalg.inv(spd)) < 1e-9
 
 
 class TestUpdateWeights:
@@ -226,13 +242,17 @@ class TestUpdateWeights:
                 1.0, np.linalg.norm(cols_a[c])
             )
 
-    # The README's exactness claim covers gamma >= 1e-4. At gamma = 1e-6 this
-    # stream drifts to about 1.3e-8, past the bound, so that value is not
-    # tested here.
-    @pytest.mark.parametrize("gamma", [1.0, 1e-2, 1e-4])
-    def test_long_rank_deficient_relu_stream_matches_joint(self, gamma):
-        for seed in range(5):
-            batches = relu_stream(seed)
+    # The README's exactness claim covers gamma >= 1e-4. At gamma = 1e-6 the
+    # 40-row stream drifts to about 1.3e-8, past the bound, so that value is
+    # not tested here. 300-row sessions exceed d = 256 and take update_R's
+    # direct branch; fewer sessions and seeds keep that case short.
+    @pytest.mark.parametrize("gamma, rows, sessions, seeds", [
+        *(pytest.param(g, 40, 30, 5, id=str(g)) for g in (1.0, 1e-2, 1e-4)),
+        *(pytest.param(g, 300, 10, 2, id=f"{g}-rows300") for g in (1.0, 1e-2, 1e-4)),
+    ])
+    def test_long_rank_deficient_relu_stream_matches_joint(self, gamma, rows, sessions, seeds):
+        for seed in range(seeds):
+            batches = relu_stream(seed, num_sessions=sessions, rows=rows)
             state = run_recursion(batches, gamma)
             assert rel_fro(state.weights, joint_solve(batches, gamma)) < 1e-8
 

@@ -108,6 +108,17 @@ class TestGraphInvariants:
                   train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
                   num_classes=2)
 
+    @pytest.mark.parametrize("edges", [
+        [[2, 3], [1, 2], [0, 1]],   # canonical rows, reversed order
+        [[0, 1], [0, 1], [1, 2]],   # duplicate row
+    ])
+    def test_rejects_unsorted_or_duplicate_edges(self, edges):
+        g = make_graph(4, [], [0, 1, 1, 0], 2)
+        with pytest.raises(ValueError, match="sorted and free of duplicates"):
+            Graph(num_nodes=4, edges=np.array(edges), features=g.features, labels=g.labels,
+                  train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
+                  num_classes=2)
+
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)
         np.testing.assert_array_equal(edges, [[0, 1]])
