@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 __all__ = [
@@ -92,6 +93,8 @@ class SessionBatch:
             raise ValueError("class_ids must be unique")
         if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
             raise ValueError("every target row must be one-hot")
+        if not np.isfinite(X).all():
+            raise ValueError("features contain non-finite values")
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "features", X)
@@ -116,10 +119,6 @@ def _spd_factor(matrix: np.ndarray):
         raise ValueError(f"matrix numerically singular or indefinite: {exc}") from exc
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.cho_solve(_spd_factor(matrix), rhs, check_finite=False)
-
-
 # Edge of the square tiles the d x d passes walk, so that a tile and its
 # mirror image both stay in cache.
 _TILE = 128
@@ -131,6 +130,17 @@ def _tile_pairs(n: int):
     for i in starts:
         for j in starts[i // _TILE:]:
             yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _mirror_lower(mat: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of ``mat`` over its upper one, in place and tile by tile."""
+    for rows, cols in _tile_pairs(len(mat)):
+        if rows == cols:
+            tile = mat[rows, rows]
+            tile[...] = np.tril(tile) + np.tril(tile, -1).T
+        else:
+            mat[rows, cols] = mat[cols, rows].T
+    return mat
 
 
 def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
@@ -145,49 +155,32 @@ def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
         inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise ValueError(f"matrix numerically singular or indefinite: LAPACK info {info}")
-    for rows, cols in _tile_pairs(len(inverse)):
-        if rows == cols:
-            tile = inverse[rows, rows]
-            tile[...] = np.tril(tile) + np.tril(tile, -1).T
-        else:
-            inverse[rows, cols] = inverse[cols, rows].T
     # LAPACK works in Fortran order; the transpose of a symmetric matrix is
     # the same matrix, here in C order without a copy.
-    return inverse.T
-
-
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat.T) / 2, one pair of mirrored tiles at a time."""
-    out = np.empty_like(mat)
-    for rows, cols in _tile_pairs(len(mat)):
-        half = (mat[rows, cols] + mat[cols, rows].T) / 2.0
-        out[rows, cols] = half
-        out[cols, rows] = half.T
-    return out
+    return _mirror_lower(inverse).T
 
 
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
                class_ids=None) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
-    Factors G = X^T X + gamma I once by Cholesky, then solves G W = X^T Y
-    and materializes R = G^{-1} for the recursion from that one factor.
-    ``class_ids`` defaults to 0..C0-1 when the base classes are not
-    explicitly named.
+    Inverts G = X^T X + gamma I by Cholesky into R, the recursion's state,
+    and sets W = R X^T Y, the same product that appends new class columns
+    in :func:`update_weights`. ``class_ids`` defaults to 0..C0-1 when the
+    base classes are not explicitly named. Non-finite features raise
+    ValueError.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     X0 = np.asarray(X0, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
+    if not np.isfinite(X0).all():
+        raise ValueError("features contain non-finite values")
     if class_ids is None:
         class_ids = tuple(range(Y0.shape[1]))
-    d = X0.shape[1]
-    gram = X0.T @ X0 + gamma * np.eye(d)
-    factor = _spd_factor(gram)
-    weights = scipy.linalg.cho_solve(factor, X0.T @ Y0, check_finite=False)
-    inv_gram = _symmetrize(scipy.linalg.cho_solve(factor, np.eye(d), check_finite=False))
+    inv_gram = _spd_inverse(X0.T @ X0 + gamma * np.eye(X0.shape[1]))
     return AnalyticState(
-        weights=weights,
+        weights=inv_gram @ (X0.T @ Y0),
         inv_gram=inv_gram,
         gamma=float(gamma),
         seen_classes=tuple(int(c) for c in class_ids),
@@ -198,13 +191,15 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     """Absorb a session's Gram contribution into the stored inverse.
 
     Computes (R_prev^{-1} + Xn^T Xn)^{-1}. When the session is small
-    (N < d) the Woodbury form is used and the inner solve is only N x N:
+    (N < d) the Woodbury form is used and the inner factor is only N x N:
+    with K = Xn R_prev and L the Cholesky factor of I + K Xn^T,
 
-        R_prev - R_prev Xn^T (I + Xn R_prev Xn^T)^{-1} Xn R_prev
+        R_prev - V^T V,   V = L^{-1} K
 
     otherwise the Gram is rebuilt as R_prev^{-1} + Xn^T Xn and inverted
-    directly, two Cholesky inverses for better conditioning. The result is
-    exactly symmetric. A singular or indefinite matrix raises ValueError.
+    directly, two Cholesky inverses for better conditioning. Either way one
+    triangle of the result is mirrored into the other, so it is exactly
+    symmetric. A singular or indefinite matrix raises ValueError.
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
@@ -213,12 +208,16 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}")
     n = Xn.shape[0]
     if n == 0:
-        return _symmetrize(R_prev)
+        return _mirror_lower(R_prev.copy())
     if n >= d:
         return _spd_inverse(_spd_inverse(R_prev) + Xn.T @ Xn)
     K = Xn @ R_prev                                       # (n, d)
-    inner = np.eye(n) + _symmetrize(K @ Xn.T)             # (n, n)
-    return _symmetrize(R_prev - K.T @ _spd_solve(inner, K))
+    L, _ = _spd_factor(np.eye(n) + K @ Xn.T)              # (n, n), lower
+    V = scipy.linalg.solve_triangular(L, K, lower=True, check_finite=False)
+    # syrk writes one triangle of R_prev - V^T V into a Fortran-order copy of
+    # R_prev.T, whose transpose is the C-order result once mirrored.
+    R_new = scipy.linalg.blas.dsyrk(-1.0, V, beta=1.0, c=R_prev.T, trans=1, lower=1)
+    return _mirror_lower(R_new).T
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
@@ -276,7 +275,7 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
             raise ValueError("all sessions must share the feature dimension")
         gram += X.T @ X
         blocks.append(X.T @ Y)
-    return _spd_solve(_symmetrize(gram), np.hstack(blocks))
+    return scipy.linalg.cho_solve(_spd_factor(gram), np.hstack(blocks), check_finite=False)
 
 
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:

@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from acgl import config as cfgmod
 from acgl.cli import EXIT_OK, main
 
@@ -27,11 +29,20 @@ def load_tracing(monkeypatch):
     return module
 
 
-def test_synthetic_config_hits_every_wrapped_call_site(tmp_path, monkeypatch):
+# The config's sessions have fewer train rows than d = 64, so update_R takes
+# its Woodbury branch; 120 nodes per class give 72 train rows per session and
+# the direct branch.
+@pytest.mark.parametrize("overrides", [
+    pytest.param([], id="woodbury"),
+    pytest.param(["synthetic.nodes_per_class=120"], id="direct"),
+])
+def test_synthetic_config_hits_every_wrapped_call_site(tmp_path, monkeypatch, overrides):
     tracing = load_tracing(monkeypatch)
-    experiment = cfgmod.build_experiment(cfgmod.load_config(CONFIG))
+    experiment = cfgmod.build_experiment(
+        cfgmod.apply_overrides(cfgmod.load_config(CONFIG), overrides))
+    sets = [arg for pair in overrides for arg in ("--set", pair)]
     with tracing.RunProbe() as probe:
-        code = main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "out")])
+        code = main(["run", "--config", str(CONFIG), "--out", str(tmp_path / "out"), *sets])
     assert code == EXIT_OK
     assert probe.coverage_problems(experiment) == []
     assert probe.joint_rel_err() <= 1e-8
