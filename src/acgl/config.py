@@ -111,7 +111,11 @@ def load_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc.reason})") from None
+    return parse_config_text(text, source=str(p))
 
 
 def apply_overrides(cfg: dict, pairs: list[str]) -> dict:

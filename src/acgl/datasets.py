@@ -40,24 +40,28 @@ def _parse_error(path: Path, line_no: int, detail: str) -> DatasetFormatError:
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise DatasetFormatError(f"{path}: missing dataset file")
-    with path.open("r", encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_dataset(path) -> Graph:
     """Load a dataset directory into a validated :class:`Graph`."""
     root = Path(path)
     meta_path = root / "meta.json"
-    if not meta_path.is_file():
-        raise DatasetFormatError(f"{meta_path}: missing dataset file")
+    text = "\n".join(_read_lines(meta_path))
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        meta = json.loads(text)
+    except (ValueError, RecursionError) as exc:   # nesting or int digits past Python's limits
         raise DatasetFormatError(f"{meta_path}: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DatasetFormatError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     for key in ("num_nodes", "num_features", "num_classes"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
-        if not isinstance(meta[key], int) or meta[key] <= 0:
+        if type(meta[key]) is not int or meta[key] <= 0:
             raise DatasetFormatError(f"{meta_path}: {key} must be a positive integer")
     n, d, c = meta["num_nodes"], meta["num_features"], meta["num_classes"]
 
@@ -91,6 +95,10 @@ def load_dataset(path) -> Graph:
             features[i - 1] = [float(p) for p in parts]
         except ValueError:
             raise _parse_error(feat_path, i, f"non-numeric feature entry in {line!r}") from None
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        line_no = int(np.argmin(finite_rows)) + 1
+        raise _parse_error(feat_path, line_no, "features contain non-finite values")
 
     label_path = root / "labels.csv"
     label_lines = _read_lines(label_path)

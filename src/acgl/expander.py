@@ -18,7 +18,6 @@ import scipy.sparse as sp
 @dataclass(frozen=True)
 class ExpanderParams:
     weight: np.ndarray          # (h, d_out), frozen
-    seed: int
     uses_adjacency: bool = False
 
     def __post_init__(self):
@@ -43,7 +42,7 @@ def init_expander(h: int, d_out: int, seed: int, uses_adjacency: bool = False) -
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(h)
     weight = rng.uniform(-bound, bound, size=(h, d_out))
-    return ExpanderParams(weight=weight, seed=seed, uses_adjacency=uses_adjacency)
+    return ExpanderParams(weight=weight, uses_adjacency=uses_adjacency)
 
 
 def expand(hidden: np.ndarray, params: ExpanderParams,

@@ -105,10 +105,6 @@ class PerformanceMatrix:
     def final_row(self) -> tuple[float, ...]:
         return self.rows[-1]
 
-    @property
-    def diagonal(self) -> tuple[float, ...]:
-        return tuple(self.rows[i][i] for i in range(len(self.rows)))
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -118,7 +114,6 @@ class RunResult:
     plan: SessionPlan
     backbone: BackboneParams
     expander: ExpanderParams
-    batches: tuple[SessionBatch, ...] | None = None
 
 
 def resolve_graph(config: ExperimentConfig) -> Graph:
@@ -195,7 +190,7 @@ def _union_eval_row(graph, plan, state, backbone, expander, k) -> list[float]:
     return row
 
 
-def run_experiment(config: ExperimentConfig, keep_batches: bool = False) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full protocol; returns M, per-stage timings, final state.
 
     Deterministic given the config's seeds: two identical invocations
@@ -225,7 +220,6 @@ def run_experiment(config: ExperimentConfig, keep_batches: bool = False) -> RunR
                        class_ids=base_batch.class_ids)
     t_align = time.perf_counter() - t0
 
-    batches = [base_batch] if keep_batches else None
     test_rows = [base_test]          # (features, labels) of each seen task
     rows: list[tuple[float, ...]] = []
     update_times: list[float] = []
@@ -248,8 +242,6 @@ def run_experiment(config: ExperimentConfig, keep_batches: bool = False) -> RunR
         state = update_weights(state, batch)
         update_times.append(time.perf_counter() - t0)
         test_rows.append(task_test)
-        if batches is not None:
-            batches.append(batch)
         fill_row(k)
 
     timings = {
@@ -266,5 +258,4 @@ def run_experiment(config: ExperimentConfig, keep_batches: bool = False) -> RunR
         plan=plan,
         backbone=backbone,
         expander=expander,
-        batches=tuple(batches) if batches is not None else None,
     )

@@ -2,6 +2,7 @@ import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy lo
 import numpy as np
 import pytest
 
+from acgl import harness
 from acgl.backbone import BackboneConfig
 from acgl.graph import Graph, canonical_edges
 from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
@@ -40,6 +41,28 @@ def random_graph(rng, num_nodes, num_classes=3, d=4, edge_prob=0.3):
         seed=int(rng.integers(2**31)),
         train=split == 0, val=split == 1, test=split == 2,
     )
+
+
+def run_recording_batches(monkeypatch, config):
+    """Run ``config`` and record the (X, Y) of every session the learner absorbs.
+
+    Wraps the harness's ``align_base`` and ``update_weights`` call sites, so
+    the run itself keeps no training rows. Returns ``(RunResult, batches)``.
+    """
+    batches = []
+    align, update = harness.align_base, harness.update_weights
+
+    def recording_align(X0, Y0, *args, **kwargs):
+        batches.append((X0, Y0))
+        return align(X0, Y0, *args, **kwargs)
+
+    def recording_update(state, batch):
+        batches.append((batch.features, batch.targets))
+        return update(state, batch)
+
+    monkeypatch.setattr(harness, "align_base", recording_align)
+    monkeypatch.setattr(harness, "update_weights", recording_update)
+    return harness.run_experiment(config), batches
 
 
 # The standard run used across harness/CLI/acceptance tests. Baselines for

@@ -35,7 +35,7 @@ from acgl.harness import (
 )
 from acgl.metrics import average_forgetting, average_performance
 
-from conftest import FIXTURE_EXPERIMENT, SWEEP_FIXTURE_LINES, random_graph
+from conftest import FIXTURE_EXPERIMENT, SWEEP_FIXTURE_LINES, random_graph, run_recording_batches
 from test_backbone import fd_gradients
 
 CORA_DIR = Path("data/cora")
@@ -173,12 +173,12 @@ def test_gradient_fidelity():
 
 @criterion(5, "fixture stream: M rows from recursive weights equal joint-weight "
               "rows to 1e-12")
-def test_zero_classifier_level_forgetting():
-    res = run_experiment(FIXTURE_EXPERIMENT, keep_batches=True)
+def test_zero_classifier_level_forgetting(monkeypatch):
+    res, batches = run_recording_batches(monkeypatch, FIXTURE_EXPERIMENT)
     graph = resolve_graph(FIXTURE_EXPERIMENT)
     worst = 0.0
     for k in range(res.matrix.num_sessions):
-        W = joint_solve(res.batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
+        W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
         joint_state = AnalyticState(
             weights=W, inv_gram=np.eye(W.shape[0]),
             gamma=FIXTURE_EXPERIMENT.gamma,

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
-from acgl.datasets import load_dataset
-from acgl.synthetic import intra_class_fraction
+from acgl.datasets import load_dataset, save_dataset
+from acgl.synthetic import generate_synthetic, intra_class_fraction
 
 from conftest import SWEEP_FIXTURE_LINES
 
@@ -55,6 +55,13 @@ class TestRun:
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("gamma = 1.0  # \xe9t\xe9\n".encode("latin-1"))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "latin1.cfg" in capsys.readouterr().err
 
     def test_bad_dataset_is_runtime_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -220,6 +227,79 @@ class TestValidateDataset:
         code = main(["validate-dataset", "--path", str(tmp_path / "ds")])
         assert code == EXIT_RUNTIME
         assert "labels.csv:2" in capsys.readouterr().err
+
+
+def _truncate_mid_line(text):
+    """The first half of the lines, then one character of the next, no newline."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) // 2]) + lines[len(lines) // 2][0]
+
+
+def _type_error(name, text):
+    if name == "meta.json":
+        return "5\n"
+    if name == "features.csv":
+        lines = text.splitlines(keepends=True)
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        return "".join(lines)
+    # An entry of the wrong type on the first line of a one-value-per-cell file.
+    bad = {"edges.csv": "0,1.5", "labels.csv": "true", "split.csv": "1"}[name]
+    return bad + "\n" + text.split("\n", 1)[1]
+
+
+DATASET_FILES = ("edges.csv", "features.csv", "labels.csv", "split.csv", "meta.json")
+CORRUPTIONS = {
+    "truncated": lambda name, text: _truncate_mid_line(text).encode(),
+    "non_utf8": lambda name, text: b"\xff\xfe0,1\n\x80\x81\n",
+    "type_error": lambda name, text: _type_error(name, text).encode(),
+}
+
+
+class TestCorruptDataset:
+    """Every corrupt dataset file exits 3 naming the file, never with a traceback."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        save_dataset(generate_synthetic(3, 6, 4, 0.8, seed=4), tmp_path / "ds")
+        return tmp_path / "ds"
+
+    def _validate(self, dataset, capsys):
+        code = main(["validate-dataset", "--path", str(dataset)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("name", DATASET_FILES)
+    def test_corrupt_file_exits_3_naming_it(self, dataset, capsys, name, kind):
+        path = dataset / name
+        path.write_bytes(CORRUPTIONS[kind](name, path.read_text()))
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME, err
+        assert name in err
+        assert "Traceback" not in err
+
+    def test_nan_feature_names_its_line(self, dataset, capsys):
+        path = dataset / "features.csv"
+        path.write_text(_type_error("features.csv", path.read_text()))
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME
+        assert "features.csv:3: features contain non-finite values" in err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"num_nodes": ' + "1" * 5000 + "}"],
+                             ids=["deep_nesting", "5000_digit_int"])
+    def test_meta_json_past_parser_limits(self, dataset, capsys, text):
+        (dataset / "meta.json").write_text(text)
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME
+        assert "meta.json: invalid JSON" in err
+
+    @pytest.mark.parametrize("key", ["num_nodes", "num_features", "num_classes"])
+    def test_boolean_meta_count_rejected(self, dataset, capsys, key):
+        path = dataset / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: True}))
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME
+        assert f"meta.json: {key} must be a positive integer" in err
 
 
 class TestHelp:

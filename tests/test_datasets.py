@@ -1,10 +1,14 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgl.datasets import DatasetFormatError, load_dataset, save_dataset
+from acgl.graph import Graph, canonical_edges
 from acgl.synthetic import generate_synthetic
 
 from conftest import random_graph
@@ -71,6 +75,11 @@ class TestLoad:
         np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
 
 
+# Reals that a formatter most easily gets wrong: signed zeros, subnormals
+# (smallest, largest) and the ends of the double range.
+EDGE_REALS = (0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1.7976931348623157e308)
+
+
 class TestRoundTrip:
     def test_identity_on_random_graph(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -94,8 +103,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.edges, g.edges)
 
     def test_extreme_reals_survive(self, tmp_path):
-        from acgl.graph import Graph
-
         feats = np.array([[1.0 / 3.0, 1e-300], [np.pi, -2.5e17]])
         g = Graph(
             num_nodes=2, edges=np.array([[0, 1]]), features=feats,
@@ -106,6 +113,32 @@ class TestRoundTrip:
         save_dataset(g, tmp_path / "ds")
         back = load_dataset(tmp_path / "ds")
         np.testing.assert_array_equal(back.features, feats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 4),
+           num_classes=st.integers(1, 4))
+    def test_identity_on_drawn_graphs(self, data, n, d, num_classes):
+        """Any finite reals (signed zeros, subnormals, +-1e308) and any edge set."""
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        cells = data.draw(st.lists(st.one_of(st.sampled_from(EDGE_REALS),
+                                             st.floats(allow_nan=False, allow_infinity=False)),
+                                   min_size=n * d, max_size=n * d))
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        split = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        g = Graph(
+            num_nodes=n, edges=canonical_edges(np.asarray(edges, dtype=np.int64), n),
+            features=np.asarray(cells, dtype=np.float64).reshape(n, d),
+            labels=np.asarray(labels), train_mask=split == 0, val_mask=split == 1,
+            test_mask=split == 2, num_classes=num_classes,
+        )
+        with tempfile.TemporaryDirectory() as root:
+            save_dataset(g, root)
+            back = load_dataset(root)
+        assert back.features.tobytes() == g.features.tobytes()
+        assert (back.num_nodes, back.num_classes) == (g.num_nodes, g.num_classes)
+        for name in ("edges", "labels", "train_mask", "val_mask", "test_mask"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(g, name), err_msg=name)
 
 
 @pytest.mark.skipif(

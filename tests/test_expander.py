@@ -54,7 +54,7 @@ def test_zero_input_maps_to_zero():
 def test_identity_padded_weight_passes_nonnegative_input_through():
     w = np.zeros((3, 6))
     w[:, :3] = np.eye(3)
-    p = ExpanderParams(weight=w, seed=0)
+    p = ExpanderParams(weight=w)
     hidden = np.abs(np.random.default_rng(0).normal(size=(4, 3)))
     out = expand(hidden, p)
     np.testing.assert_allclose(out[:, :3], hidden)
