@@ -17,6 +17,7 @@ self-loops are dropped (they are reintroduced during normalization).
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,40 @@ def _read_lines(path: Path) -> list[str]:
             return [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_features(path: Path, lines: list[str], d: int) -> np.ndarray:
+    """The ``len(lines) x d`` feature matrix, parsed in bulk when the text allows.
+
+    ``np.loadtxt`` parses well-formed rows like ``float()``, bit for bit.
+    When it raises or its shape is off (it skips blank lines and rejects
+    some text ``float()`` accepts, such as ``1_0``), the line parser decides,
+    so every error still names its ``path:line``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns when every line is blank
+        try:
+            features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            features = None
+    if features is not None and features.shape == (len(lines), d):
+        return features
+
+    def columns(line_no: int, line: str) -> list[str]:
+        parts = line.split(",")
+        if len(parts) != d:
+            raise _parse_error(path, line_no, f"expected {d} columns, got {len(parts)}")
+        return parts
+
+    columns(1, lines[0])  # before allocating n x d from meta.json's counts
+    features = np.empty((len(lines), d), dtype=np.float64)
+    for i, line in enumerate(lines, start=1):
+        parts = columns(i, line)
+        try:
+            features[i - 1] = [float(p) for p in parts]
+        except ValueError:
+            raise _parse_error(path, i, f"non-numeric feature entry in {line!r}") from None
+    return features
 
 
 def load_dataset(path) -> Graph:
@@ -86,15 +121,7 @@ def load_dataset(path) -> Graph:
     feat_lines = _read_lines(feat_path)
     if len(feat_lines) != n:
         raise DatasetFormatError(f"{feat_path}: expected {n} rows, found {len(feat_lines)}")
-    features = np.empty((n, d), dtype=np.float64)
-    for i, line in enumerate(feat_lines, start=1):
-        parts = line.split(",")
-        if len(parts) != d:
-            raise _parse_error(feat_path, i, f"expected {d} columns, got {len(parts)}")
-        try:
-            features[i - 1] = [float(p) for p in parts]
-        except ValueError:
-            raise _parse_error(feat_path, i, f"non-numeric feature entry in {line!r}") from None
+    features = _parse_features(feat_path, feat_lines, d)
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         line_no = int(np.argmin(finite_rows)) + 1

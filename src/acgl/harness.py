@@ -196,7 +196,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     Deterministic given the config's seeds: two identical invocations
     produce identical matrices and weights.
     """
+    t0 = time.perf_counter()
     graph = resolve_graph(config)
+    t_load = time.perf_counter() - t0
     c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
     class_order = None
     if config.shuffle_classes:
@@ -245,6 +247,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         fill_row(k)
 
     timings = {
+        "load_s": t_load,
         "base_train_s": t_base,
         "align_s": t_align,
         "update_s": update_times,

@@ -247,6 +247,29 @@ class TestAdam:
         assert not np.array_equal(new_params.W0, params.W0)
 
 
+    @pytest.mark.parametrize("decay", [0.0, 5e-4])
+    def test_five_steps_bit_equal_to_textbook_formula(self, decay):
+        """In-place moments reproduce the allocating expression bit for bit."""
+        params, state = self.make(shape=(40, 16), lr=0.01, decay=decay)
+        W, m, v = params.W0, np.zeros_like(params.W0), np.zeros_like(params.W0)
+        rng = np.random.default_rng(2)
+        for t in range(1, 6):
+            g0, g1 = rng.normal(size=params.W0.shape), rng.normal(size=params.W1.shape)
+            grad = g0 + decay * W if decay else g0
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            W = W - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            g0_before = g0.copy()
+            params, state = adam_step(params, (g0, g1), state)
+            assert params.W0.tobytes() == W.tobytes()
+            assert state.m_W0.tobytes() == m.tobytes()
+            assert state.v_W0.tobytes() == v.tobytes()
+            assert g0.tobytes() == g0_before.tobytes()   # gradients are not written
+        assert state.step == 5
+
+
 @pytest.fixture(scope="module")
 def fixture_graph():
     return generate_synthetic(4, 50, 16, 0.9, seed=1)

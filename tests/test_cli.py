@@ -302,6 +302,15 @@ class TestCorruptDataset:
         assert f"meta.json: {key} must be a positive integer" in err
 
 
+    def test_huge_feature_count_names_first_row(self, dataset, capsys):
+        path = dataset / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "num_features": 10**18}))
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME
+        assert "features.csv:1: expected 1000000000000000000 columns, got 4" in err
+        assert "too big" not in err
+
+
 class TestHelp:
     def test_every_registered_flag_appears_in_help(self):
         parser = build_parser()

@@ -75,6 +75,66 @@ class TestLoad:
         np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
 
 
+def _load_outcome(root):
+    """Features bytes of a successful load, or the error message."""
+    try:
+        return load_dataset(root).features.tobytes()
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+def _loadtxt_fails(*args, **kwargs):
+    raise ValueError("forced line parser")
+
+
+# Feature texts where np.loadtxt and float() differ (blank line, 1_0, a CR
+# inside a line) or both reject (#, quotes), plus clean CRLF and CR files.
+FEATURE_TEXTS = {
+    "well_formed": "1.0,2.0\n3.5,-0.25\n0.0,1e-3\n",
+    "blank_line": "1.0,2.0\n\n0.0,1e-3\n",
+    "underscore": "1_0,2.0\n3.5,-0.25\n0.0,1e-3\n",
+    "crlf": "1.0,2.0\r\n3.5,-0.25\r\n0.0,1e-3\r\n",
+    "cr": "1.0,2.0\r3.5,-0.25\r0.0,1e-3\r",
+    "comment": "1.0,2.0\n3.5,-0.25 # note\n0.0,1e-3\n",
+    "hash_row": "#1.0,2.0\n3.5,-0.25\n0.0,1e-3\n",
+    "quoted": '1.0,"2.0"\n3.5,-0.25\n0.0,1e-3\n',
+}
+
+
+class TestFeatureFastPath:
+    @pytest.mark.parametrize("name", sorted(FEATURE_TEXTS))
+    def test_bulk_parse_agrees_with_line_parser(self, tmp_path, monkeypatch, name):
+        write_toy_dataset(tmp_path / "ds", features=FEATURE_TEXTS[name])
+        fast = _load_outcome(tmp_path / "ds")
+        monkeypatch.setattr("acgl.datasets.np.loadtxt", _loadtxt_fails)
+        assert fast == _load_outcome(tmp_path / "ds")
+
+    def test_fallback_keeps_what_float_accepts(self, tmp_path):
+        write_toy_dataset(tmp_path / "ds", features=FEATURE_TEXTS["underscore"])
+        assert load_dataset(tmp_path / "ds").features[0, 0] == 10.0
+
+    def test_well_formed_rows_take_one_loadtxt_pass(self, tmp_path, monkeypatch):
+        shapes = []
+
+        def spy(*args, **kwargs):
+            features = loadtxt(*args, **kwargs)
+            shapes.append(features.shape)
+            return features
+
+        loadtxt = np.loadtxt
+        write_toy_dataset(tmp_path / "ds")
+        monkeypatch.setattr("acgl.datasets.np.loadtxt", spy)
+        assert load_dataset(tmp_path / "ds").features[1, 1] == -0.25
+        assert shapes == [(3, 2)]
+
+    def test_huge_feature_count_named_before_allocating(self, tmp_path):
+        write_toy_dataset(tmp_path / "ds", meta={"num_nodes": 3, "num_features": 10**18,
+                                                 "num_classes": 2})
+        with pytest.raises(DatasetFormatError,
+                           match=r"features\.csv:1: expected 1000000000000000000 columns, got 2"):
+            load_dataset(tmp_path / "ds")
+
+
 # Reals that a formatter most easily gets wrong: signed zeros, subnormals
 # (smallest, largest) and the ends of the double range.
 EDGE_REALS = (0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1.7976931348623157e308)

@@ -80,10 +80,11 @@ class TestRunExperiment:
 
     def test_timings_structure(self, fixture_result):
         t = fixture_result.timings
-        assert set(t) == {"base_train_s", "align_s", "update_s", "eval_s", "total_s"}
+        assert set(t) == {"load_s", "base_train_s", "align_s", "update_s", "eval_s", "total_s"}
         assert len(t["update_s"]) == 2
         assert len(t["eval_s"]) == 3
         assert t["total_s"] > 0
+        assert t["load_s"] > 0
 
     def test_state_covers_all_classes(self, fixture_result):
         assert fixture_result.state.seen_classes == (0, 1, 2, 3)
