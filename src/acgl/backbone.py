@@ -231,6 +231,8 @@ class BackboneConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight decay must be >= 0")
 
 
 def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> BackboneParams:

@@ -111,11 +111,13 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--values must list at least one value")
 
+    # Every point's config is checked before the first point runs.
+    point_cfgs = [cfgmod.apply_overrides(cfg, [f"{key}={value}"]) for value in values]
+    experiments = [cfgmod.build_experiment(point_cfg) for point_cfg in point_cfgs]
+
     out = Path(args.out)
     rows = []
-    for value in values:
-        point_cfg = cfgmod.apply_overrides(cfg, [f"{key}={value}"])
-        experiment = cfgmod.build_experiment(point_cfg)
+    for value, point_cfg, experiment in zip(values, point_cfgs, experiments):
         result = run_experiment(experiment)
         report = RunReport.from_matrix(result.matrix, result.timings,
                                        cfgmod.config_echo(point_cfg))

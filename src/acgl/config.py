@@ -15,6 +15,7 @@ left unset is derived from the global ``seed`` by a fixed offset (+0, +1,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,14 +54,11 @@ SCHEMA: dict[str, Field] = {
     "backbone.dropout": Field("float", 0.5, "dropout rate on the hidden layer"),
     "backbone.weight_decay": Field("float", 5e-4, "L2 decay folded into gradients"),
     "expander.dim": Field("int", 2048, "feature expansion output dimension"),
-    "expander.use_adjacency": Field("bool", False, "multiply by adjacency inside the expander"),
     "gamma": Field("float", 1.0, "ridge regularization strength"),
     "seed": Field("int", 42, "global seed; derives the named seeds when unset"),
     "seed.data": Field("int", UNSET, "data seed (synthetic graph, class shuffle)"),
     "seed.backbone": Field("int", UNSET, "backbone init and dropout seed"),
     "seed.expander": Field("int", UNSET, "frozen expansion weight seed"),
-    "eval.union_graph": Field("bool", False, "evaluate on the union graph of seen classes"),
-    "features.row_normalize": Field("bool", False, "L1-normalize feature rows after load"),
 }
 
 
@@ -73,7 +71,10 @@ def parse_value(key: str, raw: str):
         if field.kind == "int":
             return int(raw)
         if field.kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError(raw)
+            return value
         if field.kind == "bool":
             lowered = raw.lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -83,7 +84,8 @@ def parse_value(key: str, raw: str):
             raise ValueError(raw)
         return raw
     except ValueError:
-        raise ConfigError(f"key {key!r} expects a {field.kind}, got {raw!r}") from None
+        kind = "finite float" if field.kind == "float" else field.kind
+        raise ConfigError(f"key {key!r} expects a {kind}, got {raw!r}") from None
 
 
 def default_config() -> dict:
@@ -133,6 +135,7 @@ def _validate(cfg: dict) -> None:
         ("gamma", cfg["gamma"] > 0, "must be positive"),
         ("backbone.dropout", 0.0 <= cfg["backbone.dropout"] < 1.0, "must lie in [0, 1)"),
         ("backbone.lr", cfg["backbone.lr"] > 0, "must be positive"),
+        ("backbone.weight_decay", cfg["backbone.weight_decay"] >= 0, "must be >= 0"),
         ("backbone.hidden", cfg["backbone.hidden"] >= 1, "must be >= 1"),
         ("backbone.epochs", cfg["backbone.epochs"] >= 0, "must be >= 0"),
         ("plan.increment", cfg["plan.increment"] >= 1, "must be >= 1"),
@@ -143,6 +146,10 @@ def _validate(cfg: dict) -> None:
          "must lie in [0, 1]"),
         ("synthetic.classes", cfg["synthetic.classes"] >= 2, "must be >= 2"),
         ("synthetic.nodes_per_class", cfg["synthetic.nodes_per_class"] >= 2, "must be >= 2"),
+        ("synthetic.features", cfg["synthetic.features"] >= 1, "must be >= 1"),
+        ("synthetic.avg_degree", cfg["synthetic.avg_degree"] > 0, "must be positive"),
+        *((key, cfg[key] is None or cfg[key] >= 0, "must be >= 0")
+          for key in ("seed", "seed.data", "seed.backbone", "seed.expander")),
     ]
     for key, ok, msg in checks:
         if not ok:
@@ -187,14 +194,8 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             weight_decay=cfg["backbone.weight_decay"],
             seed=backbone_seed,
         ),
-        expander=ExpanderConfig(
-            dim=cfg["expander.dim"],
-            seed=expander_seed,
-            use_adjacency=cfg["expander.use_adjacency"],
-        ),
+        expander=ExpanderConfig(dim=cfg["expander.dim"], seed=expander_seed),
         data_seed=data_seed,
-        eval_union=cfg["eval.union_graph"],
-        row_normalize=cfg["features.row_normalize"],
     )
 
 

@@ -2,9 +2,7 @@
 
 A single frozen random projection followed by relu lifts h-dimensional
 embeddings to a wider space where a linear classifier has enough capacity.
-The weight is drawn once from a seeded generator and never trained. An
-optional variant multiplies by the normalized adjacency first, turning the
-expansion into one more message-passing layer.
+The weight is drawn once from a seeded generator and never trained.
 """
 
 from __future__ import annotations
@@ -12,13 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
 class ExpanderParams:
     weight: np.ndarray          # (h, d_out), frozen
-    uses_adjacency: bool = False
 
     def __post_init__(self):
         if self.weight.ndim != 2:
@@ -32,7 +28,7 @@ class ExpanderParams:
         return self.weight.shape[0]
 
 
-def init_expander(h: int, d_out: int, seed: int, uses_adjacency: bool = False) -> ExpanderParams:
+def init_expander(h: int, d_out: int, seed: int) -> ExpanderParams:
     """Draw the frozen expansion weight, uniform in [-1/sqrt(h), 1/sqrt(h)].
 
     Requires d_out > h: the expansion must widen the representation.
@@ -42,22 +38,14 @@ def init_expander(h: int, d_out: int, seed: int, uses_adjacency: bool = False) -
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(h)
     weight = rng.uniform(-bound, bound, size=(h, d_out))
-    return ExpanderParams(weight=weight, uses_adjacency=uses_adjacency)
+    return ExpanderParams(weight=weight)
 
 
-def expand(hidden: np.ndarray, params: ExpanderParams,
-           adj: sp.csr_array | None = None) -> np.ndarray:
-    """relu(hidden @ W), or relu(adj @ hidden @ W) for the adjacency variant.
-
-    Pure and deterministic; output is entrywise nonnegative.
-    """
+def expand(hidden: np.ndarray, params: ExpanderParams) -> np.ndarray:
+    """relu(hidden @ W). Pure and deterministic; output is entrywise nonnegative."""
     if hidden.shape[1] != params.input_dim:
         raise ValueError(
             f"hidden dim {hidden.shape[1]} != expander input dim {params.input_dim}"
         )
     pre = hidden @ params.weight
-    if params.uses_adjacency:
-        if adj is None:
-            raise ValueError("adjacency-variant expander needs the normalized adjacency")
-        pre = adj @ pre
     return np.maximum(pre, 0.0, out=pre)

@@ -132,28 +132,6 @@ def normalize_adjacency(graph: Graph) -> sp.csr_array:
     return (scale @ a_tilde @ scale).tocsr()
 
 
-def row_normalize_features(graph: Graph) -> Graph:
-    """Return a copy of ``graph`` with each feature row scaled to unit L1 norm.
-
-    Zero rows are left untouched. Off by default everywhere; exposed as an
-    opt-in preprocessing step.
-    """
-    feats = np.array(graph.features, dtype=np.float64)
-    norms = np.abs(feats).sum(axis=1)
-    nonzero = norms > 0
-    feats[nonzero] /= norms[nonzero, None]
-    return Graph(
-        num_nodes=graph.num_nodes,
-        edges=graph.edges,
-        features=feats,
-        labels=graph.labels,
-        train_mask=graph.train_mask,
-        val_mask=graph.val_mask,
-        test_mask=graph.test_mask,
-        num_classes=graph.num_classes,
-    )
-
-
 @dataclass(frozen=True)
 class SessionPlan:
     """Ordered class groups for one class-incremental run.
@@ -180,13 +158,6 @@ class SessionPlan:
     @property
     def base_classes(self) -> tuple[int, ...]:
         return self.groups[0]
-
-    def classes_through(self, session: int) -> tuple[int, ...]:
-        """All class ids seen after completing ``session`` (inclusive)."""
-        out: list[int] = []
-        for g in self.groups[: session + 1]:
-            out.extend(g)
-        return tuple(out)
 
 
 def default_base_size(num_classes: int) -> int:

@@ -33,7 +33,6 @@ from .graph import (
     build_session_plan,
     default_base_size,
     normalize_adjacency,
-    row_normalize_features,
     session_subgraph,
 )
 from .synthetic import generate_synthetic
@@ -53,7 +52,6 @@ class SyntheticSpec:
 class ExpanderConfig:
     dim: int = 2048
     seed: int = 0
-    use_adjacency: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,6 @@ class ExperimentConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     expander: ExpanderConfig = field(default_factory=ExpanderConfig)
     data_seed: int = 0
-    eval_union: bool = False
-    row_normalize: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -118,16 +114,12 @@ class RunResult:
 
 def resolve_graph(config: ExperimentConfig) -> Graph:
     if config.dataset_path is not None:
-        graph = load_dataset(config.dataset_path)
-    else:
-        s = config.synthetic
-        graph = generate_synthetic(
-            s.classes, s.nodes_per_class, s.features, s.homophily,
-            seed=config.data_seed, avg_degree=s.avg_degree, class_sep=s.class_sep,
-        )
-    if config.row_normalize:
-        graph = row_normalize_features(graph)
-    return graph
+        return load_dataset(config.dataset_path)
+    s = config.synthetic
+    return generate_synthetic(
+        s.classes, s.nodes_per_class, s.features, s.homophily,
+        seed=config.data_seed, avg_degree=s.avg_degree, class_sep=s.class_sep,
+    )
 
 
 def _extract_expanded(graph: Graph, backbone: BackboneParams,
@@ -135,7 +127,7 @@ def _extract_expanded(graph: Graph, backbone: BackboneParams,
     """Frozen backbone + expander features for every node of one subgraph."""
     adj = normalize_adjacency(graph)
     hidden, _ = gcn_forward(adj, graph.features, backbone)
-    return expand(hidden, expander, adj)
+    return expand(hidden, expander)
 
 
 def task_test_features(task_graph: Graph, backbone: BackboneParams,
@@ -176,20 +168,6 @@ def _session_batch(sub: Graph, backbone, expander, class_ids, session: int,
     return batch, (feats[test], sub.labels[test])
 
 
-def _union_eval_row(graph, plan, state, backbone, expander, k) -> list[float]:
-    """Alternative evaluation: message passing over the union of seen classes."""
-    union = session_subgraph(graph, plan.classes_through(k))
-    feats = _extract_expanded(union, backbone, expander)
-    test = union.test_mask
-    preds = predict(feats[test], state)
-    truth = union.labels[test]
-    row = []
-    for i in range(k + 1):
-        in_task = np.isin(truth, np.asarray(plan.groups[i], dtype=np.int64))
-        row.append(float((preds[in_task] == truth[in_task]).mean()))
-    return row
-
-
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full protocol; returns M, per-stage timings, final state.
 
@@ -210,10 +188,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     backbone = train_base(graph, plan, config.backbone)
     t_base = time.perf_counter() - t0
 
-    expander = init_expander(
-        config.backbone.hidden, config.expander.dim,
-        seed=config.expander.seed, uses_adjacency=config.expander.use_adjacency,
-    )
+    expander = init_expander(config.backbone.hidden, config.expander.dim,
+                             seed=config.expander.seed)
 
     t0 = time.perf_counter()
     base_batch, base_test = _session_batch(session_subgraph(graph, plan.groups[0]),
@@ -227,16 +203,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     update_times: list[float] = []
     eval_times: list[float] = []
 
-    def fill_row(k: int):
+    def fill_row():
         t_eval = time.perf_counter()
-        if config.eval_union:
-            row = _union_eval_row(graph, plan, state, backbone, expander, k)
-        else:
-            row = [evaluate_task(state, feats, labels) for feats, labels in test_rows]
+        row = tuple(evaluate_task(state, feats, labels) for feats, labels in test_rows)
         eval_times.append(time.perf_counter() - t_eval)
-        rows.append(tuple(row))
+        rows.append(row)
 
-    fill_row(0)
+    fill_row()
     for k in range(1, plan.num_sessions):
         t0 = time.perf_counter()
         batch, task_test = _session_batch(session_subgraph(graph, plan.groups[k]),
@@ -244,7 +217,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         state = update_weights(state, batch)
         update_times.append(time.perf_counter() - t0)
         test_rows.append(task_test)
-        fill_row(k)
+        fill_row()
 
     timings = {
         "load_s": t_load,

@@ -170,8 +170,8 @@ def generate_synthetic(
         raise ValueError("feature dimension must be >= 1")
     if not 0.0 <= homophily <= 1.0:
         raise ValueError("homophily must lie in [0, 1]")
-    if avg_degree <= 0:
-        raise ValueError("avg_degree must be positive")
+    if not 0 < avg_degree < np.inf:
+        raise ValueError("avg_degree must be positive and finite")
 
     rng = np.random.default_rng(seed)
     n = num_classes * nodes_per_class

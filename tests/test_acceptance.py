@@ -182,7 +182,7 @@ def test_zero_classifier_level_forgetting(monkeypatch):
         joint_state = AnalyticState(
             weights=W, inv_gram=np.eye(W.shape[0]),
             gamma=FIXTURE_EXPERIMENT.gamma,
-            seen_classes=res.plan.classes_through(k),
+            seen_classes=tuple(c for group in res.plan.groups[: k + 1] for c in group),
         )
         for i in range(k + 1):
             task = session_subgraph(graph, res.plan.groups[i])

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acgl.analytic import (
     AnalyticState,
@@ -41,17 +43,18 @@ def random_stream(rng, d, num_sessions, classes_per_session=2, n_lo=3, n_hi=20):
     return batches
 
 
-def relu_stream(seed, h=32, d=256, num_sessions=30, rows=40, classes_per_session=2):
+def relu_stream(seed, session_rows, h=32, d=256, classes_per_session=2):
     """Expanded-feature-like stream: relu of an h-dim input lifted to d > h.
 
-    Each session's Gram has rank at most ``rows`` < d, and all sessions share
-    one h-dim pre-activation subspace, so the accumulated Gram stays badly
-    conditioned and gamma sets its smallest eigenvalues.
+    Session s has ``session_rows[s]`` rows, so its Gram has rank at most
+    that count. All sessions share one h-dim pre-activation subspace, so the
+    accumulated Gram stays badly conditioned and gamma sets its smallest
+    eigenvalues.
     """
     rng = np.random.default_rng(seed)
     lift = rng.uniform(-1 / np.sqrt(h), 1 / np.sqrt(h), size=(h, d))
     batches = []
-    for s in range(num_sessions):
+    for s, rows in enumerate(session_rows):
         ids = tuple(range(s * classes_per_session, (s + 1) * classes_per_session))
         labels = np.concatenate([np.asarray(ids), rng.choice(ids, size=rows - len(ids))])
         X = np.maximum(rng.normal(size=(rows, h)) @ lift, 0.0)
@@ -274,9 +277,26 @@ class TestUpdateWeights:
     ])
     def test_long_rank_deficient_relu_stream_matches_joint(self, gamma, rows, sessions, seeds):
         for seed in range(seeds):
-            batches = relu_stream(seed, num_sessions=sessions, rows=rows)
+            batches = relu_stream(seed, [rows] * sessions)
             state = run_recursion(batches, gamma)
             assert rel_fro(state.weights, joint_solve(batches, gamma)) < 1e-8
+
+    # Relu features lifted from h < d/2 to d are badly conditioned (rank 2
+    # for h = 1). Session sizes in [2, 2d] mix update_R's Woodbury (n < d)
+    # and direct (n >= d) branches within one stream; gamma spans the
+    # README's claimed range.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(16, 128), sessions=st.integers(2, 12),
+           log_gamma=st.floats(-4.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_recursion_matches_joint_over_claimed_range(self, data, d, sessions,
+                                                        log_gamma, seed):
+        h = data.draw(st.integers(1, (d - 1) // 2), label="h")
+        rows = data.draw(st.lists(st.integers(2, 2 * d), min_size=sessions,
+                                  max_size=sessions), label="rows")
+        gamma = 10.0 ** log_gamma
+        batches = relu_stream(seed, rows, h=h, d=d)
+        state = run_recursion(batches, gamma)
+        assert rel_fro(state.weights, joint_solve(batches, gamma)) < 1e-8
 
 
 class TestJointSolve:

@@ -270,6 +270,19 @@ class TestAdam:
         assert state.step == 5
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(hidden=0), "hidden"),
+    (dict(epochs=-1), "epochs"),
+    (dict(dropout=1.0), "dropout"),
+    (dict(lr=0.0), "learning rate"),
+    (dict(weight_decay=-1.0), "weight decay"),
+    (dict(weight_decay=float("nan")), "weight decay"),
+])
+def test_backbone_config_rejects_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        BackboneConfig(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def fixture_graph():
     return generate_synthetic(4, 50, 16, 0.9, seed=1)

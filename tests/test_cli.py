@@ -52,6 +52,37 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", "inf"),
+        ("gamma", "-inf"),
+        ("backbone.lr", "inf"),
+        ("synthetic.avg_degree", "nan"),
+        ("seed", "-1"),
+        ("seed.data", "-1"),
+        ("seed.backbone", "-2"),
+        ("seed.expander", "-3"),
+        ("synthetic.features", "0"),
+        ("synthetic.avg_degree", "0"),
+        ("backbone.weight_decay", "-1"),
+    ])
+    def test_bad_value_is_config_error_naming_key(self, run_config_file, tmp_path, capsys,
+                                                  key, value):
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(run_config_file), "--out", str(out),
+                     "--set", f"{key}={value}"])
+        assert code == EXIT_CONFIG
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [
+        "eval.union_graph", "expander.use_adjacency", "features.row_normalize",
+    ])
+    def test_removed_variant_key_is_config_error(self, run_config_file, tmp_path, capsys, key):
+        code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o"),
+                     "--set", f"{key}=true"])
+        assert code == EXIT_CONFIG
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -171,6 +202,15 @@ class TestSweep:
                      "--out", str(tmp_path / "o"), "--axis", "feg_dim",
                      "--values", "32,notanint"])
         assert code == EXIT_CONFIG
+
+    def test_non_finite_value_rejected_before_any_point_runs(self, run_config_file,
+                                                             tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(run_config_file), "--out", str(out),
+                     "--axis", "gamma", "--values", "1,inf"])
+        assert code == EXIT_CONFIG
+        assert "'gamma'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_values_rejected(self, run_config_file, tmp_path):
         code = main(["sweep", "--config", str(run_config_file),

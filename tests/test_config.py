@@ -9,6 +9,7 @@ from acgl.config import (
     default_config,
     load_config,
     parse_config_text,
+    parse_value,
     resolve_seeds,
 )
 
@@ -92,7 +93,41 @@ def test_missing_config_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+# A valid non-default value for every schema key.
+NON_DEFAULT = {
+    "dataset.path": "data/toy",
+    "synthetic.classes": "5",
+    "synthetic.nodes_per_class": "40",
+    "synthetic.features": "8",
+    "synthetic.homophily": "0.5",
+    "synthetic.avg_degree": "6",
+    "synthetic.class_sep": "2.5",
+    "plan.base_classes": "3",
+    "plan.increment": "2",
+    "plan.shuffle_classes": "true",
+    "backbone.hidden": "128",
+    "backbone.epochs": "10",
+    "backbone.lr": "0.01",
+    "backbone.dropout": "0.25",
+    "backbone.weight_decay": "0",
+    "expander.dim": "1024",
+    "gamma": "0.5",
+    "seed": "7",
+    "seed.data": "100",
+    "seed.backbone": "101",
+    "seed.expander": "102",
+}
+
+
 def test_build_experiment_wires_fields():
+    # Every key reaches the experiment: a key that nothing reads fails here.
+    assert set(NON_DEFAULT) == set(SCHEMA)
+    default = build_experiment(default_config())
+    for key, raw in NON_DEFAULT.items():
+        assert parse_value(key, raw) != SCHEMA[key].default, key
+        changed = build_experiment(apply_overrides(default_config(), [f"{key}={raw}"]))
+        assert changed != default, f"{key} does not reach the experiment config"
+
     cfg = apply_overrides(default_config(), [
         "plan.base_classes=3", "plan.increment=2", "gamma=0.5",
         "backbone.hidden=32", "expander.dim=64", "seed=11",

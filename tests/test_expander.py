@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from acgl.expander import ExpanderParams, expand, init_expander
-from acgl.graph import normalize_adjacency
-
-from conftest import make_graph
 
 
 def naive_expand(hidden, weight):
@@ -85,23 +82,3 @@ def test_full_row_rank_when_wide_enough():
     out = expand(hidden, p)
     assert np.linalg.matrix_rank(out) == 12
 
-
-def test_adjacency_variant():
-    g = make_graph(3, [(0, 1), (1, 2)], [0, 1, 1], 2, d=4)
-    adj = normalize_adjacency(g)
-    rng = np.random.default_rng(10)
-    hidden = rng.normal(size=(3, 4))
-    p = init_expander(4, 8, seed=11, uses_adjacency=True)
-    expected = np.maximum(adj.toarray() @ hidden @ p.weight, 0.0)
-    np.testing.assert_allclose(expand(hidden, p, adj), expected, atol=1e-12)
-    with pytest.raises(ValueError, match="needs the normalized adjacency"):
-        expand(hidden, p)
-
-
-def test_plain_variant_ignores_adjacency_argument():
-    rng = np.random.default_rng(12)
-    hidden = rng.normal(size=(3, 4))
-    p = init_expander(4, 8, seed=13)
-    g = make_graph(3, [(0, 1)], [0, 1, 1], 2, d=4)
-    adj = normalize_adjacency(g)
-    np.testing.assert_array_equal(expand(hidden, p, adj), expand(hidden, p))

@@ -9,7 +9,6 @@ from acgl.graph import (
     canonical_edges,
     default_base_size,
     normalize_adjacency,
-    row_normalize_features,
     session_subgraph,
 )
 
@@ -235,10 +234,3 @@ class TestSessionSubgraph:
         with pytest.raises(ValueError, match="non-empty"):
             session_subgraph(g, set())
 
-
-def test_row_normalize_features():
-    g = make_graph(3, [], [0, 0, 1], 2, d=3)
-    normed = row_normalize_features(g)
-    sums = np.abs(normed.features).sum(axis=1)
-    np.testing.assert_allclose(sums, 1.0)
-    np.testing.assert_array_equal(normed.labels, g.labels)

@@ -96,7 +96,7 @@ class TestRunExperiment:
         graph = resolve_graph(FIXTURE_EXPERIMENT)
         for k in range(res.matrix.num_sessions):
             W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
-            seen = res.plan.classes_through(k)
+            seen = tuple(c for group in res.plan.groups[: k + 1] for c in group)
             joint_state = AnalyticState(
                 weights=W, inv_gram=np.eye(W.shape[0]), gamma=FIXTURE_EXPERIMENT.gamma,
                 seen_classes=seen,
@@ -161,12 +161,6 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert a.plan.groups == b.plan.groups
         assert a.matrix.rows == b.matrix.rows
-
-    def test_union_graph_evaluation_variant(self):
-        cfg = dataclasses.replace(FIXTURE_EXPERIMENT, eval_union=True)
-        res = run_experiment(cfg)
-        assert res.matrix.num_sessions == 3
-        assert all(0.0 <= v <= 1.0 for row in res.matrix.rows for v in row)
 
 
 class TestEvaluateTask:

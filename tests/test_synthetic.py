@@ -69,6 +69,9 @@ def test_invalid_parameters_rejected():
         generate_synthetic(2, 4, 3, 1.5, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(2, 4, 0, 0.5, seed=0)
+    for avg_degree in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="avg_degree"):
+            generate_synthetic(2, 4, 3, 0.5, seed=0, avg_degree=avg_degree)
 
 
 def test_no_self_loops_and_canonical_edges():
