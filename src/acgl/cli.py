@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--features", type=int, default=16, help="feature dimension")
     p_gen.add_argument("--homophily", type=float, default=0.9,
                        help="intra-class edge probability")
-    p_gen.add_argument("--avg-degree", type=float, default=4.0, help="target mean degree")
+    p_gen.add_argument("--avg-degree", type=float, default=4.0,
+                       help="target mean degree, at most n - 1 for n nodes")
     p_gen.add_argument("--class-sep", type=float, default=1.0,
                        help="class mean separation scale")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")

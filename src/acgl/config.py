@@ -43,7 +43,7 @@ SCHEMA: dict[str, Field] = {
     "synthetic.nodes_per_class": Field("int", 50, "synthetic: nodes per class"),
     "synthetic.features": Field("int", 16, "synthetic: feature dimension"),
     "synthetic.homophily": Field("float", 0.9, "synthetic: intra-class edge probability"),
-    "synthetic.avg_degree": Field("float", 4.0, "synthetic: target mean degree"),
+    "synthetic.avg_degree": Field("float", 4.0, "synthetic: target mean degree, at most n - 1"),
     "synthetic.class_sep": Field("float", 1.0, "synthetic: class mean separation scale"),
     "plan.base_classes": Field("int", 0, "base class count c0; 0 means half of C rounded up"),
     "plan.increment": Field("int", 1, "classes added per incremental session"),
@@ -131,6 +131,7 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 
 def _validate(cfg: dict) -> None:
+    nodes = cfg["synthetic.classes"] * cfg["synthetic.nodes_per_class"]
     checks = [
         ("gamma", cfg["gamma"] > 0, "must be positive"),
         ("backbone.dropout", 0.0 <= cfg["backbone.dropout"] < 1.0, "must lie in [0, 1)"),
@@ -147,7 +148,8 @@ def _validate(cfg: dict) -> None:
         ("synthetic.classes", cfg["synthetic.classes"] >= 2, "must be >= 2"),
         ("synthetic.nodes_per_class", cfg["synthetic.nodes_per_class"] >= 2, "must be >= 2"),
         ("synthetic.features", cfg["synthetic.features"] >= 1, "must be >= 1"),
-        ("synthetic.avg_degree", cfg["synthetic.avg_degree"] > 0, "must be positive"),
+        ("synthetic.avg_degree", 0 < cfg["synthetic.avg_degree"] <= nodes - 1,
+         f"must lie in (0, {nodes - 1}], at most the complete graph's mean degree"),
         *((key, cfg[key] is None or cfg[key] >= 0, "must be >= 0")
           for key in ("seed", "seed.data", "seed.backbone", "seed.expander")),
     ]

@@ -173,13 +173,13 @@ def save_dataset(graph: Graph, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
+    # tolist() yields Python ints and floats (same str/repr, no numpy scalar
+    # per cell); features go row by row so no N x d list of floats is built.
     with (root / "edges.csv").open("w", encoding="utf-8") as f:
-        for u, v in graph.edges:
-            f.write(f"{u},{v}\n")
+        f.writelines(f"{u},{v}\n" for u, v in graph.edges.tolist())
 
     with (root / "features.csv").open("w", encoding="utf-8") as f:
-        for row in graph.features:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in graph.features)
 
     with (root / "labels.csv").open("w", encoding="utf-8") as f:
         for y in graph.labels:

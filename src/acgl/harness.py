@@ -4,16 +4,17 @@ The protocol has three stages. The backbone is trained with
 backpropagation on the base session only, then frozen. Its embeddings are
 pushed through the frozen random expander and the analytic classifier is
 fit in closed form on the base session. Every later session is absorbed
-with one feature-extraction pass and one recursive update; no session's
-training rows are kept afterwards.
+with one feature-extraction pass and one recursive update. A pass runs the
+GCN over the whole session subgraph (message passing needs every node) but
+expands only its train and test rows, and the train batch is freed once
+``align_base`` or ``update_weights`` returns.
 
 Because the backbone and expander never change after the base session, a
-task's expanded features are fixed from the session that introduces it.
-That session's single extraction yields both its training batch and the
-task's test rows; the test rows are kept and, after each session, every
-seen task's rows are scored to fill the lower-triangular performance
-matrix M[k][i]. The kept rows are evaluation data (sum of n_test * d
-floats), not learner state: the classifier still holds only W and R.
+task's expanded features are fixed from the session that introduces it:
+its test rows are kept and scored after every later session to fill the
+lower-triangular performance matrix M[k][i]. So a run holds R, W and each
+seen task's test rows (n_test x d floats); the rows are evaluation data,
+not learner state.
 """
 
 from __future__ import annotations
@@ -122,22 +123,22 @@ def resolve_graph(config: ExperimentConfig) -> Graph:
     )
 
 
-def _extract_expanded(graph: Graph, backbone: BackboneParams,
-                      expander: ExpanderParams) -> np.ndarray:
-    """Frozen backbone + expander features for every node of one subgraph."""
-    adj = normalize_adjacency(graph)
-    hidden, _ = gcn_forward(adj, graph.features, backbone)
-    return expand(hidden, expander)
+def _hidden(graph: Graph, backbone: BackboneParams) -> np.ndarray:
+    """Frozen backbone embeddings of every node of one subgraph."""
+    hidden, _ = gcn_forward(normalize_adjacency(graph), graph.features, backbone)
+    return hidden
 
 
 def task_test_features(task_graph: Graph, backbone: BackboneParams,
                        expander: ExpanderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Expanded features and labels of one task's test nodes, extracted on its subgraph."""
-    if not task_graph.test_mask.any():
-        raise ValueError("task has an empty test set")
-    feats = _extract_expanded(task_graph, backbone, expander)
+    """Expanded features and labels of one task's test nodes, extracted on its subgraph.
+
+    These n_test x d rows are all a run keeps of a task; no other node is expanded.
+    """
     test = task_graph.test_mask
-    return feats[test], task_graph.labels[test]
+    if not test.any():
+        raise ValueError("task has an empty test set")
+    return expand(_hidden(task_graph, backbone)[test], expander), task_graph.labels[test]
 
 
 def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray) -> float:
@@ -147,25 +148,34 @@ def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray
     return float((predict(features, state) == labels).mean())
 
 
-def _session_batch(sub: Graph, backbone, expander, class_ids, session: int,
-                   ) -> tuple[SessionBatch, tuple[np.ndarray, np.ndarray]]:
-    """One extraction of a session's subgraph: its train batch and its task's test rows."""
-    if not sub.train_mask.any():
-        raise RuntimeError(
-            f"session {session} (classes {list(class_ids)}) has an empty train split"
-        )
-    if not sub.test_mask.any():
-        raise ValueError(
-            f"session {session} (classes {list(class_ids)}) has an empty test set"
-        )
-    feats = _extract_expanded(sub, backbone, expander)
+def _fit(state: AnalyticState | None, batch: SessionBatch, gamma: float) -> AnalyticState:
+    """Absorb one train batch: ``align_base`` when ``state`` is None, else ``update_weights``."""
+    if state is None:
+        return align_base(batch.features, batch.targets, gamma, class_ids=batch.class_ids)
+    return update_weights(state, batch)
+
+
+def _absorb(state: AnalyticState | None, graph: Graph, class_ids, session: int, backbone,
+            expander, gamma: float) -> tuple[AnalyticState, tuple[np.ndarray, np.ndarray]]:
+    """Extract one session and absorb its train rows; returns the new state and its test rows.
+
+    The train batch is a temporary of the ``_fit`` call, so it is freed
+    before the test rows are expanded.
+    """
+    sub = session_subgraph(graph, class_ids)
     train, test = sub.train_mask, sub.test_mask
-    batch = SessionBatch(
-        features=feats[train],
+    where = f"session {session} (classes {list(class_ids)})"
+    if not train.any():
+        raise RuntimeError(f"{where} has an empty train split")
+    if not test.any():
+        raise ValueError(f"{where} has an empty test set")
+    hidden = _hidden(sub, backbone)
+    state = _fit(state, SessionBatch(
+        features=expand(hidden[train], expander),
         targets=one_hot(sub.labels[train], class_ids),
         class_ids=tuple(int(c) for c in class_ids),
-    )
-    return batch, (feats[test], sub.labels[test])
+    ), gamma)
+    return state, (expand(hidden[test], expander), sub.labels[test])
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -192,10 +202,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                              seed=config.expander.seed)
 
     t0 = time.perf_counter()
-    base_batch, base_test = _session_batch(session_subgraph(graph, plan.groups[0]),
-                                           backbone, expander, plan.groups[0], session=0)
-    state = align_base(base_batch.features, base_batch.targets, config.gamma,
-                       class_ids=base_batch.class_ids)
+    state, base_test = _absorb(None, graph, plan.groups[0], 0, backbone, expander, config.gamma)
     t_align = time.perf_counter() - t0
 
     test_rows = [base_test]          # (features, labels) of each seen task
@@ -212,9 +219,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     fill_row()
     for k in range(1, plan.num_sessions):
         t0 = time.perf_counter()
-        batch, task_test = _session_batch(session_subgraph(graph, plan.groups[k]),
-                                          backbone, expander, plan.groups[k], session=k)
-        state = update_weights(state, batch)
+        state, task_test = _absorb(state, graph, plan.groups[k], k, backbone, expander,
+                                   config.gamma)
         update_times.append(time.perf_counter() - t0)
         test_rows.append(task_test)
         fill_row()

@@ -158,7 +158,8 @@ def generate_synthetic(
     seed
         Seeds all randomness; identical seeds give byte-identical graphs.
     avg_degree
-        Target mean degree before deduplication.
+        Target mean degree before deduplication, in (0, n - 1] for
+        n = num_classes * nodes_per_class: at most the complete graph's.
     class_sep
         Scale of the class mean vectors relative to unit feature noise.
     """
@@ -170,11 +171,11 @@ def generate_synthetic(
         raise ValueError("feature dimension must be >= 1")
     if not 0.0 <= homophily <= 1.0:
         raise ValueError("homophily must lie in [0, 1]")
-    if not 0 < avg_degree < np.inf:
-        raise ValueError("avg_degree must be positive and finite")
+    n = num_classes * nodes_per_class
+    if not 0 < avg_degree <= n - 1:
+        raise ValueError(f"avg_degree must lie in (0, n - 1 = {n - 1}], got {avg_degree!r}")
 
     rng = np.random.default_rng(seed)
-    n = num_classes * nodes_per_class
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), nodes_per_class)
 
     means = rng.normal(0.0, 1.0, size=(num_classes, d)) * class_sep

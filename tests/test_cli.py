@@ -63,6 +63,7 @@ class TestRun:
         ("seed.expander", "-3"),
         ("synthetic.features", "0"),
         ("synthetic.avg_degree", "0"),
+        ("synthetic.avg_degree", "1e308"),   # finite, past the complete graph's n - 1
         ("backbone.weight_decay", "-1"),
     ])
     def test_bad_value_is_config_error_naming_key(self, run_config_file, tmp_path, capsys,
@@ -250,6 +251,14 @@ class TestGenSynth:
     def test_invalid_spec_is_runtime_error(self, tmp_path):
         code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "1"])
         assert code == EXIT_RUNTIME
+
+    def test_huge_avg_degree_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(["gen-synth", "--out", str(out), "--classes", "2",
+                     "--nodes-per-class", "4", "--avg-degree", "1e308"])
+        assert code == EXIT_RUNTIME
+        assert "avg_degree" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateDataset:

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,49 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "gcn_forward", counting)
         res = run_experiment(FIXTURE_EXPERIMENT)
         assert len(calls) == res.plan.num_sessions
+
+    def test_expand_sees_only_train_and_test_rows(self, monkeypatch):
+        """Val and unlabelled nodes go through the GCN but never reach the expander."""
+        import acgl.harness as harness
+
+        rows = []
+        original = harness.expand
+
+        def recording(hidden, params):
+            rows.append(hidden.shape[0])
+            return original(hidden, params)
+
+        monkeypatch.setattr(harness, "expand", recording)
+        res = run_experiment(FIXTURE_EXPERIMENT)
+        graph = resolve_graph(FIXTURE_EXPERIMENT)
+        subs = [session_subgraph(graph, group) for group in res.plan.groups]
+        split_sizes = {int(m.sum()) for sub in subs for m in (sub.train_mask, sub.test_mask)}
+        used = sum(int((sub.train_mask | sub.test_mask).sum()) for sub in subs)
+        assert used < sum(sub.num_nodes for sub in subs)  # the fixture has val nodes
+        assert sum(rows) == used
+        assert set(rows) <= split_sizes
+
+    def test_no_batch_outlives_its_absorption(self, monkeypatch):
+        """The base batch is freed before the first update, session k's before k + 1's."""
+        import acgl.harness as harness
+
+        refs, alive_at_update = [], []
+        align, update = harness.align_base, harness.update_weights
+
+        def tracking_align(X0, Y0, *args, **kwargs):
+            refs.append(weakref.ref(X0))
+            return align(X0, Y0, *args, **kwargs)
+
+        def tracking_update(state, batch):
+            alive_at_update.append([k for k, ref in enumerate(refs) if ref() is not None])
+            refs.append(weakref.ref(batch.features))
+            return update(state, batch)
+
+        monkeypatch.setattr(harness, "align_base", tracking_align)
+        monkeypatch.setattr(harness, "update_weights", tracking_update)
+        res = run_experiment(FIXTURE_EXPERIMENT)
+        assert alive_at_update == [[]] * (res.plan.num_sessions - 1)
+        assert all(ref() is None for ref in refs)
 
     def test_final_row_equals_fresh_extraction(self, fixture_result):
         """Scoring cached rows matches re-extracting each task from scratch, bit for bit."""

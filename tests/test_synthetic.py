@@ -55,7 +55,7 @@ def test_masks_cover_every_class():
 
 
 def test_minimum_sizes_still_split():
-    g = generate_synthetic(2, 2, 1, 0.5, seed=0)
+    g = generate_synthetic(2, 2, 1, 0.5, seed=0, avg_degree=3.0)  # n - 1 on 4 nodes
     assert g.train_mask.sum() == 2  # one per class
     assert g.test_mask.sum() == 2
 
@@ -69,9 +69,11 @@ def test_invalid_parameters_rejected():
         generate_synthetic(2, 4, 3, 1.5, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(2, 4, 0, 0.5, seed=0)
-    for avg_degree in (0.0, np.nan, np.inf):
+    # n = 8 nodes: above n - 1 = 7, the complete graph's mean degree, nothing is drawn.
+    for avg_degree in (0.0, np.nan, np.inf, np.nextafter(7.0, np.inf), 1e308):
         with pytest.raises(ValueError, match="avg_degree"):
             generate_synthetic(2, 4, 3, 0.5, seed=0, avg_degree=avg_degree)
+    generate_synthetic(2, 4, 3, 0.5, seed=0, avg_degree=7.0)
 
 
 def test_no_self_loops_and_canonical_edges():
@@ -135,7 +137,7 @@ SHAPES = {
     "synthetic_cfg": dict(num_classes=4, nodes_per_class=50, d=16, homophily=0.9),
     "homophily_0": dict(num_classes=3, nodes_per_class=10, d=2, homophily=0.0),
     "homophily_1": dict(num_classes=3, nodes_per_class=10, d=2, homophily=1.0),
-    "two_per_class": dict(num_classes=2, nodes_per_class=2, d=1, homophily=0.5, avg_degree=6.0),
+    "two_per_class": dict(num_classes=2, nodes_per_class=2, d=1, homophily=0.5, avg_degree=3.0),
 }
 CASES = [(name, seed) for name in SHAPES if name != "big_sessions" for seed in (1, 7)] + [
     ("big_sessions", 0),   # two rejected half-words, see test_rejection_seed_reads_extra_outputs
