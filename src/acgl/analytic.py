@@ -39,17 +39,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticState:
-    """Everything retained between sessions: W, R, gamma, and class order.
+    """Everything retained between sessions: W, R, and class order.
 
     ``weights`` has one column per seen class, ordered by first appearance;
-    ``inv_gram`` is the regularized inverse autocorrelation matrix R. The
-    state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed in
+    ``inv_gram`` is the regularized inverse autocorrelation matrix R, with
+    gamma already folded in, so gamma itself is not kept. The state's
+    footprint is one (d, d) matrix plus one (d, C) matrix, fixed in
     d regardless of how many samples have been absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
     inv_gram: np.ndarray             # (d, d), symmetric positive definite
-    gamma: float
     seen_classes: tuple[int, ...]
 
     def __post_init__(self):
@@ -62,8 +62,6 @@ class AnalyticState:
             raise ValueError("one weight column per seen class required")
         if len(set(self.seen_classes)) != c:
             raise ValueError("seen_classes must be unique")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         for name in ("weights", "inv_gram"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
@@ -76,7 +74,11 @@ class AnalyticState:
 
 @dataclass(frozen=True)
 class SessionBatch:
-    """One session's expanded training features and one-hot targets."""
+    """One session's expanded training features and one-hot targets.
+
+    Every class id needs at least one row: a class with no training row
+    would get an all-zero weight column and could never be predicted.
+    """
 
     features: np.ndarray        # (N, d)
     targets: np.ndarray         # (N, C_new), one-hot rows
@@ -93,6 +95,9 @@ class SessionBatch:
             raise ValueError("class_ids must be unique")
         if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
             raise ValueError("every target row must be one-hot")
+        empty = [c for c, count in zip(self.class_ids, Y.sum(axis=0)) if count == 0]
+        if empty:
+            raise ValueError(f"class {empty[0]} has no training rows")
         if not np.isfinite(X).all():
             raise ValueError("features contain non-finite values")
         X.setflags(write=False)
@@ -182,7 +187,6 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     return AnalyticState(
         weights=inv_gram @ (X0.T @ Y0),
         inv_gram=inv_gram,
-        gamma=float(gamma),
         seen_classes=tuple(int(c) for c in class_ids),
     )
 
@@ -242,7 +246,6 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     return AnalyticState(
         weights=np.hstack([old_cols, new_cols]),
         inv_gram=R_new,
-        gamma=state.gamma,
         seen_classes=state.seen_classes + tuple(int(c) for c in batch.class_ids),
     )
 

@@ -6,11 +6,10 @@ the schema below with a type and default; unknown keys are rejected, as
 are values of the wrong type. ``--set key=value`` overrides reuse the same
 parser.
 
-Randomness flows from exactly three named seeds: ``seed.data`` (graph
-generation and class-order shuffling), ``seed.backbone`` (weight init and
-dropout), and ``seed.expander`` (the frozen expansion weight). Any of them
-left unset is derived from the global ``seed`` by a fixed offset (+0, +1,
-+2), so a single global seed pins the whole run.
+All randomness flows from the one global ``seed``: the synthetic graph
+draws from ``seed``, the backbone (weight init and dropout) from
+``seed + 1`` and the frozen expansion weight from ``seed + 2``, so a single
+seed pins the whole run.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
-    kind: str            # "int" | "float" | "bool" | "str"
+    kind: str            # "int" | "float" | "str"
     default: object
     help: str
 
 
-# Sentinel default for optional keys.
-UNSET = None
-
 SCHEMA: dict[str, Field] = {
-    "dataset.path": Field("str", UNSET, "dataset directory; unset means synthetic data"),
+    "dataset.path": Field("str", None, "dataset directory; unset means synthetic data"),
     "synthetic.classes": Field("int", 4, "synthetic: number of classes"),
     "synthetic.nodes_per_class": Field("int", 50, "synthetic: nodes per class"),
     "synthetic.features": Field("int", 16, "synthetic: feature dimension"),
@@ -47,7 +43,6 @@ SCHEMA: dict[str, Field] = {
     "synthetic.class_sep": Field("float", 1.0, "synthetic: class mean separation scale"),
     "plan.base_classes": Field("int", 0, "base class count c0; 0 means half of C rounded up"),
     "plan.increment": Field("int", 1, "classes added per incremental session"),
-    "plan.shuffle_classes": Field("bool", False, "shuffle class order with the data seed"),
     "backbone.hidden": Field("int", 256, "GCN hidden width"),
     "backbone.epochs": Field("int", 50, "base-session training epochs"),
     "backbone.lr": Field("float", 0.001, "Adam learning rate"),
@@ -55,10 +50,7 @@ SCHEMA: dict[str, Field] = {
     "backbone.weight_decay": Field("float", 5e-4, "L2 decay folded into gradients"),
     "expander.dim": Field("int", 2048, "feature expansion output dimension"),
     "gamma": Field("float", 1.0, "ridge regularization strength"),
-    "seed": Field("int", 42, "global seed; derives the named seeds when unset"),
-    "seed.data": Field("int", UNSET, "data seed (synthetic graph, class shuffle)"),
-    "seed.backbone": Field("int", UNSET, "backbone init and dropout seed"),
-    "seed.expander": Field("int", UNSET, "frozen expansion weight seed"),
+    "seed": Field("int", 42, "global seed; the backbone uses seed + 1, the expander seed + 2"),
 }
 
 
@@ -75,13 +67,6 @@ def parse_value(key: str, raw: str):
             if not math.isfinite(value):
                 raise ValueError(raw)
             return value
-        if field.kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         kind = "finite float" if field.kind == "float" else field.kind
@@ -150,27 +135,17 @@ def _validate(cfg: dict) -> None:
         ("synthetic.features", cfg["synthetic.features"] >= 1, "must be >= 1"),
         ("synthetic.avg_degree", 0 < cfg["synthetic.avg_degree"] <= nodes - 1,
          f"must lie in (0, {nodes - 1}], at most the complete graph's mean degree"),
-        *((key, cfg[key] is None or cfg[key] >= 0, "must be >= 0")
-          for key in ("seed", "seed.data", "seed.backbone", "seed.expander")),
+        ("seed", cfg["seed"] >= 0, "must be >= 0"),
     ]
     for key, ok, msg in checks:
         if not ok:
             raise ConfigError(f"config key {key!r} {msg} (got {cfg[key]!r})")
 
 
-def resolve_seeds(cfg: dict) -> tuple[int, int, int]:
-    """(data, backbone, expander) seeds, derived from the global seed when unset."""
-    base = cfg["seed"]
-    data = cfg["seed.data"] if cfg["seed.data"] is not None else base
-    backbone = cfg["seed.backbone"] if cfg["seed.backbone"] is not None else base + 1
-    expander = cfg["seed.expander"] if cfg["seed.expander"] is not None else base + 2
-    return data, backbone, expander
-
-
 def build_experiment(cfg: dict) -> ExperimentConfig:
     """Turn a validated flat config into the harness config."""
     _validate(cfg)
-    data_seed, backbone_seed, expander_seed = resolve_seeds(cfg)
+    seed = cfg["seed"]
     synthetic = None
     if cfg["dataset.path"] is None:
         synthetic = SyntheticSpec(
@@ -186,7 +161,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         synthetic=synthetic,
         c0=cfg["plan.base_classes"] or None,
         k=cfg["plan.increment"],
-        shuffle_classes=cfg["plan.shuffle_classes"],
         gamma=cfg["gamma"],
         backbone=BackboneConfig(
             hidden=cfg["backbone.hidden"],
@@ -194,18 +168,13 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             lr=cfg["backbone.lr"],
             dropout=cfg["backbone.dropout"],
             weight_decay=cfg["backbone.weight_decay"],
-            seed=backbone_seed,
+            seed=seed + 1,
         ),
-        expander=ExpanderConfig(dim=cfg["expander.dim"], seed=expander_seed),
-        data_seed=data_seed,
+        expander=ExpanderConfig(dim=cfg["expander.dim"], seed=seed + 2),
+        data_seed=seed,
     )
 
 
 def config_echo(cfg: dict) -> dict:
-    """JSON-friendly view of the effective config, including derived seeds."""
-    data_seed, backbone_seed, expander_seed = resolve_seeds(cfg)
-    echo = {k: v for k, v in cfg.items() if v is not None}
-    echo["seed.data"] = data_seed
-    echo["seed.backbone"] = backbone_seed
-    echo["seed.expander"] = expander_seed
-    return echo
+    """JSON-friendly view of the effective config: every schema key that is set."""
+    return {k: v for k, v in cfg.items() if v is not None}

@@ -165,31 +165,21 @@ def default_base_size(num_classes: int) -> int:
     return math.ceil(num_classes / 2)
 
 
-def build_session_plan(
-    graph: Graph,
-    c0: int,
-    k: int,
-    class_order: list[int] | None = None,
-) -> SessionPlan:
-    """Split the class set into a base group and incremental groups of size k.
+def build_session_plan(graph: Graph, c0: int, k: int) -> SessionPlan:
+    """Split the classes, in ascending id order, into a base group and groups of size k.
 
-    ``class_order`` must be a permutation of [0, num_classes); default is
-    ascending class id. Every class lands in exactly one group.
+    The base group holds ids 0..c0-1 and each later group the next k ids
+    (the last may be smaller). Every class lands in exactly one group.
     """
     c = graph.num_classes
-    if class_order is None:
-        class_order = list(range(c))
-    if sorted(class_order) != list(range(c)):
-        raise ValueError("class_order must be a permutation of all class ids")
     if not 1 <= c0 < c:
         raise ValueError(f"base class count c0={c0} must satisfy 1 <= c0 < C={c}")
     if not 1 <= k <= c - c0:
         raise ValueError(f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}")
 
-    groups = [tuple(class_order[:c0])]
-    rest = class_order[c0:]
-    for start in range(0, len(rest), k):
-        groups.append(tuple(rest[start : start + k]))
+    groups = [tuple(range(c0))]
+    for start in range(c0, c, k):
+        groups.append(tuple(range(start, min(start + k, c))))
     return SessionPlan(groups=tuple(groups))
 
 

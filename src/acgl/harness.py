@@ -57,13 +57,17 @@ class ExpanderConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; all randomness flows from the three seeds."""
+    """Everything a run needs.
+
+    All randomness flows from ``data_seed``, ``backbone.seed`` and
+    ``expander.seed``. Classes run in ascending id order: the base session
+    takes the first ``c0`` ids, each later session the next ``k``.
+    """
 
     dataset_path: str | None = None
     synthetic: SyntheticSpec | None = None
     c0: int | None = None            # None: half the classes, rounded up
     k: int = 1
-    shuffle_classes: bool = False
     gamma: float = 1.0
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     expander: ExpanderConfig = field(default_factory=ExpanderConfig)
@@ -165,8 +169,9 @@ def _absorb(state: AnalyticState | None, graph: Graph, class_ids, session: int, 
     sub = session_subgraph(graph, class_ids)
     train, test = sub.train_mask, sub.test_mask
     where = f"session {session} (classes {list(class_ids)})"
-    if not train.any():
-        raise RuntimeError(f"{where} has an empty train split")
+    missing = np.setdiff1d(class_ids, sub.labels[train])
+    if missing.size:
+        raise RuntimeError(f"{where} has an empty train split for class {missing[0]}")
     if not test.any():
         raise ValueError(f"{where} has an empty test set")
     hidden = _hidden(sub, backbone)
@@ -188,11 +193,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     graph = resolve_graph(config)
     t_load = time.perf_counter() - t0
     c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
-    class_order = None
-    if config.shuffle_classes:
-        order_rng = np.random.default_rng(config.data_seed)
-        class_order = list(order_rng.permutation(graph.num_classes))
-    plan = build_session_plan(graph, c0, config.k, class_order)
+    plan = build_session_plan(graph, c0, config.k)
 
     t0 = time.perf_counter()
     backbone = train_base(graph, plan, config.backbone)

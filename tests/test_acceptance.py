@@ -181,7 +181,6 @@ def test_zero_classifier_level_forgetting(monkeypatch):
         W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
         joint_state = AnalyticState(
             weights=W, inv_gram=np.eye(W.shape[0]),
-            gamma=FIXTURE_EXPERIMENT.gamma,
             seen_classes=tuple(c for group in res.plan.groups[: k + 1] for c in group),
         )
         for i in range(k + 1):

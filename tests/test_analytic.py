@@ -348,8 +348,7 @@ class TestJointSolve:
 class TestPredict:
     def make_state(self, weights, classes):
         d = weights.shape[0]
-        return AnalyticState(weights=weights, inv_gram=np.eye(d), gamma=1.0,
-                             seen_classes=classes)
+        return AnalyticState(weights=weights, inv_gram=np.eye(d), seen_classes=classes)
 
     def test_one_hot_weights_recover_class(self):
         W = np.eye(3) * 2.0
@@ -403,15 +402,10 @@ class TestStateStructure:
         assert array_fields["weights"].shape == (d, len(state.seen_classes))
 
     def test_invalid_states_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            AnalyticState(weights=np.ones((2, 1)), inv_gram=np.eye(2), gamma=0.0,
-                          seen_classes=(0,))
         with pytest.raises(ValueError, match="R shape"):
-            AnalyticState(weights=np.ones((2, 1)), inv_gram=np.eye(3), gamma=1.0,
-                          seen_classes=(0,))
+            AnalyticState(weights=np.ones((2, 1)), inv_gram=np.eye(3), seen_classes=(0,))
         with pytest.raises(ValueError, match="one weight column"):
-            AnalyticState(weights=np.ones((2, 2)), inv_gram=np.eye(2), gamma=1.0,
-                          seen_classes=(0,))
+            AnalyticState(weights=np.ones((2, 2)), inv_gram=np.eye(2), seen_classes=(0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_features_must_be_finite(self, bad):
@@ -419,6 +413,13 @@ class TestStateStructure:
         X[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SessionBatch(features=X, targets=np.eye(2), class_ids=(0, 1))
+
+    def test_batch_class_without_rows_rejected(self):
+        # Class 7's column is empty: it would get an all-zero weight column.
+        with pytest.raises(ValueError, match="class 7 has no training rows"):
+            SessionBatch(features=np.ones((2, 3)),
+                         targets=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                         class_ids=(5, 7))
 
     def test_batch_targets_must_be_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
+from acgl.config import SCHEMA
 from acgl.datasets import load_dataset, save_dataset
 from acgl.synthetic import generate_synthetic, intra_class_fraction
 
@@ -58,9 +59,10 @@ class TestRun:
         ("backbone.lr", "inf"),
         ("synthetic.avg_degree", "nan"),
         ("seed", "-1"),
-        ("seed.data", "-1"),
-        ("seed.backbone", "-2"),
-        ("seed.expander", "-3"),
+        ("seed.data", "5"),                  # removed keys: every seed derives from `seed`
+        ("seed.backbone", "5"),
+        ("seed.expander", "5"),
+        ("plan.shuffle_classes", "true"),    # removed key: classes run in ascending order
         ("synthetic.features", "0"),
         ("synthetic.avg_degree", "0"),
         ("synthetic.avg_degree", "1e308"),   # finite, past the complete graph's n - 1
@@ -116,12 +118,14 @@ class TestRun:
         assert (tmp_path / "a" / "matrix.csv").read_bytes() == \
             (tmp_path / "b" / "matrix.csv").read_bytes()
 
-    def test_report_echoes_config_with_derived_seeds(self, run_config_file, tmp_path):
+    def test_report_echoes_config_schema_keys(self, run_config_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(run_config_file), "--out", str(out), "--seed", "5"])
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["seed"] == 5
-        assert doc["config"]["seed.backbone"] == 6
+        assert doc["config"]["synthetic.nodes_per_class"] == 30
+        # Every set schema key and nothing else; unset ones are omitted.
+        assert set(doc["config"]) == set(SCHEMA) - {"dataset.path"}
 
     def test_run_from_on_disk_dataset(self, tmp_path):
         ds = tmp_path / "ds"
@@ -160,6 +164,45 @@ class TestRun:
         assert code == EXIT_RUNTIME
         # Rejected when the graph is built at load, not at predict after training.
         assert "features contain non-finite" in capsys.readouterr().err
+
+    def test_session_class_without_train_rows_is_runtime_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "20", "--features", "8",
+                     "--seed", "9"]) == EXIT_OK
+        # Move class 3's train nodes to test: session 1 (classes 2 and 3)
+        # still has train rows, but none of class 3.
+        labels = (ds / "labels.csv").read_text().split()
+        split = (ds / "split.csv").read_text().split()
+        split = ["test" if y == "3" and s == "train" else s for y, s in zip(labels, split)]
+        (ds / "split.csv").write_text("\n".join(split) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--out", str(out),
+                     "--set", f"dataset.path={ds}",
+                     "--set", "plan.base_classes=2",
+                     "--set", "plan.increment=2",
+                     "--set", "backbone.hidden=8",
+                     "--set", "backbone.epochs=5",
+                     "--set", "expander.dim=16"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "session 1 (classes [2, 3]) has an empty train split for class 3" in err
+        assert not out.exists()
+
+    def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
+                                            monkeypatch):
+        import acgl.harness as harness
+
+        message = "Unable to allocate 23.3 TiB for an array with shape (32, 99999999999)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        # Stands in for numpy refusing a huge `expander.dim`; nothing is allocated.
+        monkeypatch.setattr(harness, "init_expander", fail)
+        code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.strip() == f"error: out of memory: {message}"
 
 
 class TestSweep:

@@ -168,11 +168,6 @@ class TestSessionPlan:
         with pytest.raises(ValueError):
             build_session_plan(g, 5, 1)
 
-    def test_custom_class_order(self):
-        g = make_graph(4, [], [0, 1, 2, 3], 4)
-        plan = build_session_plan(g, 2, 1, class_order=[3, 1, 0, 2])
-        assert plan.groups == ((3, 1), (0,), (2,))
-
     def test_default_base_size(self):
         assert default_base_size(7) == 4
         assert default_base_size(6) == 3
