@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError
@@ -33,6 +36,15 @@ SWEEP_AXES = {
 }
 
 
+def _schema_epilog() -> str:
+    """Every config key with its kind, default and help, for ``run`` and ``sweep``."""
+    rows = []
+    for key, field in cfgmod.SCHEMA.items():
+        default = "unset" if field.default is None else str(field.default)
+        rows.append(f"  {key:<26}{field.kind:<6}{default:<8}{field.help}")
+    return "config keys (set in --config or with --set KEY=VALUE):\n" + "\n".join(rows)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acgl",
@@ -47,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="config override, repeatable")
 
-    p_run = sub.add_parser("run", help="run one experiment")
+    with_schema = dict(epilog=_schema_epilog(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_run = sub.add_parser("run", help="run one experiment", **with_schema)
     add_common(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="run one experiment per axis value")
+    p_sweep = sub.add_parser("sweep", help="run one experiment per axis value", **with_schema)
     add_common(p_sweep)
     p_sweep.add_argument("--axis", choices=sorted(SWEEP_AXES), required=True,
                          help="which knob to sweep")
@@ -171,11 +185,21 @@ _COMMANDS = {
 }
 
 
+def _failing_stage(exc: BaseException) -> str:
+    """``module.function`` of the innermost acgl frame in ``exc``'s traceback."""
+    package = Path(__file__).parent
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if Path(f.filename).parent == package][-1]
+    return f"{Path(frame.filename).stem}.{frame.name}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # An overflow or NaN anywhere in a run stops it here, not as a warning.
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -187,6 +211,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except FloatingPointError as exc:
+        print(f"error: {_failing_stage(exc)}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
+from .graph import default_base_size
 from .harness import ExperimentConfig, ExpanderConfig, SyntheticSpec
 
 
@@ -137,6 +138,14 @@ def _validate(cfg: dict) -> None:
          f"must lie in (0, {nodes - 1}], at most the complete graph's mean degree"),
         ("seed", cfg["seed"] >= 0, "must be >= 0"),
     ]
+    if cfg["dataset.path"] is None:  # a dataset's class count is known only after load
+        classes = cfg["synthetic.classes"]
+        c0 = cfg["plan.base_classes"] or default_base_size(classes)
+        checks += [
+            ("plan.base_classes", c0 < classes, f"must be below synthetic.classes = {classes}"),
+            ("plan.increment", cfg["plan.increment"] <= classes - c0,
+             f"must be at most synthetic.classes - base classes = {classes - c0}"),
+        ]
     for key, ok, msg in checks:
         if not ok:
             raise ConfigError(f"config key {key!r} {msg} (got {cfg[key]!r})")

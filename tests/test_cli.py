@@ -1,7 +1,9 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
@@ -67,6 +69,8 @@ class TestRun:
         ("synthetic.avg_degree", "0"),
         ("synthetic.avg_degree", "1e308"),   # finite, past the complete graph's n - 1
         ("backbone.weight_decay", "-1"),
+        ("plan.base_classes", "9"),          # the synthetic config has 4 classes
+        ("plan.increment", "7"),             # at most 4 - 2 classes are left after the base
     ])
     def test_bad_value_is_config_error_naming_key(self, run_config_file, tmp_path, capsys,
                                                   key, value):
@@ -189,6 +193,29 @@ class TestRun:
         assert "session 1 (classes [2, 3]) has an empty train split for class 3" in err
         assert not out.exists()
 
+    def test_plan_beyond_dataset_classes_is_runtime_error(self, tmp_path, capsys):
+        # A dataset's class count is known only after load, so the plan fails at run time.
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "20", "--features", "8"]) == EXIT_OK
+        code = main(["run", "--out", str(tmp_path / "out"),
+                     "--set", f"dataset.path={ds}", "--set", "plan.base_classes=9"])
+        assert code == EXIT_RUNTIME
+        assert "base class count c0=9 must satisfy 1 <= c0 < C=4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, stage", [
+        ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
+        ("synthetic.class_sep", "1e300", "backbone._adam_update: overflow encountered"),
+    ])
+    def test_overflow_is_one_error_line_naming_the_stage(self, run_config_file, tmp_path,
+                                                         capsys, key, value, stage):
+        code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o"),
+                     "--set", f"{key}={value}"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}")
+        assert len(err.splitlines()) == 1
+
     def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
                                             monkeypatch):
         import acgl.harness as harness
@@ -203,6 +230,25 @@ class TestRun:
         code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o")])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.strip() == f"error: out of memory: {message}"
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_runs_reproduce_at_any_seed(seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(RUN_CONFIG + "backbone.epochs = 5\n")
+        outs = [Path(tmp) / name for name in ("a", "b")]
+        for out in outs:
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--seed", str(seed)]) == EXIT_OK
+        a, b = outs
+        for name in ("matrix.csv", "heatmap.svg"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        doc_a, doc_b = (json.loads((out / "report.json").read_text()) for out in outs)
+        # Wall times differ between runs; only which of them were taken must agree.
+        assert set(doc_a.pop("times")) == set(doc_b.pop("times"))
+        assert doc_a == doc_b
 
 
 class TestSweep:
@@ -413,6 +459,16 @@ class TestHelp:
             for action in sub._actions:
                 for opt in action.option_strings:
                     assert opt in help_text, f"{cmd}: {opt} missing from --help"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_schema_key_in_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        for key, field in SCHEMA.items():
+            assert key in help_text, key
+            assert field.help in help_text, key
 
     def test_commands_enumerated(self):
         help_text = build_parser().format_help()

@@ -113,7 +113,7 @@ def test_build_experiment_wires_fields():
         assert changed != default, f"{key} does not reach the experiment config"
 
     cfg = apply_overrides(default_config(), [
-        "plan.base_classes=3", "plan.increment=2", "gamma=0.5",
+        "synthetic.classes=5", "plan.base_classes=3", "plan.increment=2", "gamma=0.5",
         "backbone.hidden=32", "expander.dim=64", "seed=11",
     ])
     exp = build_experiment(cfg)
