@@ -2,19 +2,22 @@
 
 The classifier weight W solves the multi-output ridge problem over every
 session seen so far. Rather than keeping past features, the engine stores
-only the regularized inverse Gram matrix
+only R, the upper-triangular Cholesky factor of the regularized Gram
 
-    R = (sum_i X_i^T X_i + gamma * I)^{-1}
+    R^T R = G = sum_i X_i^T X_i + gamma * I
 
-and updates it per session with the Woodbury identity, so the inner solve
-is only as large as the session's sample count. The weight update corrects
-existing class columns and appends one column per new class:
+and absorbs each session into it with one QR step of [R; X] (LAPACK
+tpqrt), whatever the session's row count: the square-root form of
+recursive least squares. The weight update corrects existing class columns
+and appends one column per new class,
 
-    W_new = [W_prev - R_new X^T X W_prev,  R_new X^T Y]
+    W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
-which reproduces the one-shot joint solution exactly (up to float error),
-no matter how many sessions the data arrived in. :func:`joint_solve` is the
-independent oracle for that equivalence.
+with both products taken by one solve against the new R. This reproduces
+the one-shot joint solution exactly (up to float error), no matter how many
+sessions the data arrived in. :func:`joint_solve` is the independent oracle
+for that equivalence. The paper's inverse autocorrelation matrix G^{-1} is
+available as :attr:`AnalyticState.inv_gram`; the recursion never forms it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
 
 __all__ = [
@@ -36,40 +38,51 @@ __all__ = [
     "predict",
 ]
 
+# Block size of the tpqrt reflector panels.
+_QR_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class AnalyticState:
     """Everything retained between sessions: W, R, and class order.
 
-    ``weights`` has one column per seen class, ordered by first appearance;
-    ``inv_gram`` is the regularized inverse autocorrelation matrix R, with
-    gamma already folded in, so gamma itself is not kept. The state's
-    footprint is one (d, d) matrix plus one (d, C) matrix, fixed in
-    d regardless of how many samples have been absorbed.
+    ``weights`` has one column per seen class, ordered by first appearance.
+    ``R`` is the upper-triangular factor of the regularized Gram,
+    R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
+    gamma itself is not kept; it stays in the Fortran order LAPACK returns.
+    The state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed
+    in d regardless of how many samples have been absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
-    inv_gram: np.ndarray             # (d, d), symmetric positive definite
+    R: np.ndarray                    # (d, d), upper triangular
     seen_classes: tuple[int, ...]
 
     def __post_init__(self):
-        d, c = self.weights.shape
-        if self.inv_gram.shape != (d, d):
-            raise ValueError(
-                f"R shape {self.inv_gram.shape} incompatible with weights {self.weights.shape}"
-            )
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        R = np.asarray(self.R, dtype=np.float64)
+        d, c = weights.shape
+        if R.shape != (d, d):
+            raise ValueError(f"R shape {R.shape} incompatible with weights {weights.shape}")
         if c != len(self.seen_classes):
             raise ValueError("one weight column per seen class required")
         if len(set(self.seen_classes)) != c:
             raise ValueError("seen_classes must be unique")
-        for name in ("weights", "inv_gram"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+        for name, arr in (("weights", weights), ("R", R)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def feature_dim(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def inv_gram(self) -> np.ndarray:
+        """G^{-1} = (R^T R)^{-1}, the paper's inverse autocorrelation matrix, formed on demand."""
+        upper, info = scipy.linalg.lapack.dpotri(self.R, lower=0)
+        if info != 0:
+            raise ValueError(f"matrix numerically singular: LAPACK info {info}")
+        return np.triu(upper) + np.triu(upper, 1).T
 
 
 @dataclass(frozen=True)
@@ -116,64 +129,28 @@ def one_hot(labels: np.ndarray, class_ids) -> np.ndarray:
     return out
 
 
-def _spd_factor(matrix: np.ndarray):
-    """Cholesky factor; raises ValueError when the matrix is not SPD."""
-    try:
-        return scipy.linalg.cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"matrix numerically singular or indefinite: {exc}") from exc
+def _upper_factor(gram: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor R (R^T R = gram) by LAPACK potrf, in Fortran order.
 
-
-# Edge of the square tiles the d x d passes walk, so that a tile and its
-# mirror image both stay in cache.
-_TILE = 128
-
-
-def _tile_pairs(n: int):
-    """(rows, cols) slices of the tiles on and above the diagonal of an n x n matrix."""
-    starts = range(0, n, _TILE)
-    for i in starts:
-        for j in starts[i // _TILE:]:
-            yield slice(i, i + _TILE), slice(j, j + _TILE)
-
-
-def _mirror_lower(mat: np.ndarray) -> np.ndarray:
-    """Copy the lower triangle of ``mat`` over its upper one, in place and tile by tile."""
-    for rows, cols in _tile_pairs(len(mat)):
-        if rows == cols:
-            tile = mat[rows, rows]
-            tile[...] = np.tril(tile) + np.tril(tile, -1).T
-        else:
-            mat[rows, cols] = mat[cols, rows].T
-    return mat
-
-
-def _spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix from its Cholesky factor (LAPACK potrf + potri).
-
-    Only the lower triangle of ``matrix`` is read. potri returns the lower
-    triangle of the inverse, which is mirrored into the upper one, so the
-    result is exactly symmetric. Raises ValueError when the matrix is not SPD.
+    ``gram`` is overwritten when it is Fortran-ordered; the factor's lower
+    triangle is zeroed. Raises ValueError when ``gram`` is not numerically
+    positive definite.
     """
-    factor, info = scipy.linalg.lapack.dpotrf(matrix, lower=1)
-    if info == 0:
-        inverse, info = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=0, clean=1, overwrite_a=1)
     if info != 0:
         raise ValueError(f"matrix numerically singular or indefinite: LAPACK info {info}")
-    # LAPACK works in Fortran order; the transpose of a symmetric matrix is
-    # the same matrix, here in C order without a copy.
-    return _mirror_lower(inverse).T
+    return factor
 
 
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
                class_ids=None) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
-    Inverts G = X^T X + gamma I by Cholesky into R, the recursion's state,
-    and sets W = R X^T Y, the same product that appends new class columns
-    in :func:`update_weights`. ``class_ids`` defaults to 0..C0-1 when the
-    base classes are not explicitly named. Non-finite features raise
-    ValueError.
+    Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
+    recursion's state, and solves G W = X^T Y against it. ``class_ids``
+    defaults to 0..C0-1 when the base classes are not explicitly named.
+    Non-finite features raise ValueError, and so does a Gram whose entries
+    are so large that gamma is lost to rounding.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -183,53 +160,52 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
         raise ValueError("features contain non-finite values")
     if class_ids is None:
         class_ids = tuple(range(Y0.shape[1]))
-    inv_gram = _spd_inverse(X0.T @ X0 + gamma * np.eye(X0.shape[1]))
+    # The Gram is symmetric, so its transpose is the same matrix in the
+    # Fortran order potrf factors in place.
+    gram = (X0.T @ X0).T
+    gram[np.diag_indices_from(gram)] += gamma
+    largest = gram.diagonal().max()
+    try:
+        R = _upper_factor(gram)
+    except ValueError:
+        raise ValueError(
+            f"analytic.align_base: the base Gram X0^T X0 + gamma I is not positive definite "
+            f"in float64: gamma={gamma:g} is lost to rounding against diagonal entries up "
+            f"to {largest:.3g}"
+        ) from None
     return AnalyticState(
-        weights=inv_gram @ (X0.T @ Y0),
-        inv_gram=inv_gram,
+        weights=scipy.linalg.cho_solve((R, False), X0.T @ Y0, check_finite=False),
+        R=R,
         seen_classes=tuple(int(c) for c in class_ids),
     )
 
 
 def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
-    """Absorb a session's Gram contribution into the stored inverse.
+    """Absorb a session into the Gram's triangular factor.
 
-    Computes (R_prev^{-1} + Xn^T Xn)^{-1}. When the session is small
-    (N < d) the Woodbury form is used and the inner factor is only N x N:
-    with K = Xn R_prev and L the Cholesky factor of I + K Xn^T,
-
-        R_prev - V^T V,   V = L^{-1} K
-
-    otherwise the Gram is rebuilt as R_prev^{-1} + Xn^T Xn and inverted
-    directly, two Cholesky inverses for better conditioning. Either way one
-    triangle of the result is mirrored into the other, so it is exactly
-    symmetric. A singular or indefinite matrix raises ValueError.
+    Returns the upper-triangular R of the QR factorization of [R_prev; Xn],
+    so that R^T R = R_prev^T R_prev + Xn^T Xn, by one LAPACK tpqrt call
+    for any row count (none included). Its diagonal may carry either sign.
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
     d = R_prev.shape[0]
     if Xn.shape[1] != d:
         raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}")
-    n = Xn.shape[0]
-    if n == 0:
-        return _mirror_lower(R_prev.copy())
-    if n >= d:
-        return _spd_inverse(_spd_inverse(R_prev) + Xn.T @ Xn)
-    K = Xn @ R_prev                                       # (n, d)
-    L, _ = _spd_factor(np.eye(n) + K @ Xn.T)              # (n, n), lower
-    V = scipy.linalg.solve_triangular(L, K, lower=True, check_finite=False)
-    # syrk writes one triangle of R_prev - V^T V into a Fortran-order copy of
-    # R_prev.T, whose transpose is the C-order result once mirrored.
-    R_new = scipy.linalg.blas.dsyrk(-1.0, V, beta=1.0, c=R_prev.T, trans=1, lower=1)
-    return _mirror_lower(R_new).T
+    R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
+    if info != 0:
+        raise ValueError(f"LAPACK tpqrt info {info}")
+    return R_new
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     """One recursive class-incremental step; returns the successor state.
 
-    R absorbs the new session first; then existing class columns are
-    corrected by -R X^T X W_prev and the new classes' columns R X^T Y are
-    appended. Revisiting an already-seen class is rejected.
+    R absorbs the new session first; then, with G the Gram R^T R, existing
+    class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
+    columns G^{-1} X^T Y are appended, both from one solve against R.
+    Revisiting an already-seen class is rejected, and so is a new factor
+    with a zero or non-finite diagonal entry (a singular or overflowed Gram).
     """
     overlap = set(batch.class_ids) & set(state.seen_classes)
     if overlap:
@@ -239,13 +215,18 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
         raise ValueError(
             f"feature dim {X.shape[1]} != state dim {state.feature_dim}"
         )
-    R_new = update_R(state.inv_gram, X)
-    correction = R_new @ (X.T @ (X @ state.weights))
-    old_cols = state.weights - correction
-    new_cols = R_new @ (X.T @ Y)
+    R_new = update_R(state.R, X)
+    diagonal = np.diagonal(R_new)
+    if not (np.isfinite(diagonal).all() and diagonal.all()):
+        raise ValueError("matrix numerically singular: Gram factor has a zero or "
+                         "non-finite diagonal entry")
+    W = state.weights
+    weights = scipy.linalg.cho_solve((R_new, False), X.T @ np.hstack([-(X @ W), Y]),
+                                     check_finite=False)
+    weights[:, :W.shape[1]] += W
     return AnalyticState(
-        weights=np.hstack([old_cols, new_cols]),
-        inv_gram=R_new,
+        weights=weights,
+        R=R_new,
         seen_classes=state.seen_classes + tuple(int(c) for c in batch.class_ids),
     )
 
@@ -278,7 +259,8 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
             raise ValueError("all sessions must share the feature dimension")
         gram += X.T @ X
         blocks.append(X.T @ Y)
-    return scipy.linalg.cho_solve(_spd_factor(gram), np.hstack(blocks), check_finite=False)
+    return scipy.linalg.cho_solve((_upper_factor(gram), False), np.hstack(blocks),
+                                  check_finite=False)
 
 
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from acgl.analytic import (
     AnalyticState,
@@ -107,8 +108,8 @@ def test_exactness_oracle():
     print(f"    ({streams} streams, worst rel err {worst:.2e}, {elapsed:.2f}s)")
 
 
-@criterion(2, "Woodbury update matches direct re-inversion on 100 instances, "
-              "rel err <= 1e-9")
+@criterion(2, "Woodbury step in factor form: the updated R^T R equals the previous "
+              "Gram plus X^T X on 100 instances, rel err <= 1e-9")
 def test_woodbury_correctness():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -116,11 +117,11 @@ def test_woodbury_correctness():
         d = int(rng.integers(2, 65))
         n = int(rng.integers(1, d + 10))
         A = rng.normal(size=(d, d))
-        R_prev = np.linalg.inv(A @ A.T + (0.1 + rng.random()) * np.eye(d))
+        R_prev = scipy.linalg.cholesky(A @ A.T + (0.1 + rng.random()) * np.eye(d))
         Xn = rng.normal(size=(n, d))
         got = update_R(R_prev, Xn)
-        expected = np.linalg.inv(np.linalg.inv(R_prev) + Xn.T @ Xn)
-        err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        expected = R_prev.T @ R_prev + Xn.T @ Xn
+        err = np.linalg.norm(got.T @ got - expected) / np.linalg.norm(expected)
         worst = max(worst, err)
         assert err <= 1e-9, f"trial {trial}: d={d} n={n} err={err:.3e}"
     print(f"    (worst rel err {worst:.2e})")
@@ -180,7 +181,7 @@ def test_zero_classifier_level_forgetting(monkeypatch):
     for k in range(res.matrix.num_sessions):
         W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
         joint_state = AnalyticState(
-            weights=W, inv_gram=np.eye(W.shape[0]),
+            weights=W, R=np.eye(W.shape[0]),
             seen_classes=tuple(c for group in res.plan.groups[: k + 1] for c in group),
         )
         for i in range(k + 1):
@@ -202,9 +203,10 @@ def test_complexity_claims():
     state = run_recursion(batches, gamma=1.0)
     arrays = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)
               if isinstance(getattr(state, f.name), np.ndarray)}
-    assert set(arrays) == {"weights", "inv_gram"}
+    assert set(arrays) == {"weights", "R"}
     d = state.feature_dim
-    assert arrays["inv_gram"].shape == (d, d)
+    assert arrays["R"].shape == (d, d)
+    assert not np.tril(arrays["R"], -1).any()
     assert arrays["weights"].shape == (d, len(state.seen_classes))
 
     # (b) per-session update cost stays flat across 20 equal-size sessions:

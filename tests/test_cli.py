@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -206,6 +208,8 @@ class TestRun:
     @pytest.mark.parametrize("key, value, stage", [
         ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
         ("synthetic.class_sep", "1e300", "backbone._adam_update: overflow encountered"),
+        # Finite, but gamma vanishes next to a Gram of about 1e300.
+        ("synthetic.class_sep", "1e150", "analytic.align_base: the base Gram"),
     ])
     def test_overflow_is_one_error_line_naming_the_stage(self, run_config_file, tmp_path,
                                                          capsys, key, value, stage):
@@ -249,6 +253,71 @@ def test_runs_reproduce_at_any_seed(seed):
         # Wall times differ between runs; only which of them were taken must agree.
         assert set(doc_a.pop("times")) == set(doc_b.pop("times"))
         assert doc_a == doc_b
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "ds"
+    save_dataset(generate_synthetic(3, 10, 4, 0.8, seed=5), path)
+    return path
+
+
+@st.composite
+def run_config_values(draw, dataset):
+    """A small value for every SCHEMA key, often on the edge of its valid range.
+
+    Returns the values and the one key pushed just past its edge, or None.
+    """
+    hidden = draw(st.integers(1, 6))
+    values = {
+        "dataset.path": draw(st.sampled_from([None, dataset])),
+        "synthetic.classes": draw(st.integers(2, 5)),
+        "synthetic.nodes_per_class": draw(st.integers(2, 12)),
+        "synthetic.features": draw(st.integers(1, 6)),
+        "synthetic.homophily": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        # At least 4 nodes, so 3 is never above the complete graph's degree.
+        "synthetic.avg_degree": draw(st.sampled_from([1e-3, 1.0, 3.0])),
+        "synthetic.class_sep": draw(st.sampled_from([1.0, 0.0, -1.0, 1e150, 1e300])),
+        "plan.base_classes": draw(st.sampled_from([0, 1])),
+        "plan.increment": 1,
+        "backbone.hidden": hidden,
+        "backbone.epochs": draw(st.integers(0, 3)),
+        "backbone.lr": draw(st.sampled_from([1e-3, 1e300])),
+        "backbone.dropout": draw(st.sampled_from([0.0, 0.5, 0.99])),
+        "backbone.weight_decay": draw(st.sampled_from([0.0, 5e-4, 1e300])),
+        "expander.dim": hidden + draw(st.integers(1, 6)),
+        "gamma": draw(st.sampled_from([1e-300, 1e-4, 1.0, 1e300])),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+    # Each key's first value outside its valid range.
+    past_edge_values = {
+        "synthetic.classes": 1, "synthetic.nodes_per_class": 1, "synthetic.features": 0,
+        "synthetic.homophily": 1.5, "synthetic.avg_degree": 0.0, "plan.base_classes": -1,
+        "plan.increment": 0, "backbone.hidden": 0, "backbone.epochs": -1,
+        "backbone.lr": 0.0, "backbone.dropout": 1.0, "backbone.weight_decay": -1.0,
+        "expander.dim": hidden, "gamma": 0.0, "seed": -1,
+    }
+    past_edge = draw(st.one_of(st.none(), st.sampled_from(sorted(past_edge_values))))
+    if past_edge is not None:
+        values[past_edge] = past_edge_values[past_edge]
+    return {k: v for k, v in values.items() if v is not None}, past_edge
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_config_exits_cleanly(tiny_dataset, data):
+    values, past_edge = data.draw(run_config_values(tiny_dataset))
+    assert set(values) | {"dataset.path"} == set(SCHEMA)
+    sets = [arg for key, value in values.items() for arg in ("--set", f"{key}={value}")]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--out", str(Path(tmp) / "out"), *sets])
+    assert "Traceback" not in err.getvalue()
+    if past_edge is None:
+        assert code in (EXIT_OK, EXIT_RUNTIME), err.getvalue()
+    else:
+        assert code == EXIT_CONFIG and past_edge in err.getvalue(), err.getvalue()
 
 
 class TestSweep:

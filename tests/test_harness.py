@@ -98,7 +98,7 @@ class TestRunExperiment:
             W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
             seen = tuple(c for group in res.plan.groups[: k + 1] for c in group)
             joint_state = AnalyticState(
-                weights=W, inv_gram=np.eye(W.shape[0]), seen_classes=seen,
+                weights=W, R=np.eye(W.shape[0]), seen_classes=seen,
             )
             for i in range(k + 1):
                 task = session_subgraph(graph, res.plan.groups[i])
@@ -221,7 +221,7 @@ class TestEvaluateTask:
             expander = init_expander(6, 12, seed=seed)
             state = AnalyticState(
                 weights=rng.normal(size=(12, c)),
-                inv_gram=np.eye(12), seen_classes=tuple(range(c)),
+                R=np.eye(12), seen_classes=tuple(range(c)),
             )
             accs.append(evaluate_task(state, *task_test_features(g, backbone, expander)))
         mean = np.mean(accs)
@@ -232,7 +232,7 @@ class TestEvaluateTask:
         task3 = session_subgraph(graph, fixture_result.plan.groups[2])
         rng = np.random.default_rng(0)
         partial = AnalyticState(
-            weights=rng.normal(size=(64, 2)), inv_gram=np.eye(64), seen_classes=(0, 1),
+            weights=rng.normal(size=(64, 2)), R=np.eye(64), seen_classes=(0, 1),
         )
         acc = evaluate_task(partial, *task_test_features(
             task3, fixture_result.backbone, fixture_result.expander))

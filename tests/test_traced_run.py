@@ -29,9 +29,9 @@ def load_tracing(monkeypatch):
     return module
 
 
-# The config's sessions have fewer train rows than d = 64, so update_R takes
-# its Woodbury branch; 120 nodes per class give 72 train rows per session and
-# the direct branch.
+# The config's sessions have fewer train rows than d = 64; 120 nodes per
+# class give 72 train rows per session, more than d. update_R takes one path
+# for both; the ids are the labels perfbench still gives the two cases.
 @pytest.mark.parametrize("overrides", [
     pytest.param([], id="woodbury"),
     pytest.param(["synthetic.nodes_per_class=120"], id="direct"),
