@@ -125,6 +125,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values for axis {args.axis} must be {cast.__name__}s") from None
     if not values:
         raise ConfigError("--values must list at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:  # one point_<value> directory and sweep.csv row per value
+            raise ConfigError(f"--values for axis {args.axis} lists {value} more than once")
 
     # Every point's config is checked before the first point runs.
     point_cfgs = [cfgmod.apply_overrides(cfg, [f"{key}={value}"]) for value in values]

@@ -4,7 +4,8 @@ A :class:`Graph` is a single undirected attributed graph: edge list, dense
 node features, integer labels, and disjoint train/val/test masks. Edges are
 stored canonically (each pair once, smaller id first, no self-loops, rows in
 sorted order); the self-loop needed by GCN message passing is added inside
-:func:`normalize_adjacency`, never stored.
+:func:`normalize_adjacency`, which writes the CSR arrays of the normalized
+matrix directly from the edge list and the degrees.
 """
 
 from __future__ import annotations
@@ -107,29 +108,28 @@ class Graph:
         return self.features.shape[1]
 
 
-def adjacency_matrix(graph: Graph) -> sp.csr_array:
-    """Sparse symmetric 0/1 adjacency (no self-loops) of ``graph``."""
-    n = graph.num_nodes
-    e = graph.edges
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_array((data, (rows, cols)), shape=(n, n))
-
-
 def normalize_adjacency(graph: Graph) -> sp.csr_array:
     """Symmetrically normalized adjacency with self-loops.
 
-    Returns D^{-1/2} (A + I) D^{-1/2} as a sparse CSR array, where D is the
-    diagonal degree matrix of A + I. The self-loop guarantees every degree
-    is at least 1, so the result is always defined.
+    Returns D^{-1/2} (A + I) D^{-1/2} as a CSR array with sorted indices,
+    where D is the diagonal degree matrix of A + I. The self-loop guarantees
+    every degree is at least 1, so the result is always defined.
+
+    The row-major keys ``i * n + j`` of (u, v), (v, u) and (i, i), sorted
+    once, give every row's columns in order; row i holds ``deg[i]`` entries.
+    Each value is ``d_inv_sqrt[i] * d_inv_sqrt[j]``, the single rounding that
+    scaling A + I by the diagonal on each side also makes.
     """
     n = graph.num_nodes
-    a_tilde = adjacency_matrix(graph) + sp.eye_array(n, format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    u, v = graph.edges.T
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n) + 1
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    scale = sp.dia_array((d_inv_sqrt[None, :], [0]), shape=(n, n)).tocsr()
-    return (scale @ a_tilde @ scale).tocsr()
+    nodes = np.arange(n)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u, nodes * (n + 1)]))
+    rows = np.repeat(nodes, deg)
+    cols = keys - rows * n
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    return sp.csr_array((d_inv_sqrt[rows] * d_inv_sqrt[cols], cols, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)

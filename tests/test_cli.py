@@ -371,6 +371,19 @@ class TestSweep:
         assert "'gamma'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("gamma", "0.5,0.50,5e-1", "0.5"),
+        ("feg_dim", "32,64,032", "32"),
+    ])
+    def test_value_repeated_after_cast_rejected(self, run_config_file, tmp_path, capsys,
+                                                axis, values, repeated):
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", str(run_config_file), "--out", str(out),
+                     "--axis", axis, "--values", values])
+        assert code == EXIT_CONFIG
+        assert f"lists {repeated} more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_values_rejected(self, run_config_file, tmp_path):
         code = main(["sweep", "--config", str(run_config_file),
                      "--out", str(tmp_path / "o"), "--axis", "gamma", "--values", ","])

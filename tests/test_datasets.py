@@ -63,6 +63,12 @@ class TestLoad:
         with pytest.raises(DatasetFormatError, match=r"split\.csv:2"):
             load_dataset(tmp_path / "bad")
 
+    def test_padded_split_tags_are_stripped(self, tmp_path):
+        write_toy_dataset(tmp_path / "toy", split=" train\nval\t\r\nnone \n")
+        g = load_dataset(tmp_path / "toy")
+        assert (g.train_mask.tolist(), g.val_mask.tolist(), g.test_mask.tolist()) == (
+            [True, False, False], [False, True, False], [False, False, False])
+
     def test_missing_file(self, tmp_path):
         write_toy_dataset(tmp_path / "bad")
         (tmp_path / "bad" / "labels.csv").unlink()

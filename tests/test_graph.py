@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,36 @@ def dense_normalized(graph):
     d = a_tilde.sum(axis=1)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(d))
     return d_inv_sqrt @ a_tilde @ d_inv_sqrt
+
+
+def two_product_normalized(graph):
+    """Reference sparse construction: diagonal scaling on each side of A + I, as two products."""
+    n = graph.num_nodes
+    e = graph.edges
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    adjacency = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    a_tilde = adjacency + sp.eye_array(n, format="csr")
+    d_inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+    scale = sp.dia_array((d_inv_sqrt[None, :], [0]), shape=(n, n)).tocsr()
+    return (scale @ a_tilde @ scale).tocsr()
+
+
+@st.composite
+def canonical_graphs(draw):
+    """Canonical graphs of 1-12 nodes: empty, sparse, complete, isolated top id."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(["none", "subset", "complete", "isolated_top"]))
+    if kind == "none":
+        chosen = []
+    elif kind == "complete":
+        chosen = pairs
+    else:
+        if kind == "isolated_top":
+            pairs = [(i, j) for i, j in pairs if j < n - 1]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_graph(n, chosen, [0] * n, 1)
 
 
 class TestNormalizeAdjacency:
@@ -81,6 +112,17 @@ class TestNormalizeAdjacency:
         a = normalize_adjacency(g).toarray()
         a_perm = normalize_adjacency(permuted).toarray()
         np.testing.assert_allclose(a_perm[np.ix_(perm, perm)], a, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=canonical_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_match_two_product_reference(self, graph, seed):
+        got, want = normalize_adjacency(graph), two_product_normalized(graph)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.has_sorted_indices
+        m = np.random.default_rng(seed).normal(size=(graph.num_nodes, 3))
+        assert (got @ m).tobytes() == (want @ m).tobytes()
 
 
 class TestGraphInvariants:

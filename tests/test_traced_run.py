@@ -32,9 +32,11 @@ def load_tracing(monkeypatch):
 # The config's sessions have fewer train rows than d = 64; 120 nodes per
 # class give 72 train rows per session, more than d. update_R takes one path
 # for both; the ids are the labels perfbench still gives the two cases.
+# One-class base and sessions are the shape of perfbench's stream40.
 @pytest.mark.parametrize("overrides", [
     pytest.param([], id="woodbury"),
     pytest.param(["synthetic.nodes_per_class=120"], id="direct"),
+    pytest.param(["plan.base_classes=1", "plan.increment=1"], id="one_class_sessions"),
 ])
 def test_synthetic_config_hits_every_wrapped_call_site(tmp_path, monkeypatch, overrides):
     tracing = load_tracing(monkeypatch)
