@@ -47,7 +47,7 @@ class BackboneParams:
 
 @dataclass(frozen=True)
 class AdamState:
-    """Per-matrix first/second moment accumulators plus the shared step count."""
+    """Per-matrix first/second moments plus the step count; :func:`adam_step` writes none."""
 
     m_W0: np.ndarray
     v_W0: np.ndarray
@@ -168,27 +168,15 @@ def gcn_backward(
     return grad_W0, grad_W1
 
 
-def _adam_update(param, grad, m, v, state: AdamState, t: int) -> np.ndarray:
-    """One Adam step of one matrix: ``m`` and ``v`` are updated in place.
-
-    Two scratch buffers replace the textbook expression's temporaries; the
-    operations and their order are the same, so the result is bit-identical.
-    """
-    scratch = np.empty_like(param)
-    step = np.empty_like(param)
+def _adam_update(param, grad, m, v, state: AdamState, t: int):
+    """One Adam step of one matrix; returns the new (param, m, v) and writes no input."""
     if state.weight_decay:
-        grad = np.add(grad, np.multiply(param, state.weight_decay, out=scratch), out=scratch)
-    m *= ADAM_BETA1
-    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-    v *= ADAM_BETA2
-    v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=step), grad, out=step)
-    # param - lr * m_hat / (sqrt(v_hat) + eps)
-    denom = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch), out=scratch)
-    denom += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    step *= state.lr
-    step /= denom
-    return np.subtract(param, step, out=step)
+        grad = grad + state.weight_decay * param
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def adam_step(
@@ -200,19 +188,17 @@ def adam_step(
 
     L2 weight decay is folded into the gradient before the moment update
     (grad += decay * param), matching decay applied through the loss.
-    The moment arrays of ``state`` are updated in place and shared with the
-    returned state; ``train_base`` is their only owner. The parameters and
-    gradients are not written.
+    Returns new parameters and a new :class:`AdamState` with fresh moment
+    arrays; ``params``, ``grads`` and ``state`` are not written.
     """
     g0, g1 = grads
     if g0.shape != params.W0.shape or g1.shape != params.W1.shape:
         raise ValueError("gradient shapes must mirror parameter shapes")
     t = state.step + 1
-    new_params = BackboneParams(
-        W0=_adam_update(params.W0, g0, state.m_W0, state.v_W0, state, t),
-        W1=_adam_update(params.W1, g1, state.m_W1, state.v_W1, state, t),
-    )
-    return new_params, replace(state, step=t)
+    new_W0, m0, v0 = _adam_update(params.W0, g0, state.m_W0, state.v_W0, state, t)
+    new_W1, m1, v1 = _adam_update(params.W1, g1, state.m_W1, state.v_W1, state, t)
+    new_state = replace(state, m_W0=m0, v_W0=v0, m_W1=m1, v_W1=v1, step=t)
+    return BackboneParams(W0=new_W0, W1=new_W1), new_state
 
 
 @dataclass(frozen=True)

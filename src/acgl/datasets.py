@@ -10,8 +10,10 @@ A dataset directory contains five files:
 
 Integers round-trip bit-exactly; reals are written with shortest
 round-trip formatting (repr), which reconstructs the exact double.
-Directed or duplicated edges are symmetrized and deduplicated on load;
-self-loops are dropped (they are reintroduced during normalization).
+``features.csv`` is read by ``np.loadtxt``'s grammar, the other files'
+integers by ``int()``. Edges go through :func:`acgl.graph.canonical_edges`:
+directed or duplicated edges are symmetrized and deduplicated, self-loops
+dropped (they are reintroduced during normalization).
 """
 
 from __future__ import annotations
@@ -48,38 +50,35 @@ def _read_lines(path: Path) -> list[str]:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_features(path: Path, lines: list[str], d: int) -> np.ndarray:
-    """The ``len(lines) x d`` feature matrix, parsed in bulk when the text allows.
-
-    ``np.loadtxt`` parses well-formed rows like ``float()``, bit for bit.
-    When it raises or its shape is off (it skips blank lines and rejects
-    some text ``float()`` accepts, such as ``1_0``), the line parser decides,
-    so every error still names its ``path:line``.
-    """
+def _loadtxt(lines: list[str]) -> np.ndarray | None:
+    """``lines`` as a float64 matrix in ``np.loadtxt``'s grammar, or None if it rejects them."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # loadtxt warns when every line is blank
         try:
-            features = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            features = None
+            return None
+
+
+def _parse_features(path: Path, lines: list[str], d: int) -> np.ndarray:
+    """The ``len(lines) x d`` feature matrix, in one ``np.loadtxt`` pass.
+
+    That grammar reads a well-formed row bit for bit as ``float()`` does,
+    takes ASCII 0x1C-0x1F as blanks and rejects ``1_0`` and non-ASCII digits.
+    When the pass fails (or skips a blank line), the lines are re-read one at
+    a time, column count first, only to name the first bad ``path:line``.
+    """
+    features = _loadtxt(lines)
     if features is not None and features.shape == (len(lines), d):
         return features
-
-    def columns(line_no: int, line: str) -> list[str]:
-        parts = line.split(",")
-        if len(parts) != d:
-            raise _parse_error(path, line_no, f"expected {d} columns, got {len(parts)}")
-        return parts
-
-    columns(1, lines[0])  # before allocating n x d from meta.json's counts
-    features = np.empty((len(lines), d), dtype=np.float64)
     for i, line in enumerate(lines, start=1):
-        parts = columns(i, line)
-        try:
-            features[i - 1] = [float(p) for p in parts]
-        except ValueError:
-            raise _parse_error(path, i, f"non-numeric feature entry in {line!r}") from None
-    return features
+        columns = line.count(",") + 1
+        if columns != d:
+            raise _parse_error(path, i, f"expected {d} columns, got {columns}")
+        row = _loadtxt([line])
+        if row is None or row.shape != (1, d):
+            raise _parse_error(path, i, f"non-numeric feature entry in {line!r}")
+    raise DatasetFormatError(f"{path}: rows parse one at a time but not as one file")
 
 
 def load_dataset(path) -> Graph:

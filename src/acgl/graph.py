@@ -20,22 +20,28 @@ import scipy.sparse as sp
 def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
 
-    Accepts any (E, 2) integer array; returns rows with u < v, lexicographically
-    sorted and unique. Raises ValueError on out-of-range endpoints.
+    Accepts any (E, 2) integer array; returns int64 rows with u < v,
+    lexicographically sorted and unique: the int64 keys ``lo * num_nodes +
+    hi`` are sorted once and a neighbour mask drops repeats. Raises
+    ValueError on out-of-range endpoints, and on a ``num_nodes`` above
+    3,037,000,499 = isqrt(2**63 - 1), whose keys would overflow int64.
     """
+    if num_nodes > math.isqrt(np.iinfo(np.int64).max):
+        raise ValueError(f"num_nodes={num_nodes} exceeds 3037000499, the most whose "
+                         "edge keys fit in int64")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError(
             f"edge endpoint out of range [0, {num_nodes}): "
             f"min={edges.min()}, max={edges.max()}"
         )
-    edges = edges[edges[:, 0] != edges[:, 1]]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    stacked = np.stack([lo, hi], axis=1)
-    if stacked.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(stacked, axis=0)
+    keys = np.sort((lo * num_nodes + hi)[lo != hi])
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return np.stack((keys // num_nodes, keys % num_nodes), axis=1)
 
 
 @dataclass(frozen=True)

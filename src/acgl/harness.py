@@ -192,6 +192,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     t0 = time.perf_counter()
     graph = resolve_graph(config)
     t_load = time.perf_counter() - t0
+    # Every class must label a node. When C > N some id <= N has none, so this is O(N).
+    seen = np.zeros(min(graph.num_classes, graph.num_nodes + 1), dtype=bool)
+    seen[graph.labels[graph.labels < seen.size]] = True
+    if not seen.all():
+        raise ValueError(f"class {np.argmin(seen)} has no node; "
+                         f"the graph declares {graph.num_classes} classes")
     c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
     plan = build_session_plan(graph, c0, config.k)
 

@@ -6,14 +6,15 @@ probability ``homophily`` a partner from ``u``'s class, otherwise from a
 different class, so the expected intra-class edge fraction equals
 ``homophily`` and homophily 1.0 yields purely intra-class edges. The
 edges come from numpy's bulk ``Generator`` draws, so a graph is
-bit-reproducible for a given seed and numpy version.
+bit-reproducible for a given seed and numpy version. Repeated pairs are
+merged by :func:`acgl.graph.canonical_edges`, as in a loaded dataset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, canonical_edges
 
 # Per-class split used for the masks; remainders go to train.
 _TRAIN_FRAC = 0.6
@@ -84,8 +85,7 @@ def generate_synthetic(
     v = np.where(same, first + j, j + nodes_per_class * (j >= first))
     clash = v == u  # only possible on the intra-class branch: take u's successor
     v[clash] = first[clash] + (u[clash] - first[clash] + 1) % nodes_per_class
-    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
-    edges = np.stack((keys // n, keys % n), axis=1)
+    edges = canonical_edges(np.stack((u, v), axis=1), n)
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)

@@ -249,7 +249,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("decay", [0.0, 5e-4])
     def test_five_steps_bit_equal_to_textbook_formula(self, decay):
-        """In-place moments reproduce the allocating expression bit for bit."""
+        """Parameters and moments equal the textbook expression bit for bit."""
         params, state = self.make(shape=(40, 16), lr=0.01, decay=decay)
         W, m, v = params.W0, np.zeros_like(params.W0), np.zeros_like(params.W0)
         rng = np.random.default_rng(2)
@@ -268,6 +268,17 @@ class TestAdam:
             assert state.v_W0.tobytes() == v.tobytes()
             assert g0.tobytes() == g0_before.tobytes()   # gradients are not written
         assert state.step == 5
+
+    def test_given_state_keeps_its_moments(self):
+        params, state = self.make(decay=5e-4)
+        moments = [getattr(state, f).copy() for f in ("m_W0", "v_W0", "m_W1", "v_W1")]
+        rng = np.random.default_rng(3)
+        grads = (rng.normal(size=params.W0.shape), rng.normal(size=params.W1.shape))
+        _, new_state = adam_step(params, grads, state)
+        assert state.step == 0
+        for name, before in zip(("m_W0", "v_W0", "m_W1", "v_W1"), moments):
+            assert getattr(state, name).tobytes() == before.tobytes(), name
+            assert not np.array_equal(getattr(new_state, name), before), name
 
 
 @pytest.mark.parametrize("kwargs, match", [

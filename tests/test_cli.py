@@ -205,6 +205,20 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert "base class count c0=9 must satisfy 1 <= c0 < C=4" in capsys.readouterr().err
 
+    def test_class_without_nodes_fails_before_training(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "20", "--features", "8"]) == EXIT_OK
+        meta = ds / "meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": 10**6}))
+        # Small widths: were the check skipped, a 500,000-class head would be trained.
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", f"dataset.path={ds}",
+                     "--set", "backbone.hidden=8", "--set", "backbone.epochs=1",
+                     "--set", "expander.dim=16"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "error: class 4 has no node; the graph declares 1000000 classes\n"
+
     @pytest.mark.parametrize("key, value, stage", [
         ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
         ("synthetic.class_sep", "1e300", "backbone._adam_update: overflow encountered"),
@@ -521,6 +535,14 @@ class TestCorruptDataset:
         assert code == EXIT_RUNTIME
         assert f"meta.json: {key} must be a positive integer" in err
 
+    @pytest.mark.parametrize("num_nodes", [3_037_000_500, 10**30])
+    def test_node_count_past_int64_edge_keys_is_one_line(self, dataset, capsys, num_nodes):
+        path = dataset / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "num_nodes": num_nodes}))
+        code, err = self._validate(dataset, capsys)
+        assert code == EXIT_RUNTIME
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"error: num_nodes={num_nodes} exceeds 3037000499")
 
     def test_huge_feature_count_names_first_row(self, dataset, capsys):
         path = dataset / "meta.json"

@@ -89,35 +89,61 @@ def _load_outcome(root):
         return str(exc)
 
 
-def _loadtxt_fails(*args, **kwargs):
-    raise ValueError("forced line parser")
-
+WELL_FORMED = [[1.0, 2.0], [3.5, -0.25], [0.0, 1e-3]]
 
 # Feature texts where np.loadtxt and float() differ (blank line, 1_0, a CR
-# inside a line) or both reject (#, quotes), plus clean CRLF and CR files.
+# inside a line) or both reject (#, quotes), plus clean CRLF and CR files, a
+# short row and a whitespace-only line. Each maps to the rows the file loads
+# as, or to the error after "features.csv:". Every outcome is the one the
+# earlier float() line parser gave too, except "underscore" (it read 10.0).
 FEATURE_TEXTS = {
-    "well_formed": "1.0,2.0\n3.5,-0.25\n0.0,1e-3\n",
-    "blank_line": "1.0,2.0\n\n0.0,1e-3\n",
-    "underscore": "1_0,2.0\n3.5,-0.25\n0.0,1e-3\n",
-    "crlf": "1.0,2.0\r\n3.5,-0.25\r\n0.0,1e-3\r\n",
-    "cr": "1.0,2.0\r3.5,-0.25\r0.0,1e-3\r",
-    "comment": "1.0,2.0\n3.5,-0.25 # note\n0.0,1e-3\n",
-    "hash_row": "#1.0,2.0\n3.5,-0.25\n0.0,1e-3\n",
-    "quoted": '1.0,"2.0"\n3.5,-0.25\n0.0,1e-3\n',
+    "well_formed": ("1.0,2.0\n3.5,-0.25\n0.0,1e-3\n", WELL_FORMED),
+    "blank_line": ("1.0,2.0\n\n0.0,1e-3\n", "2: expected 2 columns, got 1"),
+    "underscore": ("1_0,2.0\n3.5,-0.25\n0.0,1e-3\n",
+                   "1: non-numeric feature entry in '1_0,2.0'"),
+    "crlf": ("1.0,2.0\r\n3.5,-0.25\r\n0.0,1e-3\r\n", WELL_FORMED),
+    "cr": ("1.0,2.0\r3.5,-0.25\r0.0,1e-3\r", WELL_FORMED),
+    "comment": ("1.0,2.0\n3.5,-0.25 # note\n0.0,1e-3\n",
+                "2: non-numeric feature entry in '3.5,-0.25 # note'"),
+    "hash_row": ("#1.0,2.0\n3.5,-0.25\n0.0,1e-3\n",
+                 "1: non-numeric feature entry in '#1.0,2.0'"),
+    "quoted": ('1.0,"2.0"\n3.5,-0.25\n0.0,1e-3\n',
+               "1: non-numeric feature entry in '1.0,\"2.0\"'"),
+    "short_row": ("1.0,2.0\n3.5\n0.0,1e-3\n", "2: expected 2 columns, got 1"),
+    "whitespace_line": ("1.0,2.0\n \t\n0.0,1e-3\n", "2: expected 2 columns, got 1"),
 }
 
 
 class TestFeatureFastPath:
     @pytest.mark.parametrize("name", sorted(FEATURE_TEXTS))
-    def test_bulk_parse_agrees_with_line_parser(self, tmp_path, monkeypatch, name):
-        write_toy_dataset(tmp_path / "ds", features=FEATURE_TEXTS[name])
-        fast = _load_outcome(tmp_path / "ds")
-        monkeypatch.setattr("acgl.datasets.np.loadtxt", _loadtxt_fails)
-        assert fast == _load_outcome(tmp_path / "ds")
+    def test_bulk_parse_agrees_with_line_parser(self, tmp_path, name):
+        text, expected = FEATURE_TEXTS[name]
+        write_toy_dataset(tmp_path / "ds", features=text)
+        if isinstance(expected, str):
+            expected = f"{tmp_path / 'ds' / 'features.csv'}:{expected}"
+        else:
+            expected = np.array(expected).tobytes()
+        assert _load_outcome(tmp_path / "ds") == expected
 
-    def test_fallback_keeps_what_float_accepts(self, tmp_path):
-        write_toy_dataset(tmp_path / "ds", features=FEATURE_TEXTS["underscore"])
-        assert load_dataset(tmp_path / "ds").features[0, 0] == 10.0
+    def test_one_column_blank_line_is_non_numeric(self, tmp_path):
+        write_toy_dataset(tmp_path / "ds", features="1.0\n\n2.0\n",
+                          meta={"num_nodes": 3, "num_features": 1, "num_classes": 2})
+        with pytest.raises(DatasetFormatError,
+                           match=r"features\.csv:2: non-numeric feature entry in ''$"):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("entry", ["1_0", "\uff11", "\u0661.5"],
+                             ids=["underscore", "fullwidth_digit", "arabic_indic_digit"])
+    def test_text_only_float_accepts_is_rejected_at_its_line(self, tmp_path, entry):
+        write_toy_dataset(tmp_path / "ds", features=f"1.0,2.0\n3.5,{entry}\n0.0,1e-3\n")
+        with pytest.raises(DatasetFormatError,
+                           match=r"features\.csv:2: non-numeric feature entry in '3\.5,"):
+            load_dataset(tmp_path / "ds")
+
+    def test_ascii_separators_read_as_blanks(self, tmp_path):
+        write_toy_dataset(tmp_path / "ds",
+                          features="1.0\x1c,\x1f2.0\n\x1d3.5,-0.25\x1e\n0.0,1e-3\n")
+        assert load_dataset(tmp_path / "ds").features.tobytes() == np.array(WELL_FORMED).tobytes()
 
     def test_well_formed_rows_take_one_loadtxt_pass(self, tmp_path, monkeypatch):
         shapes = []

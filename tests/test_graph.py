@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgl.graph import (
@@ -125,6 +125,14 @@ class TestNormalizeAdjacency:
         assert (got @ m).tobytes() == (want @ m).tobytes()
 
 
+@st.composite
+def node_count_and_pairs(draw):
+    """A node count, small or the largest canonical_edges takes, and endpoint pairs in range."""
+    n = draw(st.one_of(st.integers(1, 12), st.just(3_037_000_499)))
+    endpoint = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(endpoint, endpoint), max_size=40))
+
+
 class TestGraphInvariants:
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -163,6 +171,21 @@ class TestGraphInvariants:
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)
         np.testing.assert_array_equal(edges, [[0, 1]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=node_count_and_pairs())
+    @example(case=(5, []))
+    @example(case=(5, [(0, 0), (3, 3), (4, 4)]))
+    @example(case=(5, [(1, 2), (2, 1), (1, 2), (0, 4), (4, 0)]))
+    @example(case=(3_037_000_499, [(3_037_000_498, 3_037_000_497), (0, 0)]))
+    def test_canonical_edges_matches_unique_oracle(self, case):
+        n, pairs = case
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        loops_dropped = pairs[pairs[:, 0] != pairs[:, 1]]
+        want = np.unique(np.sort(loops_dropped, axis=1), axis=0).reshape(-1, 2)
+        got = canonical_edges(pairs, n)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_arrays_immutable(self):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
