@@ -23,6 +23,7 @@ available as :attr:`AnalyticState.inv_gram`; the recursion never forms it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -46,12 +47,15 @@ _QR_BLOCK = 32
 class AnalyticState:
     """Everything retained between sessions: W, R, and class order.
 
-    ``weights`` has one column per seen class, ordered by first appearance.
+    ``weights`` has one column per seen class, in the order the classes
+    were first seen, and ``seen_classes`` names those columns.
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
     gamma itself is not kept; it stays in the Fortran order LAPACK returns.
-    The state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed
-    in d regardless of how many samples have been absorbed.
+    Both arrays are read-only. The state's footprint is one (d, d) matrix
+    plus one (d, C) matrix, fixed in d regardless of how many samples have
+    been absorbed. :func:`predict` reads the columns in ascending class-id
+    order through a permutation derived once per state, not stored.
     """
 
     weights: np.ndarray              # (d, C_seen)
@@ -83,6 +87,13 @@ class AnalyticState:
         if info != 0:
             raise ValueError(f"matrix numerically singular: LAPACK info {info}")
         return np.triu(upper) + np.triu(upper, 1).T
+
+    @cached_property
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weight-column permutation that sorts ``seen_classes``, and the sorted ids."""
+        ids = np.asarray(self.seen_classes, dtype=np.int64)
+        order = np.argsort(ids)
+        return order, ids[order]
 
 
 @dataclass(frozen=True)
@@ -120,13 +131,21 @@ class SessionBatch:
 
 
 def one_hot(labels: np.ndarray, class_ids) -> np.ndarray:
-    """One-hot rows over ``class_ids`` (column order follows class_ids)."""
-    class_ids = list(class_ids)
-    pos = {int(c): j for j, c in enumerate(class_ids)}
-    out = np.zeros((len(labels), len(class_ids)), dtype=np.float64)
-    for i, y in enumerate(labels):
-        out[i, pos[int(y)]] = 1.0
-    return out
+    """One-hot float64 rows over ``class_ids`` (column order follows class_ids).
+
+    Raises ValueError naming the first label that is not one of ``class_ids``,
+    and when ``class_ids`` repeats an id.
+    """
+    ids = np.array([int(c) for c in class_ids], dtype=np.int64)
+    if np.unique(ids).size != ids.size:
+        raise ValueError("class_ids must be unique")
+    labels = np.asarray(labels).reshape(-1)
+    hits = labels[:, None] == ids
+    found = hits.any(axis=1)
+    if not found.all():
+        raise ValueError(f"label {labels[~found][0]!s} is not one of the class ids "
+                         f"{ids.tolist()}")
+    return hits.astype(np.float64)
 
 
 def _upper_factor(gram: np.ndarray) -> np.ndarray:
@@ -264,10 +283,12 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 
 
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
-    """Argmax class ids over the linear scores X @ W.
+    """Class id of the largest linear score X @ W in each row, as int64.
 
-    Ties (including all-zero rows) resolve to the smallest class id among
-    the tied columns, independent of the order classes were learned in.
+    One GEMM against the weights as stored, then one argmax over the score
+    columns taken in ascending class-id order. argmax returns the first
+    maximal column, so a tie (an all-zero row, or +0.0 against -0.0) goes to
+    the smallest tied class id, whatever order the classes were learned in.
     Non-finite scores (from NaN or inf features or weights) raise
     ValueError rather than yielding an id outside ``seen_classes``.
     """
@@ -277,7 +298,5 @@ def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     scores = X @ state.weights
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classifier scores; features or weights contain NaN or inf")
-    ids = np.asarray(state.seen_classes, dtype=np.int64)
-    best = scores.max(axis=1, keepdims=True)
-    candidates = np.where(scores == best, ids[None, :], np.iinfo(np.int64).max)
-    return candidates.min(axis=1)
+    order, ids = state._id_order
+    return ids[scores.take(order, axis=1).argmax(axis=1)]

@@ -21,6 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError
 from .datasets import dataset_summary, load_dataset, save_dataset
+from .graph import check_class_coverage
 from .harness import run_experiment
 from .metrics import RunReport, curve_svg, emit_report
 from .synthetic import generate_synthetic, intra_class_fraction
@@ -174,6 +175,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_validate_dataset(args) -> int:
     graph = load_dataset(args.path)
+    check_class_coverage(graph)
     for key, value in dataset_summary(graph).items():
         print(f"{key}: {value}")
     print("dataset ok")

@@ -114,6 +114,20 @@ class Graph:
         return self.features.shape[1]
 
 
+def check_class_coverage(graph: Graph) -> None:
+    """Raise ValueError naming the first class id in [0, num_classes) that labels no node.
+
+    A session plan covers every declared class, so such a class would get a
+    session with no node. O(N): when C > N some id <= N has no node, so only
+    ids up to N are looked at.
+    """
+    seen = np.zeros(min(graph.num_classes, graph.num_nodes + 1), dtype=bool)
+    seen[graph.labels[graph.labels < seen.size]] = True
+    if not seen.all():
+        raise ValueError(f"class {np.argmin(seen)} has no node; "
+                         f"the graph declares {graph.num_classes} classes")
+
+
 def normalize_adjacency(graph: Graph) -> sp.csr_array:
     """Symmetrically normalized adjacency with self-loops.
 

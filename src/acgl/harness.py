@@ -32,6 +32,7 @@ from .graph import (
     Graph,
     SessionPlan,
     build_session_plan,
+    check_class_coverage,
     default_base_size,
     normalize_adjacency,
     session_subgraph,
@@ -146,10 +147,18 @@ def task_test_features(task_graph: Graph, backbone: BackboneParams,
 
 
 def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy on one task's precomputed test rows, argmaxing over all seen classes."""
+    """Fraction of one task's test rows that ``predict`` labels right, over all seen classes.
+
+    One ``predict`` call per task, so one GEMM and one argmax. The count of
+    hits over the row count is the same float64 quotient as the mean of the
+    hit mask. An empty task, or labels that do not match the feature rows
+    one to one, raise ValueError.
+    """
     if len(labels) == 0:
         raise ValueError("task has an empty test set")
-    return float((predict(features, state) == labels).mean())
+    if len(labels) != len(features):
+        raise ValueError(f"{len(features)} feature rows but {len(labels)} labels")
+    return float(np.count_nonzero(predict(features, state) == labels) / len(labels))
 
 
 def _fit(state: AnalyticState | None, batch: SessionBatch, gamma: float) -> AnalyticState:
@@ -192,12 +201,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     t0 = time.perf_counter()
     graph = resolve_graph(config)
     t_load = time.perf_counter() - t0
-    # Every class must label a node. When C > N some id <= N has none, so this is O(N).
-    seen = np.zeros(min(graph.num_classes, graph.num_nodes + 1), dtype=bool)
-    seen[graph.labels[graph.labels < seen.size]] = True
-    if not seen.all():
-        raise ValueError(f"class {np.argmin(seen)} has no node; "
-                         f"the graph declares {graph.num_classes} classes")
+    check_class_coverage(graph)
     c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
     plan = build_session_plan(graph, c0, config.k)
 

@@ -65,6 +65,18 @@ def run_recording_batches(monkeypatch, config):
     return harness.run_experiment(config), batches
 
 
+def oracle_predict(X, state):
+    """``predict``'s tie rule written out: the smallest class id among each row's maximal scores.
+
+    The reference for ``predict``'s single argmax in class-id order; the
+    finiteness and shape checks are ``predict``'s own and are left out.
+    """
+    scores = np.asarray(X, dtype=np.float64) @ state.weights
+    ids = np.asarray(state.seen_classes, dtype=np.int64)
+    best = scores.max(axis=1, keepdims=True)
+    return np.where(scores == best, ids[None, :], np.iinfo(np.int64).max).min(axis=1)
+
+
 # The standard run used across harness/CLI/acceptance tests. Baselines for
 # it (base accuracy, M diagonal) were recorded when first implemented.
 FIXTURE_EXPERIMENT = ExperimentConfig(

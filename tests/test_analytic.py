@@ -16,6 +16,9 @@ from acgl.analytic import (
     update_R,
     update_weights,
 )
+from acgl.harness import evaluate_task
+
+from conftest import oracle_predict
 
 
 def random_batch(rng, n, d, class_ids):
@@ -69,6 +72,24 @@ def relu_stream_shapes(draw):
     sessions = draw(st.integers(2, 12))
     rows = draw(st.lists(st.integers(2, 2 * d), min_size=sessions, max_size=sessions))
     return d, h, rows
+
+
+# Small integers, signed zeros included, make tied scores common.
+TIE_PRONE = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def tie_prone_cases(draw, min_rows=0):
+    """(X, W, seen_classes): small integer-valued X and W, some all-zero rows of X,
+    and distinct class ids in drawn (usually not ascending) order."""
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(min_rows, 8))
+    W = np.array(draw(st.lists(TIE_PRONE, min_size=d * c, max_size=d * c))).reshape(d, c)
+    X = np.array(draw(st.lists(TIE_PRONE, min_size=n * d, max_size=n * d))).reshape(n, d)
+    X[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)] = 0.0
+    ids = draw(st.lists(st.integers(0, 50), min_size=c, max_size=c, unique=True))
+    return X, W, tuple(ids)
 
 
 def run_recursion(batches, gamma):
@@ -404,6 +425,43 @@ class TestPredict:
         with pytest.raises(ValueError, match="non-finite"):
             predict(np.ones((1, 3)), state)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_prone_cases())
+    @example(case=(np.zeros((3, 2)), np.ones((2, 3)), (9, 4, 7)))
+    @example(case=(np.zeros((0, 2)), np.ones((2, 3)), (9, 4, 7)))
+    # Scores [+0.0, -0.0]: a tie, which goes to class 2.
+    @example(case=(np.array([[1.0, -1.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]]), (8, 2)))
+    def test_argmax_in_id_order_matches_tie_oracle(self, case):
+        X, W, ids = case
+        state = self.make_state(W, ids)
+        preds = predict(X, state)
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, oracle_predict(X, state))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tie_prone_cases(min_rows=1), in_weights=st.booleans(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
+    def test_non_finite_input_still_rejected(self, case, in_weights, bad, where):
+        X, W, ids = case
+        target = W if in_weights else X
+        target.flat[where % target.size] = bad
+        state = self.make_state(W, ids)
+        # inf * 0 sets the invalid flag inside the GEMM; the check must still fire.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            predict(X, state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tie_prone_cases(min_rows=1), data=st.data())
+    def test_evaluate_task_is_the_mean_of_hits(self, case, data):
+        X, W, ids = case
+        state = self.make_state(W, ids)
+        labels = np.array(data.draw(st.lists(st.sampled_from(ids + (51,)),
+                                             min_size=len(X), max_size=len(X))))
+        acc = evaluate_task(state, X, labels)
+        expected = float((oracle_predict(X, state) == labels).mean())
+        assert type(acc) is float
+        assert acc.hex() == expected.hex()
+
     def test_predictions_identical_for_recursive_and_joint_weights(self):
         rng = np.random.default_rng(16)
         batches = random_stream(rng, d=10, num_sessions=4)
@@ -412,6 +470,40 @@ class TestPredict:
         joint_state = self.make_state(W_joint, state.seen_classes)
         X = rng.normal(size=(50, 10))
         np.testing.assert_array_equal(predict(X, state), predict(X, joint_state))
+
+
+class TestOneHot:
+    @staticmethod
+    def loop_one_hot(labels, class_ids):
+        """One row at a time through a label -> column table."""
+        pos = {int(c): j for j, c in enumerate(class_ids)}
+        out = np.zeros((len(labels), len(pos)))
+        for i, y in enumerate(labels):
+            out[i, pos[int(y)]] = 1.0
+        return out
+
+    @pytest.mark.parametrize("labels, class_ids", [
+        ([3, 1, 1, 2], (1, 2, 3)),
+        (np.array([7, 4, 9, 9, 4], dtype=np.int32), (9, 4, 7)),
+        ([5], range(5, 6)),
+        ([], (0, 1)),
+        (np.array([2.0, 0.0]), np.array([0, 1, 2])),
+    ])
+    def test_bytes_match_row_by_row_fill(self, labels, class_ids):
+        out = one_hot(labels, class_ids)
+        expected = self.loop_one_hot(labels, class_ids)
+        assert out.dtype == np.float64 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("labels, name", [([0, 5, 1], "5"), ([0, 2.5], "2.5"),
+                                              (np.array([0, -1]), "-1")])
+    def test_label_outside_class_ids_is_named(self, labels, name):
+        with pytest.raises(ValueError, match=f"^label {name} is not one of the class ids"):
+            one_hot(labels, (0, 1, 2))
+
+    def test_repeated_class_id_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            one_hot([0, 1], (0, 1, 0))
 
 
 class TestStateStructure:

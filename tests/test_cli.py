@@ -205,6 +205,23 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert "base class count c0=9 must satisfy 1 <= c0 < C=4" in capsys.readouterr().err
 
+    def test_validate_rejects_class_without_nodes_like_run(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "20", "--features", "8"]) == EXIT_OK
+        meta = ds / "meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": 10**6}))
+        capsys.readouterr()
+        line = "error: class 4 has no node; the graph declares 1000000 classes\n"
+        assert main(["validate-dataset", "--path", str(ds)]) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", line)
+        code = main(["run", "--out", str(tmp_path / "out"), "--set", f"dataset.path={ds}",
+                     "--set", "backbone.hidden=8", "--set", "backbone.epochs=1",
+                     "--set", "expander.dim=16"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == line
+
     def test_class_without_nodes_fails_before_training(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         assert main(["gen-synth", "--out", str(ds), "--classes", "4",

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from acgl.analytic import AnalyticState, joint_solve, one_hot, align_base
+from acgl.analytic import AnalyticState, joint_solve, one_hot, align_base, predict
 from acgl.backbone import BackboneConfig
 from acgl.datasets import save_dataset
 from acgl.expander import init_expander
@@ -19,7 +19,8 @@ from acgl.harness import (
     task_test_features,
 )
 
-from conftest import FIXTURE_EXPERIMENT, make_graph, run_recording_batches
+from acgl import harness
+from conftest import FIXTURE_EXPERIMENT, make_graph, oracle_predict, run_recording_batches
 
 
 def run_one_class_sessions(g, directory):
@@ -238,6 +239,12 @@ class TestEvaluateTask:
             task3, fixture_result.backbone, fixture_result.expander))
         assert acc == 0.0  # true labels are never in the seen set
 
+    def test_row_count_mismatch_rejected(self):
+        state = AnalyticState(weights=np.eye(2), R=np.eye(2), seen_classes=(0, 1))
+        # One label against three rows would otherwise broadcast to an accuracy above 1.
+        with pytest.raises(ValueError, match="3 feature rows but 1 labels"):
+            evaluate_task(state, np.eye(2)[[0, 0, 0]], np.array([0]))
+
     def test_empty_test_set_rejected(self, fixture_result):
         g = make_graph(4, [(0, 1)], [0, 0, 1, 1], 2,
                        train=[True] * 4, val=[False] * 4, test=[False] * 4)
@@ -267,3 +274,32 @@ def test_align_base_state_reproduces_first_row(fixture_run):
     task0 = session_subgraph(graph, res.plan.groups[0])
     acc = evaluate_task(state, *task_test_features(task0, res.backbone, res.expander))
     assert acc == res.matrix.entry(0, 0)
+
+
+def test_matrix_unchanged_under_tie_oracle(monkeypatch):
+    """A 12-class stream of one-class sessions scores the same through the tie-rule oracle.
+
+    Widths this narrow leave some expanded test rows all zero: their scores
+    tie across every seen class, so the tie rule decides them.
+    """
+    cfg = ExperimentConfig(
+        synthetic=SyntheticSpec(classes=12, nodes_per_class=20, features=8, homophily=0.6,
+                                class_sep=0.3),
+        c0=1, k=1, gamma=1.0,
+        backbone=BackboneConfig(hidden=4, epochs=5, dropout=0.0, seed=0),
+        expander=ExpanderConfig(dim=8, seed=1),
+        data_seed=2,
+    )
+    zero_rows = []
+
+    def counting_predict(X, state):
+        zero_rows.append(int((~X.any(axis=1)).sum()))
+        return predict(X, state)
+
+    monkeypatch.setattr(harness, "predict", counting_predict)
+    rows = run_experiment(cfg).matrix.rows
+    monkeypatch.setattr(harness, "predict", oracle_predict)
+    oracle_rows = run_experiment(cfg).matrix.rows
+    assert len(rows) == 12 and sum(zero_rows) > 0
+    assert [[v.hex() for v in row] for row in rows] == \
+        [[v.hex() for v in row] for row in oracle_rows]
