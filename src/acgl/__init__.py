@@ -54,7 +54,6 @@ from .harness import (
     ExpanderConfig,
     PerformanceMatrix,
     RunResult,
-    SyntheticSpec,
     evaluate_task,
     run_experiment,
     task_test_features,
@@ -65,7 +64,7 @@ from .metrics import (
     average_performance,
     emit_report,
 )
-from .synthetic import generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
 

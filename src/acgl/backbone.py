@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, SessionPlan, normalize_adjacency, session_subgraph
+from .graph import Graph, SessionPlan, check_fields, normalize_adjacency, session_subgraph
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -211,14 +211,13 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 1 or self.epochs < 0:
-            raise ValueError("hidden must be >= 1 and epochs >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight decay must be >= 0")
+        check_fields(self, [
+            ("hidden", self.hidden >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+            ("lr", self.lr > 0, "must be positive"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "must lie in [0, 1)"),
+            ("weight_decay", self.weight_decay >= 0, "must be >= 0"),
+        ])
 
 
 def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> BackboneParams:

@@ -74,15 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic dataset directory")
     p_gen.add_argument("--out", required=True, help="dataset directory to write")
-    p_gen.add_argument("--classes", type=int, default=4, help="number of classes")
-    p_gen.add_argument("--nodes-per-class", type=int, default=50, help="nodes per class")
-    p_gen.add_argument("--features", type=int, default=16, help="feature dimension")
-    p_gen.add_argument("--homophily", type=float, default=0.9,
-                       help="intra-class edge probability")
-    p_gen.add_argument("--avg-degree", type=float, default=4.0,
-                       help="target mean degree, at most n - 1 for n nodes")
-    p_gen.add_argument("--class-sep", type=float, default=1.0,
-                       help="class mean separation scale")
+    for key, field in cfgmod.SCHEMA.items():  # one flag per synthetic.* key: --classes, ...
+        if key.startswith("synthetic."):
+            p_gen.add_argument("--" + key.removeprefix("synthetic.").replace("_", "-"),
+                               type=int if field.kind == "int" else float,
+                               default=field.default, help=field.help)
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
 
     p_val = sub.add_parser("validate-dataset", help="check a dataset directory")

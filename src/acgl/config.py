@@ -6,6 +6,12 @@ the schema below with a type and default; unknown keys are rejected, as
 are values of the wrong type. ``--set key=value`` overrides reuse the same
 parser.
 
+Each section's defaults and single-key ranges live on its dataclass
+(``SyntheticSpec``, ``BackboneConfig``, ``ExpanderConfig``, ``ExperimentConfig``):
+:func:`build_experiment` builds each from the keys under its prefix and maps a
+field that fails to its key. ``_validate`` holds only the checks that span keys
+or exist only in the flat config.
+
 All randomness flows from the one global ``seed``: the synthetic graph
 draws from ``seed``, the backbone (weight init and dropout) from
 ``seed + 1`` and the frozen expansion weight from ``seed + 2``, so a single
@@ -19,8 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
-from .graph import default_base_size
-from .harness import ExperimentConfig, ExpanderConfig, SyntheticSpec
+from .graph import FieldError, default_base_size
+from .harness import ExperimentConfig, ExpanderConfig
+from .synthetic import SyntheticSpec
 
 
 class ConfigError(ValueError):
@@ -36,21 +43,22 @@ class Field:
 
 SCHEMA: dict[str, Field] = {
     "dataset.path": Field("str", None, "dataset directory; unset means synthetic data"),
-    "synthetic.classes": Field("int", 4, "synthetic: number of classes"),
-    "synthetic.nodes_per_class": Field("int", 50, "synthetic: nodes per class"),
-    "synthetic.features": Field("int", 16, "synthetic: feature dimension"),
-    "synthetic.homophily": Field("float", 0.9, "synthetic: intra-class edge probability"),
-    "synthetic.avg_degree": Field("float", 4.0, "synthetic: target mean degree, at most n - 1"),
-    "synthetic.class_sep": Field("float", 1.0, "synthetic: class mean separation scale"),
+    "synthetic.classes": Field("int", SyntheticSpec.classes, "number of classes"),
+    "synthetic.nodes_per_class": Field("int", SyntheticSpec.nodes_per_class, "nodes per class"),
+    "synthetic.features": Field("int", SyntheticSpec.features, "feature dimension"),
+    "synthetic.homophily": Field("float", SyntheticSpec.homophily, "intra-class edge probability"),
+    "synthetic.avg_degree": Field("float", SyntheticSpec.avg_degree, "mean degree, at most n - 1"),
+    "synthetic.class_sep": Field("float", SyntheticSpec.class_sep, "class mean separation scale"),
     "plan.base_classes": Field("int", 0, "base class count c0; 0 means half of C rounded up"),
-    "plan.increment": Field("int", 1, "classes added per incremental session"),
-    "backbone.hidden": Field("int", 256, "GCN hidden width"),
-    "backbone.epochs": Field("int", 50, "base-session training epochs"),
-    "backbone.lr": Field("float", 0.001, "Adam learning rate"),
-    "backbone.dropout": Field("float", 0.5, "dropout rate on the hidden layer"),
-    "backbone.weight_decay": Field("float", 5e-4, "L2 decay folded into gradients"),
-    "expander.dim": Field("int", 2048, "feature expansion output dimension"),
-    "gamma": Field("float", 1.0, "ridge regularization strength"),
+    "plan.increment": Field("int", ExperimentConfig.k, "classes added per incremental session"),
+    "backbone.hidden": Field("int", BackboneConfig.hidden, "GCN hidden width"),
+    "backbone.epochs": Field("int", BackboneConfig.epochs, "base-session training epochs"),
+    "backbone.lr": Field("float", BackboneConfig.lr, "Adam learning rate"),
+    "backbone.dropout": Field("float", BackboneConfig.dropout, "dropout rate on the hidden layer"),
+    "backbone.weight_decay": Field("float", BackboneConfig.weight_decay,
+                                   "L2 decay folded into gradients"),
+    "expander.dim": Field("int", ExpanderConfig.dim, "feature expansion output dimension"),
+    "gamma": Field("float", ExperimentConfig.gamma, "ridge regularization strength"),
     "seed": Field("int", 42, "global seed; the backbone uses seed + 1, the expander seed + 2"),
 }
 
@@ -116,26 +124,23 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
     return out
 
 
+def _section(cfg: dict, prefix: str, cls, **extra):
+    """``cls`` from the keys under ``prefix`` plus ``extra``; a field that fails names its key."""
+    fields = {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
+    try:
+        return cls(**fields, **extra)
+    except FieldError as exc:
+        raise ConfigError(
+            f"config key {prefix + exc.field!r} {exc.rule} (got {exc.value!r})") from None
+
+
 def _validate(cfg: dict) -> None:
-    nodes = cfg["synthetic.classes"] * cfg["synthetic.nodes_per_class"]
+    """The checks that span keys or exist only in the flat config."""
     checks = [
-        ("gamma", cfg["gamma"] > 0, "must be positive"),
-        ("backbone.dropout", 0.0 <= cfg["backbone.dropout"] < 1.0, "must lie in [0, 1)"),
-        ("backbone.lr", cfg["backbone.lr"] > 0, "must be positive"),
-        ("backbone.weight_decay", cfg["backbone.weight_decay"] >= 0, "must be >= 0"),
-        ("backbone.hidden", cfg["backbone.hidden"] >= 1, "must be >= 1"),
-        ("backbone.epochs", cfg["backbone.epochs"] >= 0, "must be >= 0"),
         ("plan.increment", cfg["plan.increment"] >= 1, "must be >= 1"),
         ("plan.base_classes", cfg["plan.base_classes"] >= 0, "must be >= 0"),
         ("expander.dim", cfg["expander.dim"] > cfg["backbone.hidden"],
          "must exceed backbone.hidden"),
-        ("synthetic.homophily", 0.0 <= cfg["synthetic.homophily"] <= 1.0,
-         "must lie in [0, 1]"),
-        ("synthetic.classes", cfg["synthetic.classes"] >= 2, "must be >= 2"),
-        ("synthetic.nodes_per_class", cfg["synthetic.nodes_per_class"] >= 2, "must be >= 2"),
-        ("synthetic.features", cfg["synthetic.features"] >= 1, "must be >= 1"),
-        ("synthetic.avg_degree", 0 < cfg["synthetic.avg_degree"] <= nodes - 1,
-         f"must lie in (0, {nodes - 1}], at most the complete graph's mean degree"),
         ("seed", cfg["seed"] >= 0, "must be >= 0"),
     ]
     if cfg["dataset.path"] is None:  # a dataset's class count is known only after load
@@ -152,34 +157,20 @@ def _validate(cfg: dict) -> None:
 
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
-    """Turn a validated flat config into the harness config."""
-    _validate(cfg)
+    """Turn a flat config into the harness config, naming the first key out of range."""
     seed = cfg["seed"]
-    synthetic = None
-    if cfg["dataset.path"] is None:
-        synthetic = SyntheticSpec(
-            classes=cfg["synthetic.classes"],
-            nodes_per_class=cfg["synthetic.nodes_per_class"],
-            features=cfg["synthetic.features"],
-            homophily=cfg["synthetic.homophily"],
-            avg_degree=cfg["synthetic.avg_degree"],
-            class_sep=cfg["synthetic.class_sep"],
-        )
-    return ExperimentConfig(
+    synthetic = _section(cfg, "synthetic.", SyntheticSpec)
+    backbone = _section(cfg, "backbone.", BackboneConfig, seed=seed + 1)
+    expander = _section(cfg, "expander.", ExpanderConfig, seed=seed + 2)
+    _validate(cfg)  # after the sections: synthetic.classes = 1 is its own error, not a plan's
+    return _section(
+        {"gamma": cfg["gamma"]}, "", ExperimentConfig,
         dataset_path=cfg["dataset.path"],
-        synthetic=synthetic,
+        synthetic=synthetic if cfg["dataset.path"] is None else None,
         c0=cfg["plan.base_classes"] or None,
         k=cfg["plan.increment"],
-        gamma=cfg["gamma"],
-        backbone=BackboneConfig(
-            hidden=cfg["backbone.hidden"],
-            epochs=cfg["backbone.epochs"],
-            lr=cfg["backbone.lr"],
-            dropout=cfg["backbone.dropout"],
-            weight_decay=cfg["backbone.weight_decay"],
-            seed=seed + 1,
-        ),
-        expander=ExpanderConfig(dim=cfg["expander.dim"], seed=seed + 2),
+        backbone=backbone,
+        expander=expander,
         data_seed=seed,
     )
 

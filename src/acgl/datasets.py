@@ -133,11 +133,12 @@ def load_dataset(path) -> Graph:
     labels = np.empty(n, dtype=np.int64)
     for i, line in enumerate(label_lines, start=1):
         try:
-            labels[i - 1] = int(line.strip())
+            label = int(line.strip())
         except ValueError:
             raise _parse_error(label_path, i, f"non-integer label {line!r}") from None
-        if not 0 <= labels[i - 1] < c:
-            raise _parse_error(label_path, i, f"label {labels[i - 1]} out of range [0, {c})")
+        if not 0 <= label < c:  # checked as a Python int: a huge label overflows int64
+            raise _parse_error(label_path, i, f"label {label} out of range [0, {c})")
+        labels[i - 1] = label
 
     split_path = root / "split.csv"
     split_lines = _read_lines(split_path)

@@ -17,6 +17,21 @@ import numpy as np
 import scipy.sparse as sp
 
 
+class FieldError(ValueError):
+    """A config dataclass field outside its range, named so a caller can map it to its key."""
+
+    def __init__(self, field: str, rule: str, value):
+        super().__init__(f"{field} {rule} (got {value!r})")
+        self.field, self.rule, self.value = field, rule, value
+
+
+def check_fields(config, checks) -> None:
+    """Raise :class:`FieldError` for the first ``(field, ok, rule)`` of ``config`` not ok."""
+    for field, ok, rule in checks:
+        if not ok:
+            raise FieldError(field, rule, getattr(config, field))
+
+
 def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
 

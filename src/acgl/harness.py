@@ -33,21 +33,12 @@ from .graph import (
     SessionPlan,
     build_session_plan,
     check_class_coverage,
+    check_fields,
     default_base_size,
     normalize_adjacency,
     session_subgraph,
 )
-from .synthetic import generate_synthetic
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    classes: int = 4
-    nodes_per_class: int = 50
-    features: int = 16
-    homophily: float = 0.9
-    avg_degree: float = 4.0
-    class_sep: float = 1.0
+from .synthetic import SyntheticSpec, generate_synthetic
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,7 @@ class ExperimentConfig:
     data_seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        check_fields(self, [("gamma", self.gamma > 0, "must be positive")])
         if self.dataset_path is None and self.synthetic is None:
             raise ValueError("either a dataset path or a synthetic spec is required")
 

@@ -12,13 +12,38 @@ merged by :func:`acgl.graph.canonical_edges`, as in a loaded dataset.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .graph import Graph, canonical_edges
+from .graph import Graph, canonical_edges, check_fields
 
 # Per-class split used for the masks; remainders go to train.
 _TRAIN_FRAC = 0.6
 _VAL_FRAC = 0.2
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Shape of a synthetic graph, as :func:`generate_synthetic` draws it."""
+
+    classes: int = 4
+    nodes_per_class: int = 50
+    features: int = 16
+    homophily: float = 0.9      # probability that an edge joins same-class endpoints
+    avg_degree: float = 4.0     # mean degree before deduplication, at most n - 1
+    class_sep: float = 1.0      # scale of the class means against unit feature noise
+
+    def __post_init__(self):
+        n = self.classes * self.nodes_per_class
+        check_fields(self, [
+            ("classes", self.classes >= 2, "must be >= 2"),
+            ("nodes_per_class", self.nodes_per_class >= 2, "must be >= 2"),
+            ("features", self.features >= 1, "must be >= 1"),
+            ("homophily", 0.0 <= self.homophily <= 1.0, "must lie in [0, 1]"),
+            ("avg_degree", 0 < self.avg_degree <= n - 1,
+             f"must lie in (0, {n - 1}], at most the complete graph's mean degree"),
+        ])
 
 
 def _class_split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -38,36 +63,18 @@ def generate_synthetic(
     d: int,
     homophily: float,
     seed: int,
-    avg_degree: float = 4.0,
-    class_sep: float = 1.0,
+    avg_degree: float = SyntheticSpec.avg_degree,
+    class_sep: float = SyntheticSpec.class_sep,
 ) -> Graph:
     """Generate a labeled homophilous graph with class-conditional features.
 
-    Parameters
-    ----------
-    num_classes, nodes_per_class, d
-        Class count (>= 2), nodes per class (>= 2), feature dimension.
-    homophily
-        Probability in [0, 1] that an edge connects same-class endpoints.
-    seed
-        Seeds all randomness; identical seeds give byte-identical graphs.
-    avg_degree
-        Target mean degree before deduplication, in (0, n - 1] for
-        n = num_classes * nodes_per_class: at most the complete graph's.
-    class_sep
-        Scale of the class mean vectors relative to unit feature noise.
+    ``num_classes``, ``nodes_per_class``, ``d``, ``homophily``, ``avg_degree``
+    and ``class_sep`` are the :class:`SyntheticSpec` fields of the same meaning;
+    a value out of range raises its :class:`~acgl.graph.FieldError`. ``seed``
+    seeds all randomness: identical seeds give byte-identical graphs.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if nodes_per_class < 2:
-        raise ValueError("nodes_per_class must be >= 2")
-    if d < 1:
-        raise ValueError("feature dimension must be >= 1")
-    if not 0.0 <= homophily <= 1.0:
-        raise ValueError("homophily must lie in [0, 1]")
+    SyntheticSpec(num_classes, nodes_per_class, d, homophily, avg_degree, class_sep)
     n = num_classes * nodes_per_class
-    if not 0 < avg_degree <= n - 1:
-        raise ValueError(f"avg_degree must lie in (0, n - 1 = {n - 1}], got {avg_degree!r}")
 
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), nodes_per_class)

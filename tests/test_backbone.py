@@ -285,9 +285,9 @@ class TestAdam:
     (dict(hidden=0), "hidden"),
     (dict(epochs=-1), "epochs"),
     (dict(dropout=1.0), "dropout"),
-    (dict(lr=0.0), "learning rate"),
-    (dict(weight_decay=-1.0), "weight decay"),
-    (dict(weight_decay=float("nan")), "weight decay"),
+    (dict(lr=0.0), "lr"),
+    (dict(weight_decay=-1.0), "weight_decay"),
+    (dict(weight_decay=float("nan")), "weight_decay"),
 ])
 def test_backbone_config_rejects_bad_values(kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
-from acgl.datasets import load_dataset, save_dataset
-from acgl.synthetic import generate_synthetic, intra_class_fraction
+from acgl.datasets import DatasetFormatError, load_dataset, save_dataset
+from acgl.synthetic import SyntheticSpec, generate_synthetic, intra_class_fraction
 
 from conftest import SWEEP_FIXTURE_LINES
 
@@ -320,18 +323,21 @@ def run_config_values(draw, dataset):
         "gamma": draw(st.sampled_from([1e-300, 1e-4, 1.0, 1e300])),
         "seed": draw(st.integers(0, 2**32)),
     }
-    # Each key's first value outside its valid range.
-    past_edge_values = {
+    past_edge = draw(st.one_of(st.none(), st.sampled_from(sorted(past_edge_values(hidden)))))
+    if past_edge is not None:
+        values[past_edge] = past_edge_values(hidden)[past_edge]
+    return {k: v for k, v in values.items() if v is not None}, past_edge
+
+
+def past_edge_values(hidden):
+    """Each ranged key's first value outside its valid range, for a backbone ``hidden`` wide."""
+    return {
         "synthetic.classes": 1, "synthetic.nodes_per_class": 1, "synthetic.features": 0,
         "synthetic.homophily": 1.5, "synthetic.avg_degree": 0.0, "plan.base_classes": -1,
         "plan.increment": 0, "backbone.hidden": 0, "backbone.epochs": -1,
         "backbone.lr": 0.0, "backbone.dropout": 1.0, "backbone.weight_decay": -1.0,
         "expander.dim": hidden, "gamma": 0.0, "seed": -1,
     }
-    past_edge = draw(st.one_of(st.none(), st.sampled_from(sorted(past_edge_values))))
-    if past_edge is not None:
-        values[past_edge] = past_edge_values[past_edge]
-    return {k: v for k, v in values.items() if v is not None}, past_edge
 
 
 @settings(max_examples=100, deadline=None)
@@ -349,6 +355,49 @@ def test_any_config_exits_cleanly(tiny_dataset, data):
         assert code in (EXIT_OK, EXIT_RUNTIME), err.getvalue()
     else:
         assert code == EXIT_CONFIG and past_edge in err.getvalue(), err.getvalue()
+
+
+# The whole stderr line of each past-edge value on the default config (backbone.hidden = 256),
+# and of two values past a bound the parser or a derived range sets.
+CONFIG_ERROR_LINES = {
+    "synthetic.classes=1": "config key 'synthetic.classes' must be >= 2 (got 1)",
+    "synthetic.nodes_per_class=1": "config key 'synthetic.nodes_per_class' must be >= 2 (got 1)",
+    "synthetic.features=0": "config key 'synthetic.features' must be >= 1 (got 0)",
+    "synthetic.homophily=1.5": "config key 'synthetic.homophily' must lie in [0, 1] (got 1.5)",
+    "synthetic.avg_degree=0.0": "config key 'synthetic.avg_degree' must lie in (0, 199], "
+                                "at most the complete graph's mean degree (got 0.0)",
+    "synthetic.avg_degree=1e308": "config key 'synthetic.avg_degree' must lie in (0, 199], "
+                                  "at most the complete graph's mean degree (got 1e+308)",
+    "plan.base_classes=-1": "config key 'plan.base_classes' must be >= 0 (got -1)",
+    "plan.increment=0": "config key 'plan.increment' must be >= 1 (got 0)",
+    "backbone.hidden=0": "config key 'backbone.hidden' must be >= 1 (got 0)",
+    "backbone.epochs=-1": "config key 'backbone.epochs' must be >= 0 (got -1)",
+    "backbone.lr=0.0": "config key 'backbone.lr' must be positive (got 0.0)",
+    "backbone.dropout=1.0": "config key 'backbone.dropout' must lie in [0, 1) (got 1.0)",
+    "backbone.weight_decay=-1.0": "config key 'backbone.weight_decay' must be >= 0 (got -1.0)",
+    "backbone.weight_decay=nan": "key 'backbone.weight_decay' expects a finite float, got 'nan'",
+    "expander.dim=256": "config key 'expander.dim' must exceed backbone.hidden (got 256)",
+    "gamma=0.0": "config key 'gamma' must be positive (got 0.0)",
+    "seed=-1": "config key 'seed' must be >= 0 (got -1)",
+}
+
+
+def test_past_edge_values_cover_every_ranged_key():
+    # A key given a range needs an out-of-range value and its error line, or no test tries it.
+    values = past_edge_values(SCHEMA["backbone.hidden"].default)
+    assert set(values) == set(SCHEMA) - {"dataset.path", "synthetic.class_sep"}
+    assert {f"{key}={value}" for key, value in values.items()} <= set(CONFIG_ERROR_LINES)
+
+
+@pytest.mark.parametrize("with_dataset", [False, True], ids=["synthetic", "dataset"])
+@pytest.mark.parametrize("pair", sorted(CONFIG_ERROR_LINES))
+def test_config_error_line_is_exact(tiny_dataset, tmp_path, capsys, pair, with_dataset):
+    # A key's own range is reported, never a plan it breaks (synthetic.classes=1), and a
+    # dataset run reports a bad synthetic.* key as a synthetic run does.
+    sets = ["--set", pair] + (["--set", f"dataset.path={tiny_dataset}"] if with_dataset else [])
+    code = main(["run", "--out", str(tmp_path / "o"), *sets])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {CONFIG_ERROR_LINES[pair]}\n"
 
 
 class TestSweep:
@@ -449,6 +498,14 @@ class TestGenSynth:
             fractions.append(intra_class_fraction(load_dataset(out)))
         mean = sum(fractions) / len(fractions)
         assert abs(mean - 0.5) < 0.1
+
+    def test_defaults_are_the_spec_defaults(self):
+        args = build_parser().parse_args(["gen-synth", "--out", "unused"])
+        flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)}
+        assert flags == dataclasses.asdict(SyntheticSpec())
+        params = inspect.signature(generate_synthetic).parameters
+        assert params["avg_degree"].default == SyntheticSpec.avg_degree
+        assert params["class_sep"].default == SyntheticSpec.class_sep
 
     def test_invalid_spec_is_runtime_error(self, tmp_path):
         code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "1"])
@@ -561,6 +618,25 @@ class TestCorruptDataset:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"error: num_nodes={num_nodes} exceeds 3037000499")
 
+    @pytest.mark.parametrize("name, token, detail", [
+        ("labels.csv", "99999999999999999999", "label 99999999999999999999 out of range [0, 3)"),
+        ("labels.csv", "-99999999999999999999", "label -99999999999999999999 out of range [0, 3)"),
+        ("split.csv", "99999999999999999999", "unknown split tag '99999999999999999999'"),
+    ], ids=["huge_label", "huge_negative_label", "huge_split_token"])
+    def test_huge_token_is_one_line_from_both_commands(self, dataset, capsys, tmp_path,
+                                                       name, token, detail):
+        path = dataset / name
+        lines = path.read_text().splitlines()
+        lines[1] = token
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["validate-dataset", "--path", str(dataset)],
+                     ["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={dataset}"]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_RUNTIME, err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(f"error: {path}:2: {detail}")
+
     def test_huge_feature_count_names_first_row(self, dataset, capsys):
         path = dataset / "meta.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "num_features": 10**18}))
@@ -568,6 +644,82 @@ class TestCorruptDataset:
         assert code == EXIT_RUNTIME
         assert "features.csv:1: expected 1000000000000000000 columns, got 4" in err
         assert "too big" not in err
+
+
+@pytest.fixture(scope="module")
+def small_dataset_files(tmp_path_factory):
+    """The five files of a small ``gen-synth`` directory, by name."""
+    root = tmp_path_factory.mktemp("small") / "ds"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-synth", "--out", str(root), "--classes", "3",
+                     "--nodes-per-class", "6", "--features", "4", "--seed", "4"]) == EXIT_OK
+    return {name: (root / name).read_bytes() for name in DATASET_FILES}
+
+
+SPLICED_TOKENS = [b"99999999999999999999", b"-99999999999999999999", b"-1", b"nan", b"1e309"]
+
+
+@st.composite
+def mutated_file(draw, files):
+    """One dataset file's name and its mutated bytes, or None for a deleted file."""
+    name = draw(st.sampled_from(DATASET_FILES))
+    data = files[name]
+    kind = draw(st.sampled_from(["truncate", "replace_byte", "insert_byte", "duplicate_line",
+                                 "delete_line", "delete_file", "splice_token"]))
+    if kind == "delete_file":
+        return name, None
+    if kind == "truncate":
+        return name, data[:draw(st.integers(0, len(data) - 1))]
+    if kind in ("replace_byte", "insert_byte"):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = bytes([draw(st.integers(0, 255))])
+        return name, data[:at] + byte + data[at + (kind == "replace_byte"):]
+    if kind == "splice_token":
+        tokens = list(re.finditer(rb'[^,\s"{}:]+', data))
+        token = draw(st.sampled_from(tokens))
+        new = draw(st.sampled_from(SPLICED_TOKENS))
+        return name, data[:token.start()] + new + data[token.end():]
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i:i + 1] = [lines[i]] * 2 if kind == "duplicate_line" else []
+    return name, b"".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_exits_0_or_3(small_dataset_files, data):
+    # A corrupt dataset is one `error:` line, never a traceback or another exit code.
+    name, mutated = data.draw(mutated_file(small_dataset_files))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "ds"
+        root.mkdir()
+        for file, content in small_dataset_files.items():
+            (root / file).write_bytes(content)
+        if mutated is None:
+            (root / name).unlink()
+        else:
+            (root / name).write_bytes(mutated)
+        try:
+            load_dataset(root)
+            load_error = None
+        except ValueError as exc:
+            load_error = exc
+        tiny = ["--set", "backbone.hidden=2", "--set", "backbone.epochs=1",
+                "--set", "expander.dim=3", "--set", f"dataset.path={root}"]
+        for argv in (["validate-dataset", "--path", str(root)],
+                     ["run", "--out", str(Path(tmp) / "out"), *tiny]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (EXIT_OK, EXIT_RUNTIME), (argv[0], lines)
+            if code == EXIT_RUNTIME:
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], lines)
+            # A dataset that does not load is the one error; a format error names its file.
+            if load_error is not None:
+                assert lines == [f"error: {load_error}"], (argv[0], lines)
+            if isinstance(load_error, DatasetFormatError):
+                assert any(file in lines[0] for file in DATASET_FILES), lines
 
 
 class TestHelp:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from acgl.backbone import BackboneConfig
 from acgl.config import (
     ConfigError,
     SCHEMA,
@@ -12,6 +13,8 @@ from acgl.config import (
     parse_config_text,
     parse_value,
 )
+from acgl.harness import ExpanderConfig, ExperimentConfig
+from acgl.synthetic import SyntheticSpec
 
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("perfbench/configs/*.cfg"))
@@ -21,6 +24,16 @@ def test_defaults_cover_schema():
     cfg = default_config()
     assert set(cfg) == set(SCHEMA)
     build_experiment(cfg)  # defaults must validate
+
+
+def test_defaults_are_the_dataclass_defaults():
+    # Seed 42 and its derived 43/44 are the flat config's own defaults.
+    assert build_experiment(default_config()) == ExperimentConfig(
+        synthetic=SyntheticSpec(),
+        backbone=BackboneConfig(seed=43),
+        expander=ExpanderConfig(seed=44),
+        data_seed=42,
+    )
 
 
 def test_parse_dotted_keys_and_comments():
