@@ -230,10 +230,6 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     if overlap:
         raise ValueError(f"classes revisited across sessions: {sorted(overlap)}")
     X, Y = batch.features, batch.targets
-    if X.shape[1] != state.feature_dim:
-        raise ValueError(
-            f"feature dim {X.shape[1]} != state dim {state.feature_dim}"
-        )
     R_new = update_R(state.R, X)
     diagonal = np.diagonal(R_new)
     if not (np.isfinite(diagonal).all() and diagonal.all()):

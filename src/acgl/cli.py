@@ -31,10 +31,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-SWEEP_AXES = {
-    "feg_dim": ("expander.dim", int),
-    "gamma": ("gamma", float),
-}
+SWEEP_AXES = {"feg_dim": "expander.dim", "gamma": "gamma"}  # axis name -> config key
 
 
 def _schema_epilog() -> str:
@@ -56,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="experiment config file (flat key=value format)")
         p.add_argument("--out", default="acgl-out", help="output directory for artifacts")
-        p.add_argument("--seed", type=int, help="global seed override")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="config override, repeatable")
 
@@ -70,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", choices=sorted(SWEEP_AXES), required=True,
                          help="which knob to sweep")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated axis values")
+                         help="comma-separated axis values, each read as its config key")
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic dataset directory")
     p_gen.add_argument("--out", required=True, help="dataset directory to write")
@@ -89,11 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_effective_config(args) -> dict:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.default_config()
-    overrides = []
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    overrides.extend(args.overrides)
-    return cfgmod.apply_overrides(cfg, overrides)
+    return cfgmod.apply_overrides(cfg, args.overrides)
 
 
 def _af_text(af) -> str:
@@ -115,11 +107,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
-    key, cast = SWEEP_AXES[args.axis]
-    try:
-        values = [cast(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--values for axis {args.axis} must be {cast.__name__}s") from None
+    key = SWEEP_AXES[args.axis]
+    values = [cfgmod.parse_value(key, v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
     for i, value in enumerate(values):
@@ -127,7 +116,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--values for axis {args.axis} lists {value} more than once")
 
     # Every point's config is checked before the first point runs.
-    point_cfgs = [cfgmod.apply_overrides(cfg, [f"{key}={value}"]) for value in values]
+    point_cfgs = [{**cfg, key: value} for value in values]
     experiments = [cfgmod.build_experiment(point_cfg) for point_cfg in point_cfgs]
 
     out = Path(args.out)
@@ -158,7 +147,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen_synth(args) -> int:
     graph = generate_synthetic(
         args.classes, args.nodes_per_class, args.features, args.homophily,
-        seed=args.seed, avg_degree=args.avg_degree, class_sep=args.class_sep,
+        seed=args.seed, class_sep=args.class_sep,
     )
     save_dataset(graph, args.out)
     stats = dataset_summary(graph)

@@ -47,7 +47,6 @@ SCHEMA: dict[str, Field] = {
     "synthetic.nodes_per_class": Field("int", SyntheticSpec.nodes_per_class, "nodes per class"),
     "synthetic.features": Field("int", SyntheticSpec.features, "feature dimension"),
     "synthetic.homophily": Field("float", SyntheticSpec.homophily, "intra-class edge probability"),
-    "synthetic.avg_degree": Field("float", SyntheticSpec.avg_degree, "mean degree, at most n - 1"),
     "synthetic.class_sep": Field("float", SyntheticSpec.class_sep, "class mean separation scale"),
     "plan.base_classes": Field("int", 0, "base class count c0; 0 means half of C rounded up"),
     "plan.increment": Field("int", ExperimentConfig.k, "classes added per incremental session"),

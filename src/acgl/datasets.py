@@ -131,13 +131,14 @@ def load_dataset(path) -> Graph:
     if len(label_lines) != n:
         raise DatasetFormatError(f"{label_path}: expected {n} rows, found {len(label_lines)}")
     labels = np.empty(n, dtype=np.int64)
+    label_end = min(c, np.iinfo(np.int64).max + 1)  # a label must also fit int64
     for i, line in enumerate(label_lines, start=1):
         try:
             label = int(line.strip())
         except ValueError:
             raise _parse_error(label_path, i, f"non-integer label {line!r}") from None
-        if not 0 <= label < c:  # checked as a Python int: a huge label overflows int64
-            raise _parse_error(label_path, i, f"label {label} out of range [0, {c})")
+        if not 0 <= label < label_end:  # checked as a Python int, before the int64 store
+            raise _parse_error(label_path, i, f"label {label} out of range [0, {label_end})")
         labels[i - 1] = label
 
     split_path = root / "split.csv"

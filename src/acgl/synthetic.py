@@ -21,28 +21,25 @@ from .graph import Graph, canonical_edges, check_fields
 # Per-class split used for the masks; remainders go to train.
 _TRAIN_FRAC = 0.6
 _VAL_FRAC = 0.2
+_AVG_DEGREE = 4.0  # mean degree of every graph before repeated pairs merge
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of a synthetic graph, as :func:`generate_synthetic` draws it."""
+    """Shape of a synthetic graph, as :func:`generate_synthetic` draws it at mean degree 4.0."""
 
     classes: int = 4
     nodes_per_class: int = 50
     features: int = 16
     homophily: float = 0.9      # probability that an edge joins same-class endpoints
-    avg_degree: float = 4.0     # mean degree before deduplication, at most n - 1
     class_sep: float = 1.0      # scale of the class means against unit feature noise
 
     def __post_init__(self):
-        n = self.classes * self.nodes_per_class
         check_fields(self, [
             ("classes", self.classes >= 2, "must be >= 2"),
             ("nodes_per_class", self.nodes_per_class >= 2, "must be >= 2"),
             ("features", self.features >= 1, "must be >= 1"),
             ("homophily", 0.0 <= self.homophily <= 1.0, "must lie in [0, 1]"),
-            ("avg_degree", 0 < self.avg_degree <= n - 1,
-             f"must lie in (0, {n - 1}], at most the complete graph's mean degree"),
         ])
 
 
@@ -63,17 +60,17 @@ def generate_synthetic(
     d: int,
     homophily: float,
     seed: int,
-    avg_degree: float = SyntheticSpec.avg_degree,
     class_sep: float = SyntheticSpec.class_sep,
 ) -> Graph:
     """Generate a labeled homophilous graph with class-conditional features.
 
-    ``num_classes``, ``nodes_per_class``, ``d``, ``homophily``, ``avg_degree``
-    and ``class_sep`` are the :class:`SyntheticSpec` fields of the same meaning;
-    a value out of range raises its :class:`~acgl.graph.FieldError`. ``seed``
+    ``num_classes``, ``nodes_per_class``, ``d``, ``homophily`` and ``class_sep``
+    are the :class:`SyntheticSpec` fields of the same meaning; a value out of
+    range raises its :class:`~acgl.graph.FieldError`. The mean degree is fixed at
+    4.0: ``round(2.0 * n)`` edges are drawn before repeated pairs merge. ``seed``
     seeds all randomness: identical seeds give byte-identical graphs.
     """
-    SyntheticSpec(num_classes, nodes_per_class, d, homophily, avg_degree, class_sep)
+    SyntheticSpec(num_classes, nodes_per_class, d, homophily, class_sep)
     n = num_classes * nodes_per_class
 
     rng = np.random.default_rng(seed)
@@ -82,7 +79,7 @@ def generate_synthetic(
     means = rng.normal(0.0, 1.0, size=(num_classes, d)) * class_sep
     features = means[labels] + rng.normal(0.0, 1.0, size=(n, d))
 
-    num_edges = int(round(avg_degree * n / 2))
+    num_edges = int(round(_AVG_DEGREE * n / 2))
     u = rng.integers(n, size=num_edges)
     same = rng.random(num_edges) < homophily
     j = rng.integers(np.where(same, nodes_per_class, n - nodes_per_class))

@@ -210,8 +210,11 @@ def test_complexity_claims():
     assert arrays["weights"].shape == (d, len(state.seen_classes))
 
     # (b) per-session update cost stays flat across 20 equal-size sessions:
-    # one probe session is absorbed into the state before and after them,
+    # one probe session is absorbed into a state before and after them,
     # alternating between the two so a load burst hits both sides alike.
+    # An update costs O(ndC + d^2 C) in the C weight columns, so the early
+    # state is a 22-class base session: both states hold 22 classes and
+    # differ only in how many sessions made them.
     d, n, repeats = 128, 48, 15
     rng = np.random.default_rng(4)
     base = SessionBatch(
@@ -219,7 +222,13 @@ def test_complexity_claims():
         targets=one_hot([0] * (n // 2) + [1] * (n - n // 2), (0, 1)),
         class_ids=(0, 1),
     )
-    early = state = run_recursion([base], gamma=1.0)
+    wide = tuple(range(22))
+    early = run_recursion([SessionBatch(
+        features=rng.normal(size=(n, d)),
+        targets=one_hot([i % 22 for i in range(n)], wide),
+        class_ids=wide,
+    )], gamma=1.0)
+    state = run_recursion([base], gamma=1.0)
     for s in range(20):
         cid = (2 + s,)
         state = update_weights(state, SessionBatch(
@@ -297,7 +306,7 @@ def test_run_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["run", "--config", str(cfg), "--out", str(out),
-                     "--seed", "42"]) == EXIT_OK
+                     "--set", "seed=42"]) == EXIT_OK
         outs.append((out / "matrix.csv").read_bytes())
     assert outs[0] == outs[1]
 

@@ -261,6 +261,13 @@ class TestUpdateWeights:
         with pytest.raises(ValueError, match="revisited"):
             update_weights(state, again)
 
+    def test_wrong_width_batch_names_both_widths(self):
+        rng = np.random.default_rng(10)
+        base = random_batch(rng, 8, 4, (0, 1))
+        state = align_base(base.features, base.targets, 1.0, class_ids=(0, 1))
+        with pytest.raises(ValueError, match="feature dim 5 != R dim 4"):
+            update_weights(state, random_batch(rng, 6, 5, (2,)))
+
     def test_r_exactly_upper_triangular_along_stream(self):
         # Sessions with fewer and with as many rows as d = 300 alternate.
         rng = np.random.default_rng(19)

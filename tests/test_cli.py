@@ -64,15 +64,14 @@ class TestRun:
         ("gamma", "inf"),
         ("gamma", "-inf"),
         ("backbone.lr", "inf"),
-        ("synthetic.avg_degree", "nan"),
+        ("synthetic.class_sep", "nan"),
         ("seed", "-1"),
         ("seed.data", "5"),                  # removed keys: every seed derives from `seed`
         ("seed.backbone", "5"),
         ("seed.expander", "5"),
         ("plan.shuffle_classes", "true"),    # removed key: classes run in ascending order
         ("synthetic.features", "0"),
-        ("synthetic.avg_degree", "0"),
-        ("synthetic.avg_degree", "1e308"),   # finite, past the complete graph's n - 1
+        ("synthetic.avg_degree", "0"),       # removed key: the mean degree is fixed at 4.0
         ("backbone.weight_decay", "-1"),
         ("plan.base_classes", "9"),          # the synthetic config has 4 classes
         ("plan.increment", "7"),             # at most 4 - 2 classes are left after the base
@@ -115,7 +114,7 @@ class TestRun:
     def test_seed_42_reproduces_golden_matrix(self, run_config_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--config", str(run_config_file), "--out", str(out),
-                     "--seed", "42"])
+                     "--set", "seed=42"])
         assert code == EXIT_OK
         golden = (GOLDEN_DIR / "matrix.csv").read_bytes()
         assert (out / "matrix.csv").read_bytes() == golden
@@ -123,13 +122,13 @@ class TestRun:
     def test_two_runs_byte_identical_matrix(self, run_config_file, tmp_path):
         for name in ("a", "b"):
             assert main(["run", "--config", str(run_config_file),
-                         "--out", str(tmp_path / name), "--seed", "7"]) == EXIT_OK
+                         "--out", str(tmp_path / name), "--set", "seed=7"]) == EXIT_OK
         assert (tmp_path / "a" / "matrix.csv").read_bytes() == \
             (tmp_path / "b" / "matrix.csv").read_bytes()
 
     def test_report_echoes_config_schema_keys(self, run_config_file, tmp_path):
         out = tmp_path / "out"
-        main(["run", "--config", str(run_config_file), "--out", str(out), "--seed", "5"])
+        main(["run", "--config", str(run_config_file), "--out", str(out), "--set", "seed=5"])
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["seed"] == 5
         assert doc["config"]["synthetic.nodes_per_class"] == 30
@@ -279,7 +278,7 @@ def test_runs_reproduce_at_any_seed(seed):
         outs = [Path(tmp) / name for name in ("a", "b")]
         for out in outs:
             assert main(["run", "--config", str(cfg), "--out", str(out),
-                         "--seed", str(seed)]) == EXIT_OK
+                         "--set", f"seed={seed}"]) == EXIT_OK
         a, b = outs
         for name in ("matrix.csv", "heatmap.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -309,8 +308,6 @@ def run_config_values(draw, dataset):
         "synthetic.nodes_per_class": draw(st.integers(2, 12)),
         "synthetic.features": draw(st.integers(1, 6)),
         "synthetic.homophily": draw(st.sampled_from([0.0, 0.5, 1.0])),
-        # At least 4 nodes, so 3 is never above the complete graph's degree.
-        "synthetic.avg_degree": draw(st.sampled_from([1e-3, 1.0, 3.0])),
         "synthetic.class_sep": draw(st.sampled_from([1.0, 0.0, -1.0, 1e150, 1e300])),
         "plan.base_classes": draw(st.sampled_from([0, 1])),
         "plan.increment": 1,
@@ -333,7 +330,7 @@ def past_edge_values(hidden):
     """Each ranged key's first value outside its valid range, for a backbone ``hidden`` wide."""
     return {
         "synthetic.classes": 1, "synthetic.nodes_per_class": 1, "synthetic.features": 0,
-        "synthetic.homophily": 1.5, "synthetic.avg_degree": 0.0, "plan.base_classes": -1,
+        "synthetic.homophily": 1.5, "plan.base_classes": -1,
         "plan.increment": 0, "backbone.hidden": 0, "backbone.epochs": -1,
         "backbone.lr": 0.0, "backbone.dropout": 1.0, "backbone.weight_decay": -1.0,
         "expander.dim": hidden, "gamma": 0.0, "seed": -1,
@@ -358,16 +355,13 @@ def test_any_config_exits_cleanly(tiny_dataset, data):
 
 
 # The whole stderr line of each past-edge value on the default config (backbone.hidden = 256),
-# and of two values past a bound the parser or a derived range sets.
+# of two values past a bound the parser or a derived range sets, and of a removed key.
 CONFIG_ERROR_LINES = {
     "synthetic.classes=1": "config key 'synthetic.classes' must be >= 2 (got 1)",
     "synthetic.nodes_per_class=1": "config key 'synthetic.nodes_per_class' must be >= 2 (got 1)",
     "synthetic.features=0": "config key 'synthetic.features' must be >= 1 (got 0)",
     "synthetic.homophily=1.5": "config key 'synthetic.homophily' must lie in [0, 1] (got 1.5)",
-    "synthetic.avg_degree=0.0": "config key 'synthetic.avg_degree' must lie in (0, 199], "
-                                "at most the complete graph's mean degree (got 0.0)",
-    "synthetic.avg_degree=1e308": "config key 'synthetic.avg_degree' must lie in (0, 199], "
-                                  "at most the complete graph's mean degree (got 1e+308)",
+    "synthetic.avg_degree=0.0": "unknown config key 'synthetic.avg_degree'",
     "plan.base_classes=-1": "config key 'plan.base_classes' must be >= 0 (got -1)",
     "plan.increment=0": "config key 'plan.increment' must be >= 1 (got 0)",
     "backbone.hidden=0": "config key 'backbone.hidden' must be >= 1 (got 0)",
@@ -436,11 +430,13 @@ class TestSweep:
         for dim in (32, 64, 128):
             assert (out / f"point_{dim}" / "report.json").is_file()
 
-    def test_bad_axis_value_is_config_error(self, run_config_file, tmp_path):
+    def test_bad_axis_value_is_config_error(self, run_config_file, tmp_path, capsys):
         code = main(["sweep", "--config", str(run_config_file),
                      "--out", str(tmp_path / "o"), "--axis", "feg_dim",
                      "--values", "32,notanint"])
         assert code == EXIT_CONFIG
+        # Read by the axis key's own parser, so the error is the one `--set` gives.
+        assert "key 'expander.dim' expects" in capsys.readouterr().err
 
     def test_non_finite_value_rejected_before_any_point_runs(self, run_config_file,
                                                              tmp_path, capsys):
@@ -504,20 +500,11 @@ class TestGenSynth:
         flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)}
         assert flags == dataclasses.asdict(SyntheticSpec())
         params = inspect.signature(generate_synthetic).parameters
-        assert params["avg_degree"].default == SyntheticSpec.avg_degree
         assert params["class_sep"].default == SyntheticSpec.class_sep
 
     def test_invalid_spec_is_runtime_error(self, tmp_path):
         code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "1"])
         assert code == EXIT_RUNTIME
-
-    def test_huge_avg_degree_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "ds"
-        code = main(["gen-synth", "--out", str(out), "--classes", "2",
-                     "--nodes-per-class", "4", "--avg-degree", "1e308"])
-        assert code == EXIT_RUNTIME
-        assert "avg_degree" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestValidateDataset:
@@ -720,6 +707,24 @@ def test_mutated_dataset_exits_0_or_3(small_dataset_files, data):
                 assert lines == [f"error: {load_error}"], (argv[0], lines)
             if isinstance(load_error, DatasetFormatError):
                 assert any(file in lines[0] for file in DATASET_FILES), lines
+
+
+def test_label_past_int64_under_huge_class_count_exits_3(small_dataset_files, tmp_path, capsys):
+    # Two corruptions at once, which the one-mutation property test above never draws:
+    # with num_classes = 10**30 a 20-digit label lies below C but past int64.
+    root = tmp_path / "ds"
+    root.mkdir()
+    for name, content in small_dataset_files.items():
+        (root / name).write_bytes(content)
+    meta = root / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": 10**30}))
+    labels = root / "labels.csv"
+    lines = labels.read_text().splitlines()
+    lines[1] = "99999999999999999999"
+    labels.write_text("\n".join(lines) + "\n")
+    assert main(["validate-dataset", "--path", str(root)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: {labels}:2: label 99999999999999999999 out of range [0, {2**63})\n")
 
 
 class TestHelp:

@@ -101,7 +101,6 @@ NON_DEFAULT = {
     "synthetic.nodes_per_class": "40",
     "synthetic.features": "8",
     "synthetic.homophily": "0.5",
-    "synthetic.avg_degree": "6",
     "synthetic.class_sep": "2.5",
     "plan.base_classes": "3",
     "plan.increment": "2",

@@ -1,15 +1,22 @@
-"""Every fenced ``python`` block of README.md runs as written."""
+"""Every fenced ``python`` block of README.md runs as written, and every ``acgl`` command parses."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from acgl.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
+BASH_FENCE = re.compile(r"^```bash\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 TEXT = README.read_text(encoding="utf-8")
 # (first line of the block's code, the code) for each block.
 BLOCKS = [(TEXT.count("\n", 0, m.start(1)) + 1, m.group(1)) for m in FENCE.finditer(TEXT)]
+# Each `acgl ...` line of the bash blocks, with its `\` continuation lines joined.
+COMMANDS = [line for m in BASH_FENCE.finditer(TEXT)
+            for line in m.group(1).replace("\\\n", " ").splitlines() if line.startswith("acgl ")]
 
 
 def test_readme_has_python_blocks():
@@ -19,3 +26,13 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("line, code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_python_block_runs(line, code):
     exec(compile(code, f"{README}:{line}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_has_acgl_commands():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[f"command{i}" for i in range(len(COMMANDS))])
+def test_acgl_command_parses(command):
+    # Parsed, not run: a flag the CLI no longer has fails here with argparse's usage error.
+    build_parser().parse_args(shlex.split(command)[1:])

@@ -12,7 +12,7 @@ SHAPES = {
     "synthetic_cfg": dict(num_classes=4, nodes_per_class=50, d=16, homophily=0.9),
     "homophily_0": dict(num_classes=3, nodes_per_class=10, d=2, homophily=0.0),
     "homophily_1": dict(num_classes=3, nodes_per_class=10, d=2, homophily=1.0),
-    "two_per_class": dict(num_classes=2, nodes_per_class=2, d=1, homophily=0.5, avg_degree=3.0),
+    "two_per_class": dict(num_classes=2, nodes_per_class=2, d=1, homophily=0.5),
 }
 GRAPH_FIELDS = ("edges", "features", "labels", "train_mask", "val_mask", "test_mask")
 
@@ -71,7 +71,7 @@ def test_masks_cover_every_class():
 
 
 def test_minimum_sizes_still_split():
-    g = generate_synthetic(2, 2, 1, 0.5, seed=0, avg_degree=3.0)  # n - 1 on 4 nodes
+    g = generate_synthetic(2, 2, 1, 0.5, seed=0)  # 8 edge draws merge into at most 6 pairs
     assert g.train_mask.sum() == 2  # one per class
     assert g.test_mask.sum() == 2
 
@@ -85,11 +85,6 @@ def test_invalid_parameters_rejected():
         generate_synthetic(2, 4, 3, 1.5, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(2, 4, 0, 0.5, seed=0)
-    # n = 8 nodes: above n - 1 = 7, the complete graph's mean degree, nothing is drawn.
-    for avg_degree in (0.0, np.nan, np.inf, np.nextafter(7.0, np.inf), 1e308):
-        with pytest.raises(ValueError, match="avg_degree"):
-            generate_synthetic(2, 4, 3, 0.5, seed=0, avg_degree=avg_degree)
-    generate_synthetic(2, 4, 3, 0.5, seed=0, avg_degree=7.0)
 
 
 def test_no_self_loops_and_canonical_edges():
