@@ -14,9 +14,10 @@ and appends one column per new class,
     W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
 with both products taken by one solve against the new R. This reproduces
-the one-shot joint solution exactly (up to float error), no matter how many
-sessions the data arrived in. :func:`joint_solve` is the independent oracle
-for that equivalence. The paper's inverse autocorrelation matrix G^{-1} is
+the one-shot joint solution up to float error, within the README's bound
+8 (kappa(G) + 16) eps, as measured for gamma from 1e-4 to 1e2 up to 200
+sessions at d = 64 and at 40 sessions of d = 512. :func:`joint_solve` is the
+independent oracle for that equivalence. The paper's inverse autocorrelation matrix G^{-1} is
 available as :attr:`AnalyticState.inv_gram`; the recursion never forms it.
 """
 

@@ -88,20 +88,23 @@ def _load_effective_config(args) -> dict:
     return cfgmod.apply_overrides(cfg, args.overrides)
 
 
-def _af_text(af) -> str:
-    return "n/a" if af is None else f"{af:.4f}"
+def _run_and_report(cfg: dict, experiment, out) -> tuple[RunReport, float]:
+    """Run ``experiment`` and write its report into ``out``; return the report and total_s."""
+    result = run_experiment(experiment)
+    report = RunReport.from_matrix(result.matrix, result.timings, cfgmod.config_echo(cfg))
+    emit_report(report, out)
+    return report, result.timings["total_s"]
+
+
+def _summary(report: RunReport, total_s: float) -> str:
+    af = "n/a" if report.af is None else f"{report.af:.4f}"
+    return f"AP={report.ap:.4f} AF={af} total={total_s:.2f}s"
 
 
 def _cmd_run(args) -> int:
     cfg = _load_effective_config(args)
-    experiment = cfgmod.build_experiment(cfg)
-    result = run_experiment(experiment)
-    report = RunReport.from_matrix(result.matrix, result.timings, cfgmod.config_echo(cfg))
-    emit_report(report, args.out)
-    print(
-        f"AP={report.ap:.4f} AF={_af_text(report.af)} "
-        f"total={result.timings['total_s']:.2f}s out={args.out}"
-    )
+    report, total_s = _run_and_report(cfg, cfgmod.build_experiment(cfg), args.out)
+    print(f"{_summary(report, total_s)} out={args.out}")
     return EXIT_OK
 
 
@@ -122,13 +125,9 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     rows = []
     for value, point_cfg, experiment in zip(values, point_cfgs, experiments):
-        result = run_experiment(experiment)
-        report = RunReport.from_matrix(result.matrix, result.timings,
-                                       cfgmod.config_echo(point_cfg))
-        emit_report(report, out / f"point_{value}")
-        rows.append((value, report.ap, report.af, result.timings["total_s"]))
-        print(f"{args.axis}={value} AP={report.ap:.4f} AF={_af_text(report.af)} "
-              f"total={result.timings['total_s']:.2f}s")
+        report, total_s = _run_and_report(point_cfg, experiment, out / f"point_{value}")
+        rows.append((value, report.ap, report.af, total_s))
+        print(f"{args.axis}={value} {_summary(report, total_s)}")
 
     out.mkdir(parents=True, exist_ok=True)
     with (out / "sweep.csv").open("w", encoding="utf-8") as f:

@@ -77,8 +77,8 @@ def parse_value(key: str, raw: str):
             return value
         return raw
     except ValueError:
-        kind = "finite float" if field.kind == "float" else field.kind
-        raise ConfigError(f"key {key!r} expects a {kind}, got {raw!r}") from None
+        kind = "a finite float" if field.kind == "float" else "an int"  # str never fails
+        raise ConfigError(f"key {key!r} expects {kind}, got {raw!r}") from None
 
 
 def default_config() -> dict:

@@ -50,6 +50,15 @@ def _read_lines(path: Path) -> list[str]:
         raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _node_lines(root: Path, name: str, n: int) -> tuple[Path, list[str]]:
+    """The path and lines of ``root / name``, a file with one line per node."""
+    path = root / name
+    lines = _read_lines(path)
+    if len(lines) != n:
+        raise DatasetFormatError(f"{path}: expected {n} rows, found {len(lines)}")
+    return path, lines
+
+
 def _loadtxt(lines: list[str]) -> np.ndarray | None:
     """``lines`` as a float64 matrix in ``np.loadtxt``'s grammar, or None if it rejects them."""
     with warnings.catch_warnings():
@@ -116,20 +125,14 @@ def load_dataset(path) -> Graph:
         raw_edges.append((u, v))
     edges = canonical_edges(np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2), n)
 
-    feat_path = root / "features.csv"
-    feat_lines = _read_lines(feat_path)
-    if len(feat_lines) != n:
-        raise DatasetFormatError(f"{feat_path}: expected {n} rows, found {len(feat_lines)}")
+    feat_path, feat_lines = _node_lines(root, "features.csv", n)
     features = _parse_features(feat_path, feat_lines, d)
     finite_rows = np.isfinite(features).all(axis=1)
     if not finite_rows.all():
         line_no = int(np.argmin(finite_rows)) + 1
         raise _parse_error(feat_path, line_no, "features contain non-finite values")
 
-    label_path = root / "labels.csv"
-    label_lines = _read_lines(label_path)
-    if len(label_lines) != n:
-        raise DatasetFormatError(f"{label_path}: expected {n} rows, found {len(label_lines)}")
+    label_path, label_lines = _node_lines(root, "labels.csv", n)
     labels = np.empty(n, dtype=np.int64)
     label_end = min(c, np.iinfo(np.int64).max + 1)  # a label must also fit int64
     for i, line in enumerate(label_lines, start=1):
@@ -141,10 +144,7 @@ def load_dataset(path) -> Graph:
             raise _parse_error(label_path, i, f"label {label} out of range [0, {label_end})")
         labels[i - 1] = label
 
-    split_path = root / "split.csv"
-    split_lines = _read_lines(split_path)
-    if len(split_lines) != n:
-        raise DatasetFormatError(f"{split_path}: expected {n} rows, found {len(split_lines)}")
+    split_path, split_lines = _node_lines(root, "split.csv", n)
     masks = {name: np.zeros(n, dtype=bool) for name in ("train", "val", "test")}
     for i, line in enumerate(split_lines, start=1):
         tag = line.strip()
@@ -174,25 +174,21 @@ def save_dataset(graph: Graph, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
 
-    # tolist() yields Python ints and floats (same str/repr, no numpy scalar
-    # per cell); features go row by row so no N x d list of floats is built.
-    with (root / "edges.csv").open("w", encoding="utf-8") as f:
-        f.writelines(f"{u},{v}\n" for u, v in graph.edges.tolist())
-
-    with (root / "features.csv").open("w", encoding="utf-8") as f:
-        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in graph.features)
-
-    with (root / "labels.csv").open("w", encoding="utf-8") as f:
-        for y in graph.labels:
-            f.write(f"{y}\n")
-
     split = np.full(graph.num_nodes, "none", dtype=object)
     split[graph.train_mask] = "train"
     split[graph.val_mask] = "val"
     split[graph.test_mask] = "test"
-    with (root / "split.csv").open("w", encoding="utf-8") as f:
-        for tag in split:
-            f.write(f"{tag}\n")
+    # tolist() yields Python ints, floats and strs (same str/repr, no numpy
+    # scalar per cell); features go row by row so no N x d list of floats is built.
+    line_files = {
+        "edges.csv": (f"{u},{v}" for u, v in graph.edges.tolist()),
+        "features.csv": (",".join(map(repr, row.tolist())) for row in graph.features),
+        "labels.csv": graph.labels.tolist(),
+        "split.csv": split.tolist(),
+    }
+    for name, lines in line_files.items():
+        with (root / name).open("w", encoding="utf-8") as f:
+            f.writelines(f"{line}\n" for line in lines)
 
     meta = {
         "format": FORMAT_NAME,

@@ -88,6 +88,14 @@ def _ramp_color(v: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
+def _text(x, y, size: int, body, *, anchor: str | None = "middle", fill: str | None = None) -> str:
+    """One monospace ``<text>`` element; a float ``x`` or ``y`` arrives already formatted."""
+    anchor_attr = "" if anchor is None else f' text-anchor="{anchor}"'
+    fill_attr = "" if fill is None else f' fill="{fill}"'
+    return (f'<text x="{x}" y="{y}"{anchor_attr} font-family="monospace" '
+            f'font-size="{size}"{fill_attr}>{body}</text>')
+
+
 def heatmap_svg(matrix: PerformanceMatrix) -> str:
     """Lower-triangular accuracy heatmap; row = after-session, column = task."""
     n = matrix.num_sessions
@@ -97,15 +105,11 @@ def heatmap_svg(matrix: PerformanceMatrix) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_MARGIN + n * _CELL / 2:.0f}" y="16" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">accuracy on task i after session k</text>',
+        _text(f"{_MARGIN + n * _CELL / 2:.0f}", 16, 12, "accuracy on task i after session k"),
     ]
     for k in range(n):
         y = _MARGIN + k * _CELL
-        parts.append(
-            f'<text x="{_MARGIN - 8}" y="{y + _CELL / 2 + 4:.0f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">k={k}</text>'
-        )
+        parts.append(_text(_MARGIN - 8, f"{y + _CELL / 2 + 4:.0f}", 11, f"k={k}", anchor="end"))
         for i in range(k + 1):
             x = _MARGIN + i * _CELL
             v = matrix.entry(k, i)
@@ -113,18 +117,11 @@ def heatmap_svg(matrix: PerformanceMatrix) -> str:
                 f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
                 f'fill="{_ramp_color(v)}" stroke="white" stroke-width="1"/>'
             )
-            text_fill = "#ffffff" if v < 0.5 else "#000000"
-            parts.append(
-                f'<text x="{x + _CELL / 2:.0f}" y="{y + _CELL / 2 + 4:.0f}" '
-                f'text-anchor="middle" font-family="monospace" font-size="10" '
-                f'fill="{text_fill}">{v * 100:.1f}</text>'
-            )
+            parts.append(_text(f"{x + _CELL / 2:.0f}", f"{y + _CELL / 2 + 4:.0f}", 10,
+                               f"{v * 100:.1f}", fill="#ffffff" if v < 0.5 else "#000000"))
     for i in range(n):
         x = _MARGIN + i * _CELL
-        parts.append(
-            f'<text x="{x + _CELL / 2:.0f}" y="{_MARGIN - 8}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">i={i}</text>'
-        )
+        parts.append(_text(f"{x + _CELL / 2:.0f}", _MARGIN - 8, 11, f"i={i}"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -151,21 +148,14 @@ def curve_svg(xs: list[str], series: dict[str, list[float]], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{title}</text>',
+        _text(f"{width / 2:.0f}", 18, 12, title),
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
     for i, x in enumerate(xs):
-        parts.append(
-            f'<text x="{px(i):.1f}" y="{height - bottom + 16}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{x}</text>'
-        )
+        parts.append(_text(f"{px(i):.1f}", height - bottom + 16, 10, x))
     for tick in (lo, (lo + hi) / 2, hi):
-        parts.append(
-            f'<text x="{left - 6}" y="{py(tick) + 4:.1f}" text-anchor="end" '
-            f'font-family="monospace" font-size="10">{tick:.3f}</text>'
-        )
+        parts.append(_text(left - 6, f"{py(tick) + 4:.1f}", 10, f"{tick:.3f}", anchor="end"))
     for idx, (name, vals) in enumerate(series.items()):
         color = colors[idx % len(colors)]
         points = " ".join(f"{px(i):.1f},{py(v):.1f}" for i, v in enumerate(vals))
@@ -174,10 +164,7 @@ def curve_svg(xs: list[str], series: dict[str, list[float]], title: str) -> str:
         )
         for i, v in enumerate(vals):
             parts.append(f'<circle cx="{px(i):.1f}" cy="{py(v):.1f}" r="3" fill="{color}"/>')
-        parts.append(
-            f'<text x="{left + 8}" y="{top + 16 + 14 * idx}" font-family="monospace" '
-            f'font-size="11" fill="{color}">{name}</text>'
-        )
+        parts.append(_text(left + 8, top + 16 + 14 * idx, 11, name, anchor=None, fill=color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from acgl.analytic import (
     update_R,
     update_weights,
 )
+from acgl.config import build_experiment, load_config
 from acgl.harness import evaluate_task
 
-from conftest import oracle_predict
+from conftest import oracle_predict, run_recording_batches
 
 
 def random_batch(rng, n, d, class_ids):
@@ -353,6 +355,67 @@ class TestUpdateWeights:
         W_star = Vt.T @ ((U.T @ targets) / s[:, None])
         kappa = (s[0] / s[-1]) ** 2
         assert rel_fro(state.weights, W_star) <= 8 * (kappa + 16) * np.finfo(float).eps
+
+
+def absorb(pairs, gamma):
+    """The recursion's state after the sessions ``pairs`` of (X, Y), with class ids in order."""
+    state = align_base(*pairs[0], gamma)
+    for X, Y in pairs[1:]:
+        c = len(state.seen_classes)
+        state = update_weights(state, SessionBatch(X, Y, tuple(range(c, c + Y.shape[1]))))
+    return state
+
+
+def svd_reference(pairs, gamma):
+    """W* and kappa(G) for the sessions ``pairs`` of (X, Y).
+
+    W* is the SVD least-squares solution of [X; sqrt(gamma) I] W = [Y; 0] with
+    Y block-diagonal in session order; kappa(G) is the squared ratio of that
+    matrix's extreme singular values.
+    """
+    d = pairs[0][0].shape[1]
+    stacked = np.vstack([*(X for X, _ in pairs), np.sqrt(gamma) * np.eye(d)])
+    targets = scipy.linalg.block_diag(*(Y for _, Y in pairs))
+    targets = np.vstack([targets, np.zeros((d, targets.shape[1]))])
+    U, s, Vt = np.linalg.svd(stacked, full_matrices=False)
+    return Vt.T @ ((U.T @ targets) / s[:, None]), (s[0] / s[-1]) ** 2
+
+
+STREAM40_CFG = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "stream40.cfg"
+
+
+@pytest.fixture(scope="module")
+def stream40_sessions():
+    """The (X, Y) of every session of the stream40 benchmark config at seed 3, recorded once."""
+    cfg = {**load_config(STREAM40_CFG), "seed": 3}
+    with pytest.MonkeyPatch.context() as mp:
+        _, pairs = run_recording_batches(mp, build_experiment(cfg))
+    return pairs
+
+
+class TestExactnessAtScale:
+    """The README's bound 8 (kappa(G) + 16) eps against W* at the sizes the workloads run."""
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e2])
+    def test_stream40_sessions_within_bound(self, stream40_sessions, gamma):
+        pairs = stream40_sessions
+        assert len(pairs) == 40
+        assert {X.shape[1] for X, _ in pairs} == {512}
+        assert sum(len(X) for X, _ in pairs) == 2400
+        W_star, kappa = svd_reference(pairs, gamma)
+        assert rel_fro(absorb(pairs, gamma).weights, W_star) <= \
+            8 * (kappa + 16) * np.finfo(float).eps
+
+    # One-class sessions of 12 relu rows lifted from h = 16 to d = 64: a
+    # backward-stable update's error tracks kappa of the final Gram, not S.
+    @pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e2])
+    @pytest.mark.parametrize("sessions", [10, 50, 200])
+    def test_session_count_sweep_within_bound(self, sessions, gamma):
+        batches = relu_stream(sessions, [12] * sessions, h=16, d=64, classes_per_session=1)
+        pairs = [(b.features, b.targets) for b in batches]
+        W_star, kappa = svd_reference(pairs, gamma)
+        assert rel_fro(run_recursion(batches, gamma).weights, W_star) <= \
+            8 * (kappa + 16) * np.finfo(float).eps
 
 
 class TestJointSolve:

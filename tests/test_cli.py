@@ -394,6 +394,21 @@ def test_config_error_line_is_exact(tiny_dataset, tmp_path, capsys, pair, with_d
     assert capsys.readouterr().err == f"config error: {CONFIG_ERROR_LINES[pair]}\n"
 
 
+SYNTHETIC_CFG = Path(__file__).resolve().parent.parent / "configs" / "synthetic.cfg"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ["--set", "expander.dim=notanint"]),
+    ("sweep", ["--axis", "feg_dim", "--values", "32,notanint"]),
+], ids=["run", "sweep"])
+def test_non_integer_for_int_key_line_is_exact(tmp_path, capsys, command, extra):
+    code = main([command, "--config", str(SYNTHETIC_CFG), "--out", str(tmp_path / "o"), *extra])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: key 'expander.dim' expects an int, got 'notanint'\n"
+    assert not (tmp_path / "o").exists()
+
+
 class TestSweep:
     def test_single_value_sweep_matches_run(self, run_config_file, tmp_path):
         run_out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -231,6 +232,22 @@ class TestRoundTrip:
         assert (back.num_nodes, back.num_classes) == (g.num_nodes, g.num_classes)
         for name in ("edges", "labels", "train_mask", "val_mask", "test_mask"):
             np.testing.assert_array_equal(getattr(back, name), getattr(g, name), err_msg=name)
+
+
+GOLDEN_DATASET = Path(__file__).parent / "golden" / "dataset"
+
+
+def test_save_dataset_matches_golden_files(tmp_path):
+    """The five files ``save_dataset`` writes, byte for byte, with all four split tags."""
+    g = generate_synthetic(3, 5, 2, 0.5, seed=1)
+    unlabelled = np.arange(g.num_nodes) == int(np.flatnonzero(g.train_mask)[0])
+    g = dataclasses.replace(g, train_mask=g.train_mask & ~unlabelled)  # one "none" row
+    save_dataset(g, tmp_path)
+    names = ("edges.csv", "features.csv", "labels.csv", "split.csv", "meta.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        golden = (GOLDEN_DATASET / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == golden, f"{name} deviates from the golden copy"
 
 
 @pytest.mark.skipif(

@@ -112,6 +112,13 @@ class TestSvg:
         assert svg.count("<circle") == 3
         assert "polyline" in svg
 
+    def test_curve_svg_matches_golden_file(self):
+        svg = curve_svg(["0.0001", "1.0", "100.0"],
+                        {"AP": [0.6125, 0.8375, 0.55], "AF": [0.0375, -0.0125, 0.2]},
+                        "sweep over gamma")
+        golden = (GOLDEN_DIR.parent / "sweep" / "sweep.svg").read_text(encoding="utf-8")
+        assert svg == golden, "sweep.svg deviates from the reviewed golden copy"
+
 
 class TestEmission:
     def test_report_json_fields(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Every fenced ``python`` block of README.md runs as written, and every ``acgl`` command parses."""
+"""Every fenced ``python`` block of README.md runs as written, every ``ini`` block is a
+config, and every ``acgl`` command parses with config keys and values that exist."""
 
 import re
 import shlex
@@ -6,14 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from acgl.cli import build_parser
+from acgl.cli import SWEEP_AXES, build_parser
+from acgl.config import apply_overrides, default_config, parse_config_text, parse_value
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
+INI_FENCE = re.compile(r"^```ini\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 BASH_FENCE = re.compile(r"^```bash\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 TEXT = README.read_text(encoding="utf-8")
 # (first line of the block's code, the code) for each block.
 BLOCKS = [(TEXT.count("\n", 0, m.start(1)) + 1, m.group(1)) for m in FENCE.finditer(TEXT)]
+INI_BLOCKS = [m.group(1) for m in INI_FENCE.finditer(TEXT)]
 # Each `acgl ...` line of the bash blocks, with its `\` continuation lines joined.
 COMMANDS = [line for m in BASH_FENCE.finditer(TEXT)
             for line in m.group(1).replace("\\\n", " ").splitlines() if line.startswith("acgl ")]
@@ -36,3 +40,19 @@ def test_readme_has_acgl_commands():
 def test_acgl_command_parses(command):
     # Parsed, not run: a flag the CLI no longer has fails here with argparse's usage error.
     build_parser().parse_args(shlex.split(command)[1:])
+
+
+def test_ini_blocks_parse_as_configs():
+    assert INI_BLOCKS
+    for block in INI_BLOCKS:
+        parse_config_text(block, source=str(README))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[f"command{i}" for i in range(len(COMMANDS))])
+def test_acgl_command_config_values_parse(command):
+    # A removed key in a --set, or a sweep value its key rejects, fails here.
+    args = build_parser().parse_args(shlex.split(command)[1:])
+    apply_overrides(default_config(), getattr(args, "overrides", []))
+    if args.command == "sweep":
+        for value in args.values.split(","):
+            parse_value(SWEEP_AXES[args.axis], value)
