@@ -6,10 +6,13 @@ only R, the upper-triangular Cholesky factor of the regularized Gram
 
     R^T R = G = sum_i X_i^T X_i + gamma * I
 
-and absorbs each session into it with one QR step of [R; X] (LAPACK
-tpqrt), whatever the session's row count: the square-root form of
-recursive least squares. The weight update corrects existing class columns
-and appends one column per new class,
+and absorbs each session into it by one of two exact paths, chosen from
+the session's row count n against d. A session of fewer than d rows is
+one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
+least squares. A session of at least d rows forms the upper triangle of
+R^T R + X^T X (two BLAS syrk calls) and factors it again (LAPACK potrf),
+which is the faster path once n reaches d. The weight update corrects
+existing class columns and appends one column per new class,
 
     W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
@@ -28,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 __all__ = [
@@ -203,19 +207,55 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
 def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     """Absorb a session into the Gram's triangular factor.
 
-    Returns the upper-triangular R of the QR factorization of [R_prev; Xn],
-    so that R^T R = R_prev^T R_prev + Xn^T Xn, by one LAPACK tpqrt call
-    for any row count (none included). Its diagonal may carry either sign.
+    Returns a fresh upper-triangular R in Fortran order with
+    R^T R = R_prev^T R_prev + Xn^T Xn; neither input is written. The path
+    follows the session's row count n against d:
+
+    - n < d: the triangle of the QR factorization of [R_prev; Xn], one
+      LAPACK tpqrt call at about 2nd^2 flops. Its diagonal may carry
+      either sign.
+    - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn by two BLAS
+      syrk calls, then its Cholesky factor by potrf, at about
+      nd^2 + 4d^3/3 flops. Its diagonal is positive.
+
+    Raises ValueError unless R_prev is a nonempty square (d, d) matrix and
+    Xn a 2-D array of d columns. On the Gram path it also raises when the
+    summed Gram is not positive definite in float64, which happens when the
+    session's entries are so large that gamma, the only term keeping the
+    Gram away from singular, is lost to rounding. The QR path does not
+    notice that case and returns a factor whose diagonal entry in the lost
+    direction is rounding noise, not sqrt(gamma).
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
+    if R_prev.ndim != 2 or R_prev.shape[0] != R_prev.shape[1] or R_prev.size == 0:
+        raise ValueError(f"R_prev must be a nonempty square (d, d) matrix, got shape "
+                         f"{R_prev.shape}")
     d = R_prev.shape[0]
+    if Xn.ndim != 2:
+        raise ValueError(f"Xn must be 2-D with d = {d} columns: Xn shape {Xn.shape}")
     if Xn.shape[1] != d:
-        raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}")
-    R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
-    if info != 0:
-        raise ValueError(f"LAPACK tpqrt info {info}")
-    return R_new
+        raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}: Xn shape {Xn.shape}, "
+                         f"R_prev shape {R_prev.shape}")
+    n = Xn.shape[0]
+    if n < d:
+        R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
+        if info != 0:
+            raise ValueError(f"LAPACK tpqrt info {info}")
+        return R_new
+    # Xn.T of a C-ordered Xn is a Fortran view, so syrk reads the batch uncopied.
+    gram = scipy.linalg.blas.dsyrk(1.0, R_prev, trans=1, lower=0)
+    gram = scipy.linalg.blas.dsyrk(1.0, Xn.T, trans=0, beta=1.0, c=gram, lower=0,
+                                   overwrite_c=1)
+    largest = gram.diagonal().max()
+    try:
+        return _upper_factor(gram)
+    except ValueError:
+        raise ValueError(
+            f"analytic.update_R: the Gram R_prev^T R_prev + Xn^T Xn after a session of "
+            f"n={n} rows at d={d} is not positive definite in float64: gamma is lost to "
+            f"rounding against diagonal entries up to {largest:.3g}"
+        ) from None
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,8 +190,8 @@ class TestUpdateR:
         state = AnalyticState(weights=np.zeros((16, 0)), R=out, seen_classes=())
         assert rel_fro(state.inv_gram, np.linalg.inv(gram_prev + Xn.T @ Xn)) < 1e-9
 
-    # One tpqrt call serves sessions with fewer, as many and more rows than d.
-    # The Woodbury form and the direct inverse are two oracles for its G^{-1}.
+    # n = 3 < d = 16 takes the tpqrt path; n = 16 and n = 40 take the Gram
+    # path. The Woodbury form and the direct inverse are two oracles for G^{-1}.
     @pytest.mark.parametrize("n", [3, 16, 40])
     def test_woodbury_and_direct_paths_agree(self, n):
         rng = np.random.default_rng(n)
@@ -208,14 +209,46 @@ class TestUpdateR:
         assert rel_fro(inv_gram, direct) < 1e-9
 
     def test_output_upper_triangular(self):
-        # d = 300 spans several of tpqrt's 32-column blocks.
+        # d = 300 spans several of tpqrt's 32-column blocks; n < d takes the
+        # tpqrt path and n >= d the Gram path. Both keep the whole contract.
         rng = np.random.default_rng(6)
         d = 300
         A = rng.normal(size=(d, d))
-        R_prev = upper_factor(A @ A.T + np.eye(d))
-        for n in (4, d):
-            out = update_R(R_prev, rng.normal(size=(n, d)))
-            assert not np.tril(out, -1).any()
+        gram_prev = A @ A.T + np.eye(d)
+        R_prev = upper_factor(gram_prev)
+        for n in (0, 1, d - 1, d, d + 1, 2 * d):
+            Xn = rng.normal(size=(n, d))
+            before = R_prev.tobytes(), Xn.tobytes()
+            out = update_R(R_prev, Xn)
+            assert rel_fro(out.T @ out, gram_prev + Xn.T @ Xn) < 1e-12, n
+            assert not np.tril(out, -1).any(), n
+            assert out.flags.f_contiguous, n
+            assert np.diagonal(out).all(), n
+            assert (R_prev.tobytes(), Xn.tobytes()) == before, n
+
+    # (0, 0) has no d >= 1 for tpqrt's block size, and BLAS syrk rejects it.
+    @pytest.mark.parametrize("shape, n", [((2, 3), 1), ((2, 3), 3), ((0, 0), 0)],
+                             ids=["2x3_qr_side", "2x3_gram_side", "0x0"])
+    def test_non_square_factor_rejected(self, shape, n):
+        with pytest.raises(ValueError, match=re.escape(f"(d, d) matrix, got shape {shape}")):
+            update_R(np.ones(shape), np.ones((n, shape[1])))
+
+    @pytest.mark.parametrize("Xn", [np.ones(4), np.ones((2, 5)), np.ones((6, 5))],
+                             ids=["1-D", "narrow_qr_side", "narrow_gram_side"])
+    def test_batch_must_be_2d_with_d_columns(self, Xn):
+        with pytest.raises(ValueError, match=re.escape(f"Xn shape {Xn.shape}")):
+            update_R(np.eye(4), Xn)
+
+    def test_gram_path_names_lost_gamma(self):
+        # gamma = 1e-300 against rows of scale 1e10 whose columns 0 and 1 are
+        # equal: the summed Gram is singular in float64. tpqrt returns a
+        # diagonal entry of -8.1e-7 on these rows where sqrt(gamma) is 1e-150.
+        rng = np.random.default_rng(0)
+        Xn = 1e10 * rng.normal(size=(6, 4))
+        Xn[:, 1] = Xn[:, 0]
+        with pytest.raises(ValueError, match=r"^analytic\.update_R: .* n=6 rows at d=4 "
+                                             r".* gamma is lost to rounding"):
+            update_R(1e-150 * np.eye(4), Xn)
 
     def test_singular_input_rejected(self):
         # A zero column in both the factor and the session leaves a zero on
@@ -406,12 +439,16 @@ class TestExactnessAtScale:
         assert rel_fro(absorb(pairs, gamma).weights, W_star) <= \
             8 * (kappa + 16) * np.finfo(float).eps
 
-    # One-class sessions of 12 relu rows lifted from h = 16 to d = 64: a
+    # One-class sessions of relu rows lifted from h = 16 to d = 64: a
     # backward-stable update's error tracks kappa of the final Gram, not S.
+    # Sessions of 12 rows take update_R's tpqrt path, sessions of 80 its Gram path.
     @pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e2])
-    @pytest.mark.parametrize("sessions", [10, 50, 200])
-    def test_session_count_sweep_within_bound(self, sessions, gamma):
-        batches = relu_stream(sessions, [12] * sessions, h=16, d=64, classes_per_session=1)
+    @pytest.mark.parametrize("sessions, rows", [
+        *(pytest.param(s, 12, id=f"{s}") for s in (10, 50, 200)),
+        *(pytest.param(s, 80, id=f"{s}-rows80") for s in (10, 50, 200)),
+    ])
+    def test_session_count_sweep_within_bound(self, sessions, rows, gamma):
+        batches = relu_stream(sessions, [rows] * sessions, h=16, d=64, classes_per_session=1)
         pairs = [(b.features, b.targets) for b in batches]
         W_star, kappa = svd_reference(pairs, gamma)
         assert rel_fro(run_recursion(batches, gamma).weights, W_star) <= \

@@ -269,16 +269,18 @@ class TestRun:
         assert capsys.readouterr().err.strip() == f"error: out of memory: {message}"
 
 
+# At 60 nodes per class a session has 36 train rows, at least d = 32, so
+# update_R takes its Gram path; at 30 it takes the tpqrt path.
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_runs_reproduce_at_any_seed(seed):
+@given(seed=st.integers(0, 2**31 - 1), nodes=st.sampled_from([30, 60]))
+def test_runs_reproduce_at_any_seed(seed, nodes):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(RUN_CONFIG + "backbone.epochs = 5\n")
         outs = [Path(tmp) / name for name in ("a", "b")]
         for out in outs:
-            assert main(["run", "--config", str(cfg), "--out", str(out),
-                         "--set", f"seed={seed}"]) == EXIT_OK
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--set", f"seed={seed}",
+                         "--set", f"synthetic.nodes_per_class={nodes}"]) == EXIT_OK
         a, b = outs
         for name in ("matrix.csv", "heatmap.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name

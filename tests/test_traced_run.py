@@ -29,9 +29,10 @@ def load_tracing(monkeypatch):
     return module
 
 
-# The config's sessions have fewer train rows than d = 64; 120 nodes per
-# class give 72 train rows per session, more than d. update_R takes one path
-# for both; the ids are the labels perfbench still gives the two cases.
+# The config's sessions have fewer train rows than d = 64 and take
+# update_R's tpqrt path; 120 nodes per class give 72 train rows per session,
+# more than d, which take its Gram path. The ids are the labels perfbench
+# gives the two cases, split at the same n vs d.
 # One-class base and sessions are the shape of perfbench's stream40.
 @pytest.mark.parametrize("overrides", [
     pytest.param([], id="woodbury"),
