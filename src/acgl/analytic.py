@@ -327,11 +327,12 @@ def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     maximal column, so a tie (an all-zero row, or +0.0 against -0.0) goes to
     the smallest tied class id, whatever order the classes were learned in.
     Non-finite scores (from NaN or inf features or weights) raise
-    ValueError rather than yielding an id outside ``seen_classes``.
+    ValueError rather than yielding an id outside ``seen_classes``, and so
+    does an ``X`` of any shape but (n, d).
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != state.feature_dim:
-        raise ValueError(f"feature dim {X.shape[1]} != state dim {state.feature_dim}")
+    if X.ndim != 2 or X.shape[1] != state.feature_dim:
+        raise ValueError(f"X must be (n, d) with d = {state.feature_dim}: X shape {X.shape}")
     scores = X @ state.weights
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classifier scores; features or weights contain NaN or inf")

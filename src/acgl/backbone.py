@@ -208,7 +208,6 @@ class BackboneConfig:
     lr: float = 0.001
     dropout: float = 0.5
     weight_decay: float = 5e-4
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self, [
@@ -220,12 +219,13 @@ class BackboneConfig:
         ])
 
 
-def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> BackboneParams:
+def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig,
+               seed: int) -> BackboneParams:
     """Train the backbone on the base session's induced subgraph.
 
     Runs ``config.epochs`` full-batch Adam steps on the train-mask nodes of
     the base subgraph; no early stopping. The label head indexes classes by
-    their position in the base group. Deterministic given ``config.seed``.
+    their position in the base group. Init and dropout draw from ``seed``.
     """
     base = session_subgraph(graph, plan.base_classes)
     if not base.train_mask.any():
@@ -236,7 +236,7 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig) -> Backb
     adj = normalize_adjacency(base)
     X = base.features
     adj_X = adj @ X                 # constant across epochs
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     params = init_backbone(X.shape[1], config.hidden, len(plan.base_classes), rng)
     state = AdamState.init(params, lr=config.lr, weight_decay=config.weight_decay)
 

@@ -70,12 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synth", help="generate a synthetic dataset directory")
     p_gen.add_argument("--out", required=True, help="dataset directory to write")
-    for key, field in cfgmod.SCHEMA.items():  # one flag per synthetic.* key: --classes, ...
-        if key.startswith("synthetic."):
+    for key, field in cfgmod.SCHEMA.items():  # one flag per synthetic.* key and --seed
+        if key.startswith("synthetic.") or key == "seed":
             p_gen.add_argument("--" + key.removeprefix("synthetic.").replace("_", "-"),
                                type=int if field.kind == "int" else float,
                                default=field.default, help=field.help)
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
 
     p_val = sub.add_parser("validate-dataset", help="check a dataset directory")
     p_val.add_argument("--path", required=True, help="dataset directory to validate")
@@ -88,23 +87,23 @@ def _load_effective_config(args) -> dict:
     return cfgmod.apply_overrides(cfg, args.overrides)
 
 
-def _run_and_report(cfg: dict, experiment, out) -> tuple[RunReport, float]:
-    """Run ``experiment`` and write its report into ``out``; return the report and total_s."""
+def _run_and_report(cfg: dict, experiment, out) -> RunReport:
+    """Run ``experiment``, write its report into ``out`` and return the report."""
     result = run_experiment(experiment)
-    report = RunReport.from_matrix(result.matrix, result.timings, cfgmod.config_echo(cfg))
+    report = RunReport(result.matrix, result.timings, cfgmod.config_echo(cfg))
     emit_report(report, out)
-    return report, result.timings["total_s"]
+    return report
 
 
-def _summary(report: RunReport, total_s: float) -> str:
+def _summary(report: RunReport) -> str:
     af = "n/a" if report.af is None else f"{report.af:.4f}"
-    return f"AP={report.ap:.4f} AF={af} total={total_s:.2f}s"
+    return f"AP={report.ap:.4f} AF={af} total={report.times['total_s']:.2f}s"
 
 
 def _cmd_run(args) -> int:
     cfg = _load_effective_config(args)
-    report, total_s = _run_and_report(cfg, cfgmod.build_experiment(cfg), args.out)
-    print(f"{_summary(report, total_s)} out={args.out}")
+    report = _run_and_report(cfg, cfgmod.build_experiment(cfg), args.out)
+    print(f"{_summary(report)} out={args.out}")
     return EXIT_OK
 
 
@@ -123,21 +122,20 @@ def _cmd_sweep(args) -> int:
     experiments = [cfgmod.build_experiment(point_cfg) for point_cfg in point_cfgs]
 
     out = Path(args.out)
-    rows = []
+    reports = []
     for value, point_cfg, experiment in zip(values, point_cfgs, experiments):
-        report, total_s = _run_and_report(point_cfg, experiment, out / f"point_{value}")
-        rows.append((value, report.ap, report.af, total_s))
-        print(f"{args.axis}={value} {_summary(report, total_s)}")
+        reports.append(_run_and_report(point_cfg, experiment, out / f"point_{value}"))
+        print(f"{args.axis}={value} {_summary(reports[-1])}")
 
     out.mkdir(parents=True, exist_ok=True)
     with (out / "sweep.csv").open("w", encoding="utf-8") as f:
         f.write(f"{args.axis},ap,af,time_s\n")
-        for value, ap, af, t in rows:
-            af_cell = "" if af is None else repr(af)
-            f.write(f"{value},{repr(ap)},{af_cell},{repr(t)}\n")
-    series = {"AP": [r[1] for r in rows]}
-    if all(r[2] is not None for r in rows):
-        series["AF"] = [r[2] for r in rows]
+        for value, r in zip(values, reports):
+            af_cell = "" if r.af is None else repr(r.af)
+            f.write(f"{value},{repr(r.ap)},{af_cell},{repr(r.times['total_s'])}\n")
+    series = {"AP": [r.ap for r in reports]}
+    if all(r.af is not None for r in reports):
+        series["AF"] = [r.af for r in reports]
     svg = curve_svg([str(v) for v in values], series, title=f"sweep over {args.axis}")
     (out / "sweep.svg").write_text(svg, encoding="utf-8")
     return EXIT_OK

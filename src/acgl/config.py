@@ -12,10 +12,9 @@ Each section's defaults and single-key ranges live on its dataclass
 field that fails to its key. ``_validate`` holds only the checks that span keys
 or exist only in the flat config.
 
-All randomness flows from the one global ``seed``: the synthetic graph
-draws from ``seed``, the backbone (weight init and dropout) from
-``seed + 1`` and the frozen expansion weight from ``seed + 2``, so a single
-seed pins the whole run.
+All randomness flows from the one global ``seed``, ``ExperimentConfig.seed``:
+:func:`acgl.harness.run_experiment` draws the synthetic graph from ``seed``,
+the backbone from ``seed + 1`` and the expansion weight from ``seed + 2``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ SCHEMA: dict[str, Field] = {
                                    "L2 decay folded into gradients"),
     "expander.dim": Field("int", ExpanderConfig.dim, "feature expansion output dimension"),
     "gamma": Field("float", ExperimentConfig.gamma, "ridge regularization strength"),
-    "seed": Field("int", 42, "global seed; the backbone uses seed + 1, the expander seed + 2"),
+    "seed": Field("int", ExperimentConfig.seed,
+                  "global seed: graph from seed, backbone seed + 1, expander seed + 2"),
 }
 
 
@@ -140,7 +140,6 @@ def _validate(cfg: dict) -> None:
         ("plan.base_classes", cfg["plan.base_classes"] >= 0, "must be >= 0"),
         ("expander.dim", cfg["expander.dim"] > cfg["backbone.hidden"],
          "must exceed backbone.hidden"),
-        ("seed", cfg["seed"] >= 0, "must be >= 0"),
     ]
     if cfg["dataset.path"] is None:  # a dataset's class count is known only after load
         classes = cfg["synthetic.classes"]
@@ -157,20 +156,18 @@ def _validate(cfg: dict) -> None:
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
     """Turn a flat config into the harness config, naming the first key out of range."""
-    seed = cfg["seed"]
     synthetic = _section(cfg, "synthetic.", SyntheticSpec)
-    backbone = _section(cfg, "backbone.", BackboneConfig, seed=seed + 1)
-    expander = _section(cfg, "expander.", ExpanderConfig, seed=seed + 2)
+    backbone = _section(cfg, "backbone.", BackboneConfig)
+    expander = _section(cfg, "expander.", ExpanderConfig)
     _validate(cfg)  # after the sections: synthetic.classes = 1 is its own error, not a plan's
     return _section(
-        {"gamma": cfg["gamma"]}, "", ExperimentConfig,
+        {"gamma": cfg["gamma"], "seed": cfg["seed"]}, "", ExperimentConfig,
         dataset_path=cfg["dataset.path"],
         synthetic=synthetic if cfg["dataset.path"] is None else None,
         c0=cfg["plan.base_classes"] or None,
         k=cfg["plan.increment"],
         backbone=backbone,
         expander=expander,
-        data_seed=seed,
     )
 
 

@@ -154,7 +154,6 @@ def load_dataset(path) -> Graph:
             masks[tag][i - 1] = True
 
     return Graph(
-        num_nodes=n,
         edges=edges,
         features=features,
         labels=labels,

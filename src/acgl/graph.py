@@ -63,12 +63,11 @@ def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
 class Graph:
     """Immutable attributed graph with train/val/test node masks.
 
-    Invariants (checked at construction): canonical edge list, finite
-    features, labels in [0, num_classes), masks boolean, same length, and
-    pairwise disjoint.
+    The node count N is the feature row count. Invariants (checked at
+    construction): N >= 1, canonical edge list, finite features, labels in
+    [0, num_classes), masks boolean, length N, and pairwise disjoint.
     """
 
-    num_nodes: int
     edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique
     features: np.ndarray     # (N, d) float64
     labels: np.ndarray       # (N,) int64
@@ -78,9 +77,10 @@ class Graph:
     num_classes: int
 
     def __post_init__(self):
-        n = self.num_nodes
-        if n <= 0:
-            raise ValueError("graph must have at least one node")
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[0] == 0:
+            raise ValueError(f"features must be (N, d) with N >= 1 nodes, got {features.shape}")
+        n = features.shape[0]
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
@@ -92,10 +92,7 @@ class Graph:
             dv = np.diff(edges[:, 1])
             if np.any((du < 0) | ((du == 0) & (dv <= 0))):
                 raise ValueError("edges must be sorted and free of duplicates")
-        features = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if features.ndim != 2 or features.shape[0] != n:
-            raise ValueError(f"features must be (N, d) with N={n}")
         if not np.isfinite(features).all():
             raise ValueError("features contain non-finite values (NaN or inf)")
         if labels.shape != (n,):
@@ -119,6 +116,10 @@ class Graph:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.features.shape[0]
 
     @property
     def num_edges(self) -> int:
@@ -239,7 +240,6 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
     inside = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
 
     return Graph(
-        num_nodes=int(keep.size),
         edges=remap[e[inside]],
         features=graph.features[keep],
         labels=graph.labels[keep],

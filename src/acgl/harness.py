@@ -44,16 +44,16 @@ from .synthetic import SyntheticSpec, generate_synthetic
 @dataclass(frozen=True)
 class ExpanderConfig:
     dim: int = 2048
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs.
 
-    All randomness flows from ``data_seed``, ``backbone.seed`` and
-    ``expander.seed``. Classes run in ascending id order: the base session
-    takes the first ``c0`` ids, each later session the next ``k``.
+    All randomness flows from ``seed``, by offsets :func:`run_experiment`
+    applies. Exactly one of ``dataset_path`` and ``synthetic`` is set.
+    Classes run in ascending id order: the base session takes the first
+    ``c0`` ids, each later session the next ``k``.
     """
 
     dataset_path: str | None = None
@@ -63,12 +63,13 @@ class ExperimentConfig:
     gamma: float = 1.0
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     expander: ExpanderConfig = field(default_factory=ExpanderConfig)
-    data_seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
-        check_fields(self, [("gamma", self.gamma > 0, "must be positive")])
-        if self.dataset_path is None and self.synthetic is None:
-            raise ValueError("either a dataset path or a synthetic spec is required")
+        check_fields(self, [("gamma", self.gamma > 0, "must be positive"),
+                            ("seed", self.seed >= 0, "must be >= 0")])
+        if (self.dataset_path is None) == (self.synthetic is None):
+            raise ValueError("exactly one of dataset_path and synthetic must be set")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def resolve_graph(config: ExperimentConfig) -> Graph:
     s = config.synthetic
     return generate_synthetic(
         s.classes, s.nodes_per_class, s.features, s.homophily,
-        seed=config.data_seed, class_sep=s.class_sep,
+        seed=config.seed, class_sep=s.class_sep,
     )
 
 
@@ -185,8 +186,9 @@ def _absorb(state: AnalyticState | None, graph: Graph, class_ids, session: int, 
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Execute the full protocol; returns M, per-stage timings, final state.
 
-    Deterministic given the config's seeds: two identical invocations
-    produce identical matrices and weights.
+    Deterministic given ``config.seed``: the graph draws from it, the
+    backbone from ``seed + 1`` and the expander from ``seed + 2``, so two
+    identical invocations produce identical matrices and weights.
     """
     t0 = time.perf_counter()
     graph = resolve_graph(config)
@@ -196,11 +198,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     plan = build_session_plan(graph, c0, config.k)
 
     t0 = time.perf_counter()
-    backbone = train_base(graph, plan, config.backbone)
+    backbone = train_base(graph, plan, config.backbone, config.seed + 1)
     t_base = time.perf_counter() - t0
 
-    expander = init_expander(config.backbone.hidden, config.expander.dim,
-                             seed=config.expander.seed)
+    expander = init_expander(config.backbone.hidden, config.expander.dim, seed=config.seed + 2)
 
     state = None
     test_rows = []                   # (features, labels) of each seen task

@@ -51,21 +51,17 @@ def average_forgetting(matrix: PerformanceMatrix):
 
 @dataclass(frozen=True)
 class RunReport:
-    ap: float
-    af: float | None
+    matrix: PerformanceMatrix
     times: dict
     config: dict
-    matrix: PerformanceMatrix
 
-    @classmethod
-    def from_matrix(cls, matrix: PerformanceMatrix, times: dict, config: dict) -> "RunReport":
-        return cls(
-            ap=average_performance(matrix),
-            af=average_forgetting(matrix),
-            times=times,
-            config=config,
-            matrix=matrix,
-        )
+    @property
+    def ap(self) -> float:
+        return average_performance(self.matrix)
+
+    @property
+    def af(self) -> float | None:
+        return average_forgetting(self.matrix)
 
 
 def matrix_to_csv(matrix: PerformanceMatrix) -> str:

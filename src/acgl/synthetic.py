@@ -102,7 +102,6 @@ def generate_synthetic(
         test[members[te]] = True
 
     return Graph(
-        num_nodes=n,
         edges=edges,
         features=features,
         labels=labels,

@@ -19,7 +19,6 @@ def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0,
         val = np.zeros(num_nodes, dtype=bool)
         test = np.zeros(num_nodes, dtype=bool)
     return Graph(
-        num_nodes=num_nodes,
         edges=canonical_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_nodes),
         features=features,
         labels=labels,
@@ -84,10 +83,9 @@ FIXTURE_EXPERIMENT = ExperimentConfig(
     c0=2,
     k=1,
     gamma=1.0,
-    backbone=BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5,
-                            weight_decay=5e-4, seed=1),
-    expander=ExpanderConfig(dim=64, seed=2),
-    data_seed=1,
+    backbone=BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5, weight_decay=5e-4),
+    expander=ExpanderConfig(dim=64),
+    seed=1,
 )
 
 # Harder variant where regularization and expansion width actually matter;

@@ -303,6 +303,16 @@ class TestUpdateWeights:
         with pytest.raises(ValueError, match="feature dim 5 != R dim 4"):
             update_weights(state, random_batch(rng, 6, 5, (2,)))
 
+    def test_zero_diagonal_factor_rejected(self):
+        # R = 0 factors no Gram. Rows e0 and e1 (n = 2 < d = 4, the QR path)
+        # leave the new factor's diagonal at (-1, -1, 0, 0).
+        state = AnalyticState(weights=np.zeros((4, 1)), R=np.zeros((4, 4)), seen_classes=(0,))
+        batch = SessionBatch(features=np.eye(4)[:2], targets=np.ones((2, 1)), class_ids=(1,))
+        np.testing.assert_array_equal(np.diagonal(update_R(state.R, batch.features)),
+                                      [-1.0, -1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero or non-finite diagonal entry"):
+            update_weights(state, batch)
+
     def test_r_exactly_upper_triangular_along_stream(self):
         # Sessions with fewer and with as many rows as d = 300 alternate.
         rng = np.random.default_rng(19)
@@ -531,6 +541,13 @@ class TestPredict:
         state = self.make_state(W, (4, 7, 9))
         with pytest.raises(ValueError, match="non-finite"):
             predict(np.ones((1, 3)), state)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), (2, 4), (0,)])
+    def test_input_not_n_by_d_names_its_shape(self, shape):
+        state = self.make_state(np.eye(3), (4, 7, 9))
+        message = f"X must be (n, d) with d = 3: X shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict(np.ones(shape), state)
 
     @settings(max_examples=300, deadline=None)
     @given(case=tie_prone_cases())

@@ -302,8 +302,8 @@ def fixture_graph():
 class TestTrainBase:
     def test_zero_epochs_returns_seeded_init(self, fixture_graph):
         plan = build_session_plan(fixture_graph, 2, 1)
-        cfg = BackboneConfig(hidden=8, epochs=0, lr=0.01, dropout=0.5, seed=3)
-        params = train_base(fixture_graph, plan, cfg)
+        cfg = BackboneConfig(hidden=8, epochs=0, lr=0.01, dropout=0.5)
+        params = train_base(fixture_graph, plan, cfg, seed=3)
         rng = np.random.default_rng(3)
         expected = init_backbone(16, 8, 2, rng)
         np.testing.assert_array_equal(params.W0, expected.W0)
@@ -311,8 +311,8 @@ class TestTrainBase:
 
     def test_fixture_baseline_train_accuracy(self, fixture_graph):
         plan = build_session_plan(fixture_graph, 2, 1)
-        cfg = BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5, seed=1)
-        params = train_base(fixture_graph, plan, cfg)
+        cfg = BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5)
+        params = train_base(fixture_graph, plan, cfg, seed=1)
         base = session_subgraph(fixture_graph, plan.base_classes)
         adj = normalize_adjacency(base)
         _, logits = gcn_forward(adj, base.features, params)
@@ -329,20 +329,20 @@ class TestTrainBase:
         y = np.array([pos[int(c)] for c in base.labels])
 
         def loss_of(cfg):
-            params = train_base(fixture_graph, plan, cfg)
+            params = train_base(fixture_graph, plan, cfg, seed=1)
             _, logits = gcn_forward(adj, base.features, params)
             loss, _ = masked_softmax_cross_entropy(logits, y, base.train_mask)
             return loss
 
-        initial = loss_of(BackboneConfig(hidden=32, epochs=0, lr=0.01, dropout=0.5, seed=1))
-        final = loss_of(BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5, seed=1))
+        initial = loss_of(BackboneConfig(hidden=32, epochs=0, lr=0.01, dropout=0.5))
+        final = loss_of(BackboneConfig(hidden=32, epochs=50, lr=0.01, dropout=0.5))
         assert final < initial
 
     def test_bit_identical_across_runs(self, fixture_graph):
         plan = build_session_plan(fixture_graph, 2, 1)
-        cfg = BackboneConfig(hidden=16, epochs=10, lr=0.01, dropout=0.5, seed=9)
-        a = train_base(fixture_graph, plan, cfg)
-        b = train_base(fixture_graph, plan, cfg)
+        cfg = BackboneConfig(hidden=16, epochs=10, lr=0.01, dropout=0.5)
+        a = train_base(fixture_graph, plan, cfg, seed=9)
+        b = train_base(fixture_graph, plan, cfg, seed=9)
         np.testing.assert_array_equal(a.W0, b.W0)
         np.testing.assert_array_equal(a.W1, b.W1)
 
@@ -351,4 +351,4 @@ class TestTrainBase:
                        train=[False] * 4, val=[False] * 4, test=[True] * 4)
         plan = build_session_plan(g, 1, 1)
         with pytest.raises(ValueError, match="empty train split"):
-            train_base(g, plan, BackboneConfig(hidden=4, epochs=1, seed=0))
+            train_base(g, plan, BackboneConfig(hidden=4, epochs=1), seed=0)

@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
 from acgl.datasets import DatasetFormatError, load_dataset, save_dataset
+from acgl.harness import ExpanderConfig, ExperimentConfig, run_experiment
+from acgl.metrics import matrix_to_csv
 from acgl.synthetic import SyntheticSpec, generate_synthetic, intra_class_fraction
 
 from conftest import SWEEP_FIXTURE_LINES
@@ -118,6 +121,22 @@ class TestRun:
         assert code == EXIT_OK
         golden = (GOLDEN_DIR / "matrix.csv").read_bytes()
         assert (out / "matrix.csv").read_bytes() == golden
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_library_seed_reproduces_cli_seed(self, run_config_file, tmp_path, seed):
+        # RUN_CONFIG written out as the library config, with the one seed.
+        result = run_experiment(ExperimentConfig(
+            synthetic=SyntheticSpec(classes=4, nodes_per_class=30, features=12, homophily=0.7,
+                                    class_sep=0.6),
+            c0=2, k=1, gamma=1.0,
+            backbone=BackboneConfig(hidden=16, epochs=20, lr=0.01),
+            expander=ExpanderConfig(dim=32),
+            seed=seed,
+        ))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run_config_file), "--out", str(out),
+                     "--set", f"seed={seed}"]) == EXIT_OK
+        assert (out / "matrix.csv").read_bytes() == matrix_to_csv(result.matrix).encode()
 
     def test_two_runs_byte_identical_matrix(self, run_config_file, tmp_path):
         for name in ("a", "b"):
@@ -518,6 +537,21 @@ class TestGenSynth:
         assert flags == dataclasses.asdict(SyntheticSpec())
         params = inspect.signature(generate_synthetic).parameters
         assert params["class_sep"].default == SyntheticSpec.class_sep
+        assert args.seed == SCHEMA["seed"].default
+
+    def test_default_seed_writes_the_graph_run_draws(self, tmp_path):
+        # gen-synth without --seed writes the graph that run draws in memory
+        # at its own default seed.
+        keys = ["--set", "backbone.hidden=8", "--set", "backbone.epochs=5",
+                "--set", "expander.dim=16"]
+        assert main(["gen-synth", "--out", str(tmp_path / "ds"),
+                     "--homophily", "0.5", "--class-sep", "0.3"]) == EXIT_OK
+        assert main(["run", "--out", str(tmp_path / "disk"),
+                     "--set", f"dataset.path={tmp_path / 'ds'}", *keys]) == EXIT_OK
+        assert main(["run", "--out", str(tmp_path / "memory"), "--set", "synthetic.homophily=0.5",
+                     "--set", "synthetic.class_sep=0.3", *keys]) == EXIT_OK
+        assert (tmp_path / "disk" / "matrix.csv").read_bytes() == \
+            (tmp_path / "memory" / "matrix.csv").read_bytes()
 
     def test_invalid_spec_is_runtime_error(self, tmp_path):
         code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "1"])

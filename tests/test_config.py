@@ -1,8 +1,9 @@
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from acgl.backbone import BackboneConfig
 from acgl.config import (
     ConfigError,
     SCHEMA,
@@ -13,7 +14,7 @@ from acgl.config import (
     parse_config_text,
     parse_value,
 )
-from acgl.harness import ExpanderConfig, ExperimentConfig
+from acgl.harness import ExperimentConfig, run_experiment
 from acgl.synthetic import SyntheticSpec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -27,13 +28,7 @@ def test_defaults_cover_schema():
 
 
 def test_defaults_are_the_dataclass_defaults():
-    # Seed 42 and its derived 43/44 are the flat config's own defaults.
-    assert build_experiment(default_config()) == ExperimentConfig(
-        synthetic=SyntheticSpec(),
-        backbone=BackboneConfig(seed=43),
-        expander=ExpanderConfig(seed=44),
-        data_seed=42,
-    )
+    assert build_experiment(default_config()) == ExperimentConfig(synthetic=SyntheticSpec())
 
 
 def test_parse_dotted_keys_and_comments():
@@ -84,9 +79,22 @@ def test_overrides_apply_in_order():
     assert cfg["seed"] == 9
 
 
-def test_seed_derivation_offsets():
-    exp = build_experiment(apply_overrides(default_config(), ["seed=100"]))
-    assert (exp.data_seed, exp.backbone.seed, exp.expander.seed) == (100, 101, 102)
+def test_seed_derivation_offsets(monkeypatch):
+    # The run draws the graph from seed, the backbone from seed + 1 and the
+    # expander from seed + 2, and no other generator.
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    cfg = apply_overrides(default_config(), [
+        "synthetic.nodes_per_class=10", "backbone.hidden=4", "backbone.epochs=2",
+        "expander.dim=8", "seed=100"])
+    run_experiment(build_experiment(cfg))
+    assert seeds == [100, 101, 102]
 
 
 def test_missing_config_file(tmp_path):
@@ -116,14 +124,8 @@ NON_DEFAULT = {
 
 
 def test_build_experiment_wires_fields():
-    # Every key reaches the experiment: a key that nothing reads fails here.
+    # NON_DEFAULT names every key, so the test below walks them all.
     assert set(NON_DEFAULT) == set(SCHEMA)
-    default = build_experiment(default_config())
-    for key, raw in NON_DEFAULT.items():
-        assert parse_value(key, raw) != SCHEMA[key].default, key
-        changed = build_experiment(apply_overrides(default_config(), [f"{key}={raw}"]))
-        assert changed != default, f"{key} does not reach the experiment config"
-
     cfg = apply_overrides(default_config(), [
         "synthetic.classes=5", "plan.base_classes=3", "plan.increment=2", "gamma=0.5",
         "backbone.hidden=32", "expander.dim=64", "seed=11",
@@ -133,10 +135,37 @@ def test_build_experiment_wires_fields():
     assert exp.k == 2
     assert exp.gamma == 0.5
     assert exp.backbone.hidden == 32
-    assert exp.backbone.seed == 12
     assert exp.expander.dim == 64
-    assert exp.expander.seed == 13
-    assert exp.data_seed == 11
+    assert exp.seed == 11
+
+
+def leaf_fields(obj, prefix=""):
+    """Every field of ``obj`` that is not itself a dataclass, by dotted name."""
+    leaves = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            leaves.update(leaf_fields(value, f"{prefix}{f.name}."))
+        else:
+            leaves[prefix + f.name] = value
+    return leaves
+
+
+@pytest.mark.parametrize("key", NON_DEFAULT)
+def test_each_key_sets_exactly_one_leaf_field(key):
+    # A key that nothing reads changes no field; a key that lands in two fields
+    # stores one fact twice. A set dataset.path drops the synthetic spec, so
+    # that key is moved between two paths.
+    assert parse_value(key, NON_DEFAULT[key]) != SCHEMA[key].default
+    base = default_config()
+    if key == "dataset.path":
+        base = apply_overrides(base, ["dataset.path=data/other"])
+    before = leaf_fields(build_experiment(base))
+    after = leaf_fields(build_experiment(apply_overrides(base, [f"{key}={NON_DEFAULT[key]}"])))
+    assert set(after) == set(before)
+    assert [name for name in before if before[name] != after[name]] == [
+        {"dataset.path": "dataset_path", "plan.base_classes": "c0", "plan.increment": "k"}
+        .get(key, key)]
 
 
 def test_zero_base_classes_means_default_half():

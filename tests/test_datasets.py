@@ -198,7 +198,7 @@ class TestRoundTrip:
     def test_extreme_reals_survive(self, tmp_path):
         feats = np.array([[1.0 / 3.0, 1e-300], [np.pi, -2.5e17]])
         g = Graph(
-            num_nodes=2, edges=np.array([[0, 1]]), features=feats,
+            edges=np.array([[0, 1]]), features=feats,
             labels=np.array([0, 1]), train_mask=np.array([True, False]),
             val_mask=np.array([False, False]), test_mask=np.array([False, True]),
             num_classes=2,
@@ -220,7 +220,7 @@ class TestRoundTrip:
         labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
         split = np.asarray(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
         g = Graph(
-            num_nodes=n, edges=canonical_edges(np.asarray(edges, dtype=np.int64), n),
+            edges=canonical_edges(np.asarray(edges, dtype=np.int64), n),
             features=np.asarray(cells, dtype=np.float64).reshape(n, d),
             labels=np.asarray(labels), train_mask=split == 0, val_mask=split == 1,
             test_mask=split == 2, num_classes=num_classes,

@@ -153,7 +153,7 @@ class TestGraphInvariants:
         features = np.array(g.features)
         features[1, 0] = bad
         with pytest.raises(ValueError, match="features contain non-finite"):
-            Graph(num_nodes=3, edges=g.edges, features=features, labels=g.labels,
+            Graph(edges=g.edges, features=features, labels=g.labels,
                   train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
                   num_classes=2)
 
@@ -164,7 +164,7 @@ class TestGraphInvariants:
     def test_rejects_unsorted_or_duplicate_edges(self, edges):
         g = make_graph(4, [], [0, 1, 1, 0], 2)
         with pytest.raises(ValueError, match="sorted and free of duplicates"):
-            Graph(num_nodes=4, edges=np.array(edges), features=g.features, labels=g.labels,
+            Graph(edges=np.array(edges), features=g.features, labels=g.labels,
                   train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
                   num_classes=2)
 

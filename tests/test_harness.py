@@ -28,9 +28,9 @@ def run_one_class_sessions(g, directory):
     save_dataset(g, directory)
     return run_experiment(ExperimentConfig(
         dataset_path=str(directory), c0=1, k=1, gamma=1.0,
-        backbone=BackboneConfig(hidden=4, epochs=2, dropout=0.0, seed=0),
-        expander=ExpanderConfig(dim=8, seed=0),
-        data_seed=0,
+        backbone=BackboneConfig(hidden=4, epochs=2, dropout=0.0),
+        expander=ExpanderConfig(dim=8),
+        seed=0,
     ))
 
 
@@ -201,11 +201,17 @@ class TestRunExperiment:
 
 class TestEvaluateTask:
     def test_saturated_state_scores_one(self, fixture_result):
+        # The state saturated on task 0: fit at the fixture's gamma on the very
+        # test rows that the run's trained backbone and expander extract. Rows
+        # that the pipeline collapsed together or zeroed out would tie or
+        # cross, and score below one.
         graph = resolve_graph(FIXTURE_EXPERIMENT)
-        task0 = session_subgraph(graph, fixture_result.plan.groups[0])
-        acc = evaluate_task(fixture_result.state, *task_test_features(
-            task0, fixture_result.backbone, fixture_result.expander))
-        assert acc == 1.0
+        group = fixture_result.plan.groups[0]
+        features, labels = task_test_features(
+            session_subgraph(graph, group), fixture_result.backbone, fixture_result.expander)
+        state = align_base(features, one_hot(labels, group), FIXTURE_EXPERIMENT.gamma,
+                           class_ids=group)
+        assert evaluate_task(state, features, labels) == 1.0
 
     def test_random_weights_score_near_chance(self):
         # Monte-Carlo over 10 seeds: mean accuracy of a random classifier
@@ -257,13 +263,19 @@ def test_feature_dim_flows_from_expander():
     cfg = ExperimentConfig(
         synthetic=SyntheticSpec(classes=4, nodes_per_class=20, features=6),
         c0=2, k=2, gamma=1.0,
-        backbone=BackboneConfig(hidden=8, epochs=5, dropout=0.0, seed=0),
-        expander=ExpanderConfig(dim=24, seed=1),
-        data_seed=3,
+        backbone=BackboneConfig(hidden=8, epochs=5, dropout=0.0),
+        expander=ExpanderConfig(dim=24),
+        seed=3,
     )
     res = run_experiment(cfg)
     assert res.state.feature_dim == 24
     assert res.matrix.num_sessions == 2
+
+@pytest.mark.parametrize("dataset_path, synthetic", [(None, None), ("data/toy", SyntheticSpec())])
+def test_exactly_one_graph_source_required(dataset_path, synthetic):
+    with pytest.raises(ValueError, match="exactly one of dataset_path and synthetic"):
+        ExperimentConfig(dataset_path=dataset_path, synthetic=synthetic)
+
 
 def test_align_base_state_reproduces_first_row(fixture_run):
     """Refitting the base stage from its recorded batch reproduces M[0][0]."""
@@ -286,9 +298,9 @@ def test_matrix_unchanged_under_tie_oracle(monkeypatch):
         synthetic=SyntheticSpec(classes=12, nodes_per_class=20, features=8, homophily=0.6,
                                 class_sep=0.3),
         c0=1, k=1, gamma=1.0,
-        backbone=BackboneConfig(hidden=4, epochs=5, dropout=0.0, seed=0),
-        expander=ExpanderConfig(dim=8, seed=1),
-        data_seed=2,
+        backbone=BackboneConfig(hidden=4, epochs=5, dropout=0.0),
+        expander=ExpanderConfig(dim=8),
+        seed=2,
     )
     zero_rows = []
 

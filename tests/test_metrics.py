@@ -27,7 +27,7 @@ def four_task_report():
         (0.825, 0.7875, 0.75),
         (0.8, 0.775, 0.7375, 0.7),
     ))
-    return RunReport.from_matrix(
+    return RunReport(
         matrix,
         times={"base_train_s": 1.5, "align_s": 0.25,
                "update_s": [0.1, 0.1, 0.1], "eval_s": [0.05, 0.05, 0.05, 0.05],
@@ -133,7 +133,7 @@ class TestEmission:
 
     def test_af_null_for_single_session(self, tmp_path):
         m = PerformanceMatrix(rows=((0.5,),))
-        report = RunReport.from_matrix(m, times={}, config={})
+        report = RunReport(m, times={}, config={})
         emit_report(report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["af"] is None
