@@ -166,6 +166,31 @@ def _upper_factor(gram: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _singular_gram(stage: str, n: int, d: int, evidence: str) -> ValueError:
+    """The one error for a Gram in which float64 has lost gamma."""
+    return ValueError(f"{stage}: the Gram after a session of n={n} rows at d={d} is "
+                      f"numerically singular in float64 ({evidence}): gamma is lost to rounding")
+
+
+def _check_factor(R: np.ndarray, stage: str, n: int) -> None:
+    """Raise ValueError when the diagonal of the Gram factor R shows gamma lost to rounding.
+
+    With rho = max |r_ii| / min |r_ii| over R's diagonal, kappa_2(R) >= rho
+    for triangular R and kappa(G) = kappa_2(R)^2. So rho^2 eps >= 1 means
+    kappa(G) >= 1/eps, where the README's bound 8 (kappa(G) + 16) eps is
+    above 8 and no digit of W is guaranteed. A zero, infinite or NaN
+    diagonal entry fails as well. rho^2 is only a lower bound on kappa(G),
+    so the rule detects a lost gamma whose diagonal shows it; it does not
+    prevent one. It costs O(d).
+    """
+    diagonal = np.abs(np.diagonal(R))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho2_eps = float((diagonal.max() / diagonal.min()) ** 2 * np.finfo(np.float64).eps)
+    if not rho2_eps < 1.0:  # NaN fails too
+        raise _singular_gram(stage, n, R.shape[0],
+                             f"rho^2 eps = {rho2_eps:.3g} >= 1 with rho = max|r_ii| / min|r_ii|")
+
+
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
                class_ids=None) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
@@ -174,7 +199,8 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     recursion's state, and solves G W = X^T Y against it. ``class_ids``
     defaults to 0..C0-1 when the base classes are not explicitly named.
     Non-finite features raise ValueError, and so does a Gram whose entries
-    are so large that gamma is lost to rounding.
+    are so large that gamma is lost to rounding: potrf fails on it, or the
+    factor's diagonal shows it (:func:`_check_factor`).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -197,6 +223,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
             f"in float64: gamma={gamma:g} is lost to rounding against diagonal entries up "
             f"to {largest:.3g}"
         ) from None
+    _check_factor(R, "analytic.align_base", X0.shape[0])
     return AnalyticState(
         weights=scipy.linalg.cho_solve((R, False), X0.T @ Y0, check_finite=False),
         R=R,
@@ -224,7 +251,8 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     session's entries are so large that gamma, the only term keeping the
     Gram away from singular, is lost to rounding. The QR path does not
     notice that case and returns a factor whose diagonal entry in the lost
-    direction is rounding noise, not sqrt(gamma).
+    direction is rounding noise, not sqrt(gamma); :func:`update_weights`
+    checks the factor of either path.
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
@@ -251,11 +279,8 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     try:
         return _upper_factor(gram)
     except ValueError:
-        raise ValueError(
-            f"analytic.update_R: the Gram R_prev^T R_prev + Xn^T Xn after a session of "
-            f"n={n} rows at d={d} is not positive definite in float64: gamma is lost to "
-            f"rounding against diagonal entries up to {largest:.3g}"
-        ) from None
+        raise _singular_gram("analytic.update_R", n, d, f"potrf: not positive definite, "
+                             f"diagonal entries up to {largest:.3g}") from None
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
@@ -265,17 +290,15 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
     columns G^{-1} X^T Y are appended, both from one solve against R.
     Revisiting an already-seen class is rejected, and so is a new factor
-    with a zero or non-finite diagonal entry (a singular or overflowed Gram).
+    whose diagonal shows gamma lost to rounding (:func:`_check_factor`),
+    on either update path.
     """
     overlap = set(batch.class_ids) & set(state.seen_classes)
     if overlap:
         raise ValueError(f"classes revisited across sessions: {sorted(overlap)}")
     X, Y = batch.features, batch.targets
     R_new = update_R(state.R, X)
-    diagonal = np.diagonal(R_new)
-    if not (np.isfinite(diagonal).all() and diagonal.all()):
-        raise ValueError("matrix numerically singular: Gram factor has a zero or "
-                         "non-finite diagonal entry")
+    _check_factor(R_new, "analytic.update_weights", X.shape[0])
     W = state.weights
     weights = scipy.linalg.cho_solve((R_new, False), X.T @ np.hstack([-(X @ W), Y]),
                                      check_finite=False)

@@ -2,7 +2,7 @@ import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy lo
 import numpy as np
 import pytest
 
-from acgl import harness
+from acgl import backbone, harness
 from acgl.backbone import BackboneConfig
 from acgl.graph import Graph, canonical_edges
 from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
@@ -62,6 +62,14 @@ def run_recording_batches(monkeypatch, config):
     monkeypatch.setattr(harness, "align_base", recording_align)
     monkeypatch.setattr(harness, "update_weights", recording_update)
     return harness.run_experiment(config), batches
+
+
+def count_splits(monkeypatch):
+    """Record each product that hands a half to the backbone's helper thread."""
+    calls = []
+    helper = backbone._helper_thread
+    monkeypatch.setattr(backbone, "_helper_thread", lambda pid: calls.append(pid) or helper(pid))
+    return calls
 
 
 def oracle_predict(X, state):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acgl.analytic import (
     AnalyticState,
     SessionBatch,
+    _check_factor,
     align_base,
     joint_solve,
     one_hot,
@@ -261,6 +262,70 @@ class TestUpdateR:
                 update_weights(state, zero_col)
 
 
+def lost_gamma_probe(n, d=8):
+    """From R = 1e-150 I (gamma = 1e-300), n rows of scale 1e10 whose columns 0 and 1 are equal."""
+    rng = np.random.default_rng(0)
+    Xn = 1e10 * rng.normal(size=(n, d))
+    Xn[:, 1] = Xn[:, 0]
+    state = AnalyticState(weights=np.zeros((d, 1)), R=1e-150 * np.eye(d), seen_classes=(0,))
+    return state, SessionBatch(features=Xn, targets=np.ones((n, 1)), class_ids=(1,))
+
+
+LOST_GAMMA = (r"^analytic\.update_(weights|R): the Gram after a session of n={n} rows at "
+              r"d=8 is numerically singular in float64 \(.*\): gamma is lost to rounding$")
+
+
+class TestLostGamma:
+    # n = 6 < d takes the tpqrt path, which returns a factor (diagonal -2.9e-6
+    # and -5.2e-5 among entries near 1e10) and leaves the check to
+    # update_weights; n = 12 >= d takes the Gram path, where potrf fails.
+    @pytest.mark.parametrize("n", [6, 12], ids=["qr_path", "gram_path"])
+    def test_probe_raises_on_both_paths_with_one_message(self, n):
+        state, batch = lost_gamma_probe(n)
+        with pytest.raises(ValueError, match=LOST_GAMMA.format(n=n)):
+            update_weights(state, batch)
+
+    def test_qr_path_factor_shows_lost_gamma(self):
+        state, batch = lost_gamma_probe(6)
+        with pytest.raises(ValueError, match=re.escape("(rho^2 eps = 9.66e+15 >= 1")):
+            update_weights(state, batch)
+
+    def test_align_base_checks_its_factor(self):
+        # potrf succeeds on this base Gram, but its factor's diagonal shows the loss.
+        rng = np.random.default_rng(8)
+        X = 1e10 * rng.normal(size=(6, 4))
+        X[:, 1] = X[:, 0]
+        with pytest.raises(ValueError, match=r"^analytic\.align_base: the Gram after a session "
+                                             r"of n=6 rows at d=4 .*rho\^2 eps = 1\.72 >= 1"):
+            align_base(X, np.ones((6, 1)), 1e-300)
+
+    @pytest.mark.parametrize("diagonal, shown", [
+        ([1.0, np.nan, 1.0], "nan"),
+        ([np.nan, np.nan], "nan"),
+        ([1.0, 0.0], "inf"),
+        ([0.0, 0.0], "nan"),
+        ([1.0, np.inf], "inf"),
+        ([-1.0, 2.0**-26], "1"),            # rho^2 eps = 2^52 2^-52, the first value that fails
+    ], ids=["nan", "all_nan", "zero", "all_zero", "inf", "at_limit"])
+    def test_rule_rejects(self, diagonal, shown):
+        with pytest.raises(ValueError, match=re.escape(f"at d={len(diagonal)} ") + ".*"
+                           + re.escape(f"(rho^2 eps = {shown} >= 1")):
+            _check_factor(np.diag(diagonal), "stage", 3)
+
+    @pytest.mark.parametrize("diagonal", [[1.0], [-3.0, 3.0], [1.0, 2.0**-25.9], [1e-150, 1e-148]])
+    def test_rule_accepts(self, diagonal):
+        _check_factor(np.diag(diagonal), "stage", 3)
+
+    def test_healthy_relu_state_is_far_inside_the_rule(self):
+        # 2400 relu rows lifted from 64 to d = 512 at gamma = 1e-4 read rho^2 eps = 2.3e-13.
+        rng = np.random.default_rng(3)
+        H = np.maximum(rng.normal(size=(2400, 64)), 0.0)
+        X = np.maximum(H @ rng.normal(size=(64, 512)), 0.0)
+        state = align_base(X, one_hot(rng.integers(2, size=2400), (0, 1)), 1e-4)
+        diagonal = np.abs(np.diagonal(state.R))
+        assert (diagonal.max() / diagonal.min()) ** 2 * np.finfo(np.float64).eps < 1e-10
+
+
 class TestUpdateWeights:
     def test_zero_features_change_nothing_and_append_zeros(self):
         rng = np.random.default_rng(7)
@@ -310,7 +375,8 @@ class TestUpdateWeights:
         batch = SessionBatch(features=np.eye(4)[:2], targets=np.ones((2, 1)), class_ids=(1,))
         np.testing.assert_array_equal(np.diagonal(update_R(state.R, batch.features)),
                                       [-1.0, -1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="zero or non-finite diagonal entry"):
+        with pytest.raises(ValueError, match=r"^analytic\.update_weights: .* n=2 rows at d=4 "
+                                             r".*\(rho\^2 eps = inf >= 1"):
             update_weights(state, batch)
 
     def test_r_exactly_upper_triangular_along_stream(self):

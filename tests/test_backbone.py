@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from acgl import backbone, harness
 from acgl.backbone import (
     AdamState,
     BackboneConfig,
@@ -18,7 +22,7 @@ from acgl.backbone import (
 from acgl.graph import build_session_plan, normalize_adjacency, session_subgraph
 from acgl.synthetic import generate_synthetic
 
-from conftest import make_graph, random_graph
+from conftest import FIXTURE_EXPERIMENT, count_splits, make_graph, random_graph
 
 
 def random_instance(seed, n=6, d=4, h=3, c=3):
@@ -352,3 +356,120 @@ class TestTrainBase:
         plan = build_session_plan(g, 1, 1)
         with pytest.raises(ValueError, match="empty train split"):
             train_base(g, plan, BackboneConfig(hidden=4, epochs=1), seed=0)
+
+
+@st.composite
+def product_shapes(draw):
+    """(rows, inner, cols, transposed, seed) with inner sized so about half the products split."""
+    rows = draw(st.integers(2, 600))
+    cols = draw(st.integers(1, 80))
+    half_madds = draw(st.floats(2e5, 5e6))
+    inner = max(1, min(4000, round(half_madds / (max(rows // 2, 1) * cols))))
+    return rows, inner, cols, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def operands(rows, inner, cols, transposed, seed):
+    """A (rows, inner) and B (inner, cols); a transposed A is a Fortran view, as adj_X.T is."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(inner, rows)).T if transposed else rng.normal(size=(rows, inner))
+    return A, rng.normal(size=(inner, cols))
+
+
+class TestSplitMatmul:
+    # The split threshold is 0 throughout, so every product splits that the
+    # bit-identity rules let split (a 48-row aligned split, halves above
+    # OpenBLAS's small-matrix size).
+    @settings(max_examples=60, deadline=None)
+    @given(shape=product_shapes())
+    @example(shape=(2, 3000, 80, False, 0))          # rows = 2: no aligned split exists
+    @example(shape=(301, 700, 37, False, 1))         # odd rows, split at 144
+    @example(shape=(1433, 1548, 13, True, 2))        # adj_X.T @ d_z0 at Cora's width
+    @example(shape=(777, 4000, 1, True, 3))          # one column: BLAS takes gemv
+    def test_split_product_is_bit_identical(self, shape):
+        A, B = operands(*shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backbone, "_SPLIT_MADDS", 0)
+            out = backbone._split_matmul(A, B)
+        assert out.tobytes() == (A @ B).tobytes()
+
+    def test_examples_take_the_split(self, monkeypatch):
+        monkeypatch.setattr(backbone, "_SPLIT_MADDS", 0)
+        calls = count_splits(monkeypatch)
+        for shape in [(301, 700, 37, False, 1), (1433, 1548, 13, True, 2),
+                      (777, 4000, 1, True, 3), (2, 3000, 80, False, 0)]:
+            backbone._split_matmul(*operands(*shape))
+        assert len(calls) == 3
+
+    def test_small_products_stay_on_the_calling_thread(self, monkeypatch):
+        calls = count_splits(monkeypatch)
+        # 100 x 64 x 128 is the stream40 base product: 0.8M multiply-adds.
+        backbone._split_matmul(*operands(100, 64, 128, False, 0))
+        assert calls == []
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["caller_rows", "helper_rows"])
+    def test_overflow_in_either_half_raises(self, row):
+        A, B = np.ones((400, 128)), np.ones((128, 128))
+        A[row] = 1e308                              # finite, but its row sums overflow
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                backbone._split_matmul(A, B)
+        with np.errstate(over="ignore"):
+            out = backbone._split_matmul(A, B)
+        assert np.isinf(out[row]).all() and np.isfinite(np.delete(out, row % 400, axis=0)).all()
+
+    def test_product_split_at_a_48_row_block(self, monkeypatch):
+        calls = count_splits(monkeypatch)
+        A, B = np.ones((1548, 1433)), np.ones((1433, 256))
+        seen = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, **kw: seen.append(a.shape[0]) or
+                            matmul(a, b, **kw))
+        backbone._split_matmul(A, B)
+        assert len(calls) == 1 and sorted(seen) == [768, 780]
+
+
+def cora_shaped_base():
+    """A 1548 x 1433 base session (four classes of 387 nodes), hidden 256, as cora_csv trains."""
+    graph = generate_synthetic(7, 387, 1433, 0.8, seed=5, class_sep=0.05)
+    return graph, build_session_plan(graph, 4, 1)
+
+
+@pytest.mark.parametrize("threshold", [0, math.inf], ids=["split", "one_call"])
+def test_cora_shaped_training_is_bit_identical_split_or_not(monkeypatch, threshold):
+    graph, plan = cora_shaped_base()
+    cfg = BackboneConfig(hidden=256, epochs=2)
+    reference = train_base(graph, plan, cfg, seed=6)
+    monkeypatch.setattr(backbone, "_SPLIT_MADDS", threshold)
+    calls = count_splits(monkeypatch)
+    params = train_base(graph, plan, cfg, seed=6)
+    assert (params.W0.tobytes(), params.W1.tobytes()) == (reference.W0.tobytes(),
+                                                          reference.W1.tobytes())
+    # Two split products per epoch (X @ W0 and adj_X.T @ d_z0) at the default threshold too.
+    assert len(calls) == (4 if threshold == 0 else 0)
+
+
+# The fixture's products have halves below the small-matrix floor, so none
+# splits; split without that floor, this run's bits did change. The widened
+# fixture's base forward and backward and its session extractions split.
+WIDE_FIXTURE = dataclasses.replace(
+    FIXTURE_EXPERIMENT,
+    synthetic=dataclasses.replace(FIXTURE_EXPERIMENT.synthetic, nodes_per_class=200,
+                                  features=128),
+    backbone=dataclasses.replace(FIXTURE_EXPERIMENT.backbone, hidden=64, epochs=5),
+    expander=dataclasses.replace(FIXTURE_EXPERIMENT.expander, dim=128),
+)
+
+
+@pytest.mark.parametrize("config, splits", [(FIXTURE_EXPERIMENT, False), (WIDE_FIXTURE, True)],
+                         ids=["fixture", "wide_fixture"])
+def test_run_is_bit_identical_split_or_not(monkeypatch, config, splits):
+    def outputs(threshold):
+        monkeypatch.setattr(backbone, "_SPLIT_MADDS", threshold)
+        r = harness.run_experiment(config)
+        return (r.matrix.rows, r.state.weights.tobytes(), r.state.R.tobytes(),
+                r.backbone.W0.tobytes(), r.backbone.W1.tobytes())
+
+    one_call = outputs(math.inf)
+    calls = count_splits(monkeypatch)
+    assert outputs(0) == one_call
+    assert bool(calls) == splits

@@ -272,6 +272,26 @@ class TestRun:
         assert err.startswith(f"error: {stage}")
         assert len(err.splitlines()) == 1
 
+    def test_overflow_in_the_helper_rows_is_one_error_line(self, tmp_path, capsys):
+        # Base session: classes 0 and 1, 400 rows x 128 features x hidden 128,
+        # so X @ W0 splits at row 192. Only its last row, the base's last node,
+        # overflows, and that row is the helper thread's.
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "3",
+                     "--nodes-per-class", "200", "--features", "128"]) == EXIT_OK
+        capsys.readouterr()
+        labels = (ds / "labels.csv").read_text().split()
+        last_base = max(i for i, label in enumerate(labels) if label in ("0", "1"))
+        lines = (ds / "features.csv").read_text().splitlines()
+        lines[last_base] = ",".join(["1e308"] * 128)
+        (ds / "features.csv").write_text("\n".join(lines) + "\n")
+        code = main(["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={ds}",
+                     "--set", "plan.base_classes=2", "--set", "backbone.hidden=128",
+                     "--set", "backbone.epochs=1", "--set", "expander.dim=256"])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "error: backbone._split_matmul: overflow encountered in matmul\n"
+
     def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
                                             monkeypatch):
         import acgl.harness as harness
