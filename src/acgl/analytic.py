@@ -11,8 +11,11 @@ the session's row count n against d. A session of fewer than d rows is
 one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
 R^T R + X^T X (two BLAS syrk calls) and factors it again (LAPACK potrf),
-which is the faster path once n reaches d. The weight update corrects
-existing class columns and appends one column per new class,
+which is the faster path once n reaches d. Each factor is checked where it
+is made: a session in which float64 loses gamma to rounding raises one
+ValueError form, naming ``analytic.align_base`` or ``analytic.update_R``.
+The weight update corrects existing class columns and appends one column
+per new class,
 
     W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
@@ -153,19 +156,6 @@ def one_hot(labels: np.ndarray, class_ids) -> np.ndarray:
     return hits.astype(np.float64)
 
 
-def _upper_factor(gram: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor R (R^T R = gram) by LAPACK potrf, in Fortran order.
-
-    ``gram`` is overwritten when it is Fortran-ordered; the factor's lower
-    triangle is zeroed. Raises ValueError when ``gram`` is not numerically
-    positive definite.
-    """
-    factor, info = scipy.linalg.lapack.dpotrf(gram, lower=0, clean=1, overwrite_a=1)
-    if info != 0:
-        raise ValueError(f"matrix numerically singular or indefinite: LAPACK info {info}")
-    return factor
-
-
 def _singular_gram(stage: str, n: int, d: int, evidence: str) -> ValueError:
     """The one error for a Gram in which float64 has lost gamma."""
     return ValueError(f"{stage}: the Gram after a session of n={n} rows at d={d} is "
@@ -176,19 +166,36 @@ def _check_factor(R: np.ndarray, stage: str, n: int) -> None:
     """Raise ValueError when the diagonal of the Gram factor R shows gamma lost to rounding.
 
     With rho = max |r_ii| / min |r_ii| over R's diagonal, kappa_2(R) >= rho
-    for triangular R and kappa(G) = kappa_2(R)^2. So rho^2 eps >= 1 means
-    kappa(G) >= 1/eps, where the README's bound 8 (kappa(G) + 16) eps is
-    above 8 and no digit of W is guaranteed. A zero, infinite or NaN
-    diagonal entry fails as well. rho^2 is only a lower bound on kappa(G),
-    so the rule detects a lost gamma whose diagonal shows it; it does not
-    prevent one. It costs O(d).
+    for triangular R and kappa(G) = kappa_2(R)^2 >= rho^2. So from
+    8 rho^2 eps >= 1 on, the README's bound 8 (kappa(G) + 16) eps is above 1
+    and no digit of W is guaranteed. A zero, infinite or NaN diagonal entry
+    fails as well. rho^2 is only a lower bound on kappa(G), so the rule
+    detects a lost gamma whose diagonal shows it; it does not prevent one.
+    It costs O(d).
     """
     diagonal = np.abs(np.diagonal(R))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho2_eps = float((diagonal.max() / diagonal.min()) ** 2 * np.finfo(np.float64).eps)
-    if not rho2_eps < 1.0:  # NaN fails too
+        bound = float(8 * (diagonal.max() / diagonal.min()) ** 2 * np.finfo(np.float64).eps)
+    if not bound < 1.0:  # NaN fails too
         raise _singular_gram(stage, n, R.shape[0],
-                             f"rho^2 eps = {rho2_eps:.3g} >= 1 with rho = max|r_ii| / min|r_ii|")
+                             f"8 rho^2 eps = {bound:.3g} >= 1 with rho = max|r_ii| / min|r_ii|")
+
+
+def _factor(gram: np.ndarray, stage: str, n: int) -> np.ndarray:
+    """Upper Cholesky factor R (R^T R = gram) by LAPACK potrf, in Fortran order, checked.
+
+    ``gram`` is overwritten when it is Fortran-ordered; the factor's lower
+    triangle is zeroed. A gram potrf cannot factor, or a factor that
+    :func:`_check_factor` rejects, raises the lost-gamma ValueError naming
+    ``stage`` and the session's row count ``n``.
+    """
+    largest = gram.diagonal().max()
+    R, info = scipy.linalg.lapack.dpotrf(gram, lower=0, clean=1, overwrite_a=1)
+    if info != 0:
+        raise _singular_gram(stage, n, gram.shape[0], f"potrf: not positive definite, "
+                             f"diagonal entries up to {largest:.3g}")
+    _check_factor(R, stage, n)
+    return R
 
 
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
@@ -198,9 +205,8 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
     recursion's state, and solves G W = X^T Y against it. ``class_ids``
     defaults to 0..C0-1 when the base classes are not explicitly named.
-    Non-finite features raise ValueError, and so does a Gram whose entries
-    are so large that gamma is lost to rounding: potrf fails on it, or the
-    factor's diagonal shows it (:func:`_check_factor`).
+    Non-finite features raise ValueError, and so does a Gram in which
+    gamma is lost to rounding (:func:`_factor`).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -214,16 +220,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     # Fortran order potrf factors in place.
     gram = (X0.T @ X0).T
     gram[np.diag_indices_from(gram)] += gamma
-    largest = gram.diagonal().max()
-    try:
-        R = _upper_factor(gram)
-    except ValueError:
-        raise ValueError(
-            f"analytic.align_base: the base Gram X0^T X0 + gamma I is not positive definite "
-            f"in float64: gamma={gamma:g} is lost to rounding against diagonal entries up "
-            f"to {largest:.3g}"
-        ) from None
-    _check_factor(R, "analytic.align_base", X0.shape[0])
+    R = _factor(gram, "analytic.align_base", X0.shape[0])
     return AnalyticState(
         weights=scipy.linalg.cho_solve((R, False), X0.T @ Y0, check_finite=False),
         R=R,
@@ -246,13 +243,10 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
       nd^2 + 4d^3/3 flops. Its diagonal is positive.
 
     Raises ValueError unless R_prev is a nonempty square (d, d) matrix and
-    Xn a 2-D array of d columns. On the Gram path it also raises when the
-    summed Gram is not positive definite in float64, which happens when the
-    session's entries are so large that gamma, the only term keeping the
-    Gram away from singular, is lost to rounding. The QR path does not
-    notice that case and returns a factor whose diagonal entry in the lost
-    direction is rounding noise, not sqrt(gamma); :func:`update_weights`
-    checks the factor of either path.
+    Xn a 2-D array of d columns, and when the session's entries are so
+    large that gamma, the only term keeping the Gram away from singular,
+    is lost to rounding: potrf fails, or the new factor's diagonal shows it
+    (:func:`_check_factor`), on either path.
     """
     R_prev = np.asarray(R_prev, dtype=np.float64)
     Xn = np.asarray(Xn, dtype=np.float64)
@@ -270,17 +264,13 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
         R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
         if info != 0:
             raise ValueError(f"LAPACK tpqrt info {info}")
+        _check_factor(R_new, "analytic.update_R", n)
         return R_new
     # Xn.T of a C-ordered Xn is a Fortran view, so syrk reads the batch uncopied.
     gram = scipy.linalg.blas.dsyrk(1.0, R_prev, trans=1, lower=0)
     gram = scipy.linalg.blas.dsyrk(1.0, Xn.T, trans=0, beta=1.0, c=gram, lower=0,
                                    overwrite_c=1)
-    largest = gram.diagonal().max()
-    try:
-        return _upper_factor(gram)
-    except ValueError:
-        raise _singular_gram("analytic.update_R", n, d, f"potrf: not positive definite, "
-                             f"diagonal entries up to {largest:.3g}") from None
+    return _factor(gram, "analytic.update_R", n)
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
@@ -289,16 +279,14 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     R absorbs the new session first; then, with G the Gram R^T R, existing
     class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
     columns G^{-1} X^T Y are appended, both from one solve against R.
-    Revisiting an already-seen class is rejected, and so is a new factor
-    whose diagonal shows gamma lost to rounding (:func:`_check_factor`),
-    on either update path.
+    Revisiting an already-seen class is rejected, and :func:`update_R`
+    rejects a session in which gamma is lost to rounding.
     """
     overlap = set(batch.class_ids) & set(state.seen_classes)
     if overlap:
         raise ValueError(f"classes revisited across sessions: {sorted(overlap)}")
     X, Y = batch.features, batch.targets
     R_new = update_R(state.R, X)
-    _check_factor(R_new, "analytic.update_weights", X.shape[0])
     W = state.weights
     weights = scipy.linalg.cho_solve((R_new, False), X.T @ np.hstack([-(X @ W), Y]),
                                      check_finite=False)
@@ -338,8 +326,8 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
             raise ValueError("all sessions must share the feature dimension")
         gram += X.T @ X
         blocks.append(X.T @ Y)
-    return scipy.linalg.cho_solve((_upper_factor(gram), False), np.hstack(blocks),
-                                  check_finite=False)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, check_finite=False),
+                                  np.hstack(blocks), check_finite=False)
 
 
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:

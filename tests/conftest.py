@@ -3,9 +3,26 @@ import numpy as np
 import pytest
 
 from acgl import backbone, harness
-from acgl.backbone import BackboneConfig
-from acgl.graph import Graph, canonical_edges
-from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
+from acgl.backbone import (
+    AdamState,
+    BackboneConfig,
+    BackboneParams,
+    adam_step,
+    gcn_backward,
+    gcn_forward,
+    glorot_uniform,
+    sample_dropout_mask,
+    train_base,
+)
+from acgl.graph import (
+    Graph,
+    build_session_plan,
+    canonical_edges,
+    default_base_size,
+    normalize_adjacency,
+    session_subgraph,
+)
+from acgl.harness import ExpanderConfig, ExperimentConfig, PerformanceMatrix, SyntheticSpec
 
 
 def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0,
@@ -82,6 +99,49 @@ def oracle_predict(X, state):
     ids = np.asarray(state.seen_classes, dtype=np.int64)
     best = scores.max(axis=1, keepdims=True)
     return np.where(scores == best, ids[None, :], np.iinfo(np.int64).max).min(axis=1)
+
+
+def finetune_matrix(config: ExperimentConfig) -> PerformanceMatrix:
+    """The performance matrix of plain fine-tuning, the backprop baseline with no replay.
+
+    Same graph, plan and ``train_base`` as ``run_experiment(config)``. Each
+    later session appends Glorot head columns for its classes and runs
+    ``backbone.epochs`` Adam steps of the whole GCN on that session's
+    subgraph and train nodes only. Each seen task is scored on its own
+    subgraph's test nodes by argmax over every seen head column. New head
+    columns and dropout masks draw from ``seed + 3``. This is the
+    "Fine-tune" lower bound of CGLB (Zhang, Song & Tao, NeurIPS 2022).
+    """
+    graph = harness.resolve_graph(config)
+    c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
+    plan = build_session_plan(graph, c0, config.k)
+    cfg = config.backbone
+    params = train_base(graph, plan, cfg, config.seed + 1)
+    rng = np.random.default_rng(config.seed + 3)
+    tasks = [(g, normalize_adjacency(g)) for g in
+             (session_subgraph(graph, group) for group in plan.groups)]
+    seen = np.array(plan.groups[0], dtype=np.int64)
+    rows = []
+    for k, (sub, adj) in enumerate(tasks):
+        if k:
+            seen = np.concatenate([seen, plan.groups[k]])
+            params = BackboneParams(W0=params.W0, W1=np.hstack(
+                [params.W1, glorot_uniform(rng, cfg.hidden, len(plan.groups[k]))]))
+            # Head column of each node's class: seen is ascending, as the plan's groups are.
+            y = np.searchsorted(seen, sub.labels)
+            adam = AdamState.init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+            for _ in range(cfg.epochs):
+                drop = (sample_dropout_mask(rng, (sub.num_nodes, cfg.hidden), cfg.dropout)
+                        if cfg.dropout > 0.0 else None)
+                grads = gcn_backward(adj, sub.features, params, y, sub.train_mask, drop)
+                params, adam = adam_step(params, grads, adam)
+        row = []
+        for task, task_adj in tasks[:k + 1]:
+            predicted = seen[gcn_forward(task_adj, task.features, params)[1].argmax(axis=1)]
+            test = task.test_mask
+            row.append(float(np.mean(predicted[test] == task.labels[test])))
+        rows.append(tuple(row))
+    return PerformanceMatrix(rows=tuple(rows))
 
 
 # The standard run used across harness/CLI/acceptance tests. Baselines for

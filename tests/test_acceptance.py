@@ -36,7 +36,13 @@ from acgl.harness import (
 )
 from acgl.metrics import average_forgetting, average_performance
 
-from conftest import FIXTURE_EXPERIMENT, SWEEP_FIXTURE_LINES, random_graph, run_recording_batches
+from conftest import (
+    FIXTURE_EXPERIMENT,
+    SWEEP_FIXTURE_LINES,
+    finetune_matrix,
+    random_graph,
+    run_recording_batches,
+)
 from test_backbone import fd_gradients
 
 CORA_DIR = Path("data/cora")
@@ -323,3 +329,23 @@ def test_gamma_sweep_shape(tmp_path):
     aps = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert aps[100.0] <= max(aps.values())
     print(f"    (AP curve: {sorted(aps.items())})")
+
+
+@criterion(11, "fixture at seeds 1-3: the analytic run forgets at least 0.25 less than "
+               "fine-tuning without replay, and its AP is not lower")
+def test_forgetting_against_finetune():
+    # Fine-tuning trains each later class alone through the shared backbone
+    # and softmax head, so it loses at least half of an old task (AF 0.50 to
+    # 0.95 here). The analytic classifier is the joint ridge solve, and its
+    # AF here is 0 to 0.025, one test node of one task. The 0.25 margin is
+    # half the smallest gap measured; the paper's claim, forgetting cut by
+    # over 30 %, is checked as stated.
+    for seed in (1, 2, 3):
+        config = dataclasses.replace(FIXTURE_EXPERIMENT, seed=seed)
+        analytic, finetune = run_experiment(config).matrix, finetune_matrix(config)
+        af, af_finetune = average_forgetting(analytic), average_forgetting(finetune)
+        assert af <= af_finetune - 0.25, f"seed {seed}: AF {af} against {af_finetune}"
+        assert af <= 0.7 * af_finetune, f"seed {seed}: AF {af} against {af_finetune}"
+        assert average_performance(analytic) >= average_performance(finetune), f"seed {seed}"
+        print(f"    (seed {seed}: AF {af:.3f} against {af_finetune:.3f}, AP "
+              f"{average_performance(analytic):.3f} against {average_performance(finetune):.3f})")

@@ -262,23 +262,28 @@ class TestUpdateR:
                 update_weights(state, zero_col)
 
 
-def lost_gamma_probe(n, d=8):
-    """From R = 1e-150 I (gamma = 1e-300), n rows of scale 1e10 whose columns 0 and 1 are equal."""
-    rng = np.random.default_rng(0)
-    Xn = 1e10 * rng.normal(size=(n, d))
+def lost_gamma_rows(n, d, seed=0):
+    """n rows of scale 1e10 whose columns 0 and 1 are equal: gamma = 1e-300 is lost next to them."""
+    Xn = 1e10 * np.random.default_rng(seed).normal(size=(n, d))
     Xn[:, 1] = Xn[:, 0]
+    return Xn
+
+
+def lost_gamma_probe(n, d=8):
+    """From R = 1e-150 I (gamma = 1e-300), the session of :func:`lost_gamma_rows`."""
     state = AnalyticState(weights=np.zeros((d, 1)), R=1e-150 * np.eye(d), seen_classes=(0,))
-    return state, SessionBatch(features=Xn, targets=np.ones((n, 1)), class_ids=(1,))
+    return state, SessionBatch(features=lost_gamma_rows(n, d), targets=np.ones((n, 1)),
+                               class_ids=(1,))
 
 
-LOST_GAMMA = (r"^analytic\.update_(weights|R): the Gram after a session of n={n} rows at "
+LOST_GAMMA = (r"^analytic\.update_R: the Gram after a session of n={n} rows at "
               r"d=8 is numerically singular in float64 \(.*\): gamma is lost to rounding$")
 
 
 class TestLostGamma:
-    # n = 6 < d takes the tpqrt path, which returns a factor (diagonal -2.9e-6
-    # and -5.2e-5 among entries near 1e10) and leaves the check to
-    # update_weights; n = 12 >= d takes the Gram path, where potrf fails.
+    # n = 6 < d takes the tpqrt path, whose factor (diagonal -2.9e-6 and
+    # -5.2e-5 among entries near 1e10) update_R rejects; n = 12 >= d takes
+    # the Gram path, where potrf fails.
     @pytest.mark.parametrize("n", [6, 12], ids=["qr_path", "gram_path"])
     def test_probe_raises_on_both_paths_with_one_message(self, n):
         state, batch = lost_gamma_probe(n)
@@ -287,16 +292,30 @@ class TestLostGamma:
 
     def test_qr_path_factor_shows_lost_gamma(self):
         state, batch = lost_gamma_probe(6)
-        with pytest.raises(ValueError, match=re.escape("(rho^2 eps = 9.66e+15 >= 1")):
+        with pytest.raises(ValueError, match=re.escape("(8 rho^2 eps = 7.73e+16 >= 1")):
             update_weights(state, batch)
+
+    # Each place R is made, at ten draws of the probe: potrf fails on some,
+    # the rule rejects the others, and all name their stage in one form.
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("stage, n, d", [("align_base", 6, 4), ("update_R", 6, 8),
+                                             ("update_R", 12, 8)],
+                             ids=["align_base", "update_R_qr", "update_R_gram"])
+    def test_lost_gamma_has_one_form_wherever_r_is_made(self, stage, n, d, seed):
+        X = lost_gamma_rows(n, d, seed)
+        with pytest.raises(ValueError, match=rf"^analytic\.{stage}: the Gram after a session "
+                           rf"of n={n} rows at d={d} is numerically singular in float64 "
+                           r"\(.*\): gamma is lost to rounding$"):
+            if stage == "align_base":
+                align_base(X, np.ones((n, 1)), 1e-300)
+            else:
+                update_R(1e-150 * np.eye(d), X)
 
     def test_align_base_checks_its_factor(self):
         # potrf succeeds on this base Gram, but its factor's diagonal shows the loss.
-        rng = np.random.default_rng(8)
-        X = 1e10 * rng.normal(size=(6, 4))
-        X[:, 1] = X[:, 0]
+        X = lost_gamma_rows(6, 4, seed=8)
         with pytest.raises(ValueError, match=r"^analytic\.align_base: the Gram after a session "
-                                             r"of n=6 rows at d=4 .*rho\^2 eps = 1\.72 >= 1"):
+                                             r"of n=6 rows at d=4 .*8 rho\^2 eps = 13\.8 >= 1"):
             align_base(X, np.ones((6, 1)), 1e-300)
 
     @pytest.mark.parametrize("diagonal, shown", [
@@ -305,14 +324,16 @@ class TestLostGamma:
         ([1.0, 0.0], "inf"),
         ([0.0, 0.0], "nan"),
         ([1.0, np.inf], "inf"),
-        ([-1.0, 2.0**-26], "1"),            # rho^2 eps = 2^52 2^-52, the first value that fails
+        # The largest r_22 that fails: 8 rho^2 eps = 1 + 2^-52. Its upper
+        # neighbour, 2^-24.5 rounded, passes at 1 - 2^-52.
+        ([-1.0, np.nextafter(2.0**-24.5, 0.0)], "1"),
     ], ids=["nan", "all_nan", "zero", "all_zero", "inf", "at_limit"])
     def test_rule_rejects(self, diagonal, shown):
         with pytest.raises(ValueError, match=re.escape(f"at d={len(diagonal)} ") + ".*"
-                           + re.escape(f"(rho^2 eps = {shown} >= 1")):
+                           + re.escape(f"(8 rho^2 eps = {shown} >= 1")):
             _check_factor(np.diag(diagonal), "stage", 3)
 
-    @pytest.mark.parametrize("diagonal", [[1.0], [-3.0, 3.0], [1.0, 2.0**-25.9], [1e-150, 1e-148]])
+    @pytest.mark.parametrize("diagonal", [[1.0], [-3.0, 3.0], [1.0, 2.0**-24.5], [1e-150, 1e-148]])
     def test_rule_accepts(self, diagonal):
         _check_factor(np.diag(diagonal), "stage", 3)
 
@@ -370,13 +391,13 @@ class TestUpdateWeights:
 
     def test_zero_diagonal_factor_rejected(self):
         # R = 0 factors no Gram. Rows e0 and e1 (n = 2 < d = 4, the QR path)
-        # leave the new factor's diagonal at (-1, -1, 0, 0).
+        # leave the new factor's diagonal at (-1, -1, 0, 0), which update_R rejects.
         state = AnalyticState(weights=np.zeros((4, 1)), R=np.zeros((4, 4)), seen_classes=(0,))
         batch = SessionBatch(features=np.eye(4)[:2], targets=np.ones((2, 1)), class_ids=(1,))
-        np.testing.assert_array_equal(np.diagonal(update_R(state.R, batch.features)),
-                                      [-1.0, -1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"^analytic\.update_weights: .* n=2 rows at d=4 "
-                                             r".*\(rho\^2 eps = inf >= 1"):
+        lost = r"^analytic\.update_R: .* n=2 rows at d=4 .*\(8 rho\^2 eps = inf >= 1"
+        with pytest.raises(ValueError, match=lost):
+            update_R(state.R, batch.features)
+        with pytest.raises(ValueError, match=lost):
             update_weights(state, batch)
 
     def test_r_exactly_upper_triangular_along_stream(self):

@@ -261,7 +261,7 @@ class TestRun:
         ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
         ("synthetic.class_sep", "1e300", "backbone._adam_update: overflow encountered"),
         # Finite, but gamma vanishes next to a Gram of about 1e300.
-        ("synthetic.class_sep", "1e150", "analytic.align_base: the base Gram"),
+        ("synthetic.class_sep", "1e150", "analytic.align_base: the Gram after a session of"),
     ])
     def test_overflow_is_one_error_line_naming_the_stage(self, run_config_file, tmp_path,
                                                          capsys, key, value, stage):

@@ -1,5 +1,6 @@
 """Every fenced ``python`` block of README.md runs as written, every ``ini`` block is a
-config, and every ``acgl`` command parses with config keys and values that exist."""
+config, every ``acgl`` command parses with config keys and values that exist, and every
+exit-table example of one ``--set`` gives the exit code and error line the table shows."""
 
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acgl.cli import SWEEP_AXES, build_parser
+from acgl.cli import SWEEP_AXES, build_parser, main
 from acgl.config import apply_overrides, default_config, parse_config_text, parse_value
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +22,10 @@ INI_BLOCKS = [m.group(1) for m in INI_FENCE.finditer(TEXT)]
 # Each `acgl ...` line of the bash blocks, with its `\` continuation lines joined.
 COMMANDS = [line for m in BASH_FENCE.finditer(TEXT)
             for line in m.group(1).replace("\\\n", " ").splitlines() if line.startswith("acgl ")]
+# (exit code, key, value, error line up to its closing "…") of each exit-table row whose
+# example reads "`--set K=V` gives `error: …`".
+EXIT_EXAMPLES = re.findall(
+    r"^\| `(\d)` [^\n]*?`--set ([\w.]+)=([^`\s]+)` gives `(error: [^`]*?)…?`", TEXT, re.MULTILINE)
 
 
 def test_readme_has_python_blocks():
@@ -56,3 +61,17 @@ def test_acgl_command_config_values_parse(command):
     if args.command == "sweep":
         for value in args.values.split(","):
             parse_value(SWEEP_AXES[args.axis], value)
+
+
+def test_readme_has_exit_examples():
+    assert EXIT_EXAMPLES
+
+
+@pytest.mark.parametrize("code, key, value, line", EXIT_EXAMPLES,
+                         ids=[f"{key}={value}" for _, key, value, _ in EXIT_EXAMPLES])
+def test_exit_example_reproduces(code, key, value, line, tmp_path, capsys):
+    # Run with the default config, as the table's `--set` alone reads.
+    assert main(["run", "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]) == int(code)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(line)
