@@ -56,7 +56,6 @@ from .harness import (
     RunResult,
     evaluate_task,
     run_experiment,
-    task_test_features,
 )
 from .metrics import (
     RunReport,
@@ -105,7 +104,6 @@ __all__ = [
     "run_experiment",
     "save_dataset",
     "session_subgraph",
-    "task_test_features",
     "train_base",
     "update_R",
     "update_weights",

@@ -13,8 +13,8 @@ Because the backbone and expander never change after the base session, a
 task's expanded features are fixed from the session that introduces it:
 its test rows are kept and scored after every later session to fill the
 lower-triangular performance matrix M[k][i]. So a run holds R, W and each
-seen task's test rows (n_test x d floats); the rows are evaluation data,
-not learner state.
+seen task's test rows (n_test x d floats), and returns the rows as
+``RunResult.test_rows``; they are evaluation data, not learner state.
 """
 
 from __future__ import annotations
@@ -101,7 +101,10 @@ class PerformanceMatrix:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What a run returns; ``test_rows[i]`` is task i's ``(features, labels)`` as the run scored it."""
+
     matrix: PerformanceMatrix
+    test_rows: tuple[tuple[np.ndarray, np.ndarray], ...]
     timings: dict
     state: AnalyticState
     plan: SessionPlan
@@ -119,24 +122,6 @@ def resolve_graph(config: ExperimentConfig) -> Graph:
     )
 
 
-def _hidden(graph: Graph, backbone: BackboneParams) -> np.ndarray:
-    """Frozen backbone embeddings of every node of one subgraph."""
-    hidden, _ = gcn_forward(normalize_adjacency(graph), graph.features, backbone)
-    return hidden
-
-
-def task_test_features(task_graph: Graph, backbone: BackboneParams,
-                       expander: ExpanderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Expanded features and labels of one task's test nodes, extracted on its subgraph.
-
-    These n_test x d rows are all a run keeps of a task; no other node is expanded.
-    """
-    test = task_graph.test_mask
-    if not test.any():
-        raise ValueError("task has an empty test set")
-    return expand(_hidden(task_graph, backbone)[test], expander), task_graph.labels[test]
-
-
 def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of one task's test rows that ``predict`` labels right, over all seen classes.
 
@@ -152,39 +137,32 @@ def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray
     return float(np.count_nonzero(predict(features, state) == labels) / len(labels))
 
 
-def _fit(state: AnalyticState | None, batch: SessionBatch, gamma: float) -> AnalyticState:
-    """Absorb one train batch: ``align_base`` when ``state`` is None, else ``update_weights``."""
-    if state is None:
-        return align_base(batch.features, batch.targets, gamma, class_ids=batch.class_ids)
-    return update_weights(state, batch)
-
-
-def _absorb(state: AnalyticState | None, graph: Graph, class_ids, session: int, backbone,
-            expander, gamma: float) -> tuple[AnalyticState, tuple[np.ndarray, np.ndarray]]:
+def _absorb(state: AnalyticState | None, graph: Graph, class_ids, backbone, expander,
+            gamma: float) -> tuple[AnalyticState, tuple[np.ndarray, np.ndarray]]:
     """Extract one session and absorb its train rows; returns the new state and its test rows.
 
-    The train batch is a temporary of the ``_fit`` call, so it is freed
-    before the test rows are expanded.
+    ``align_base`` fits the base session (``state`` None), ``update_weights``
+    every later one. The train batch is deleted as soon as the fit returns,
+    so it is freed before the test rows are expanded.
     """
     sub = session_subgraph(graph, class_ids)
+    hidden, _ = gcn_forward(normalize_adjacency(sub), sub.features, backbone)
     train, test = sub.train_mask, sub.test_mask
-    where = f"session {session} (classes {list(class_ids)})"
-    missing = np.setdiff1d(class_ids, sub.labels[train])
-    if missing.size:
-        raise RuntimeError(f"{where} has an empty train split for class {missing[0]}")
-    if not test.any():
-        raise ValueError(f"{where} has an empty test set")
-    hidden = _hidden(sub, backbone)
-    state = _fit(state, SessionBatch(
+    batch = SessionBatch(
         features=expand(hidden[train], expander),
         targets=one_hot(sub.labels[train], class_ids),
         class_ids=tuple(int(c) for c in class_ids),
-    ), gamma)
+    )
+    if state is None:
+        state = align_base(batch.features, batch.targets, gamma, class_ids=batch.class_ids)
+    else:
+        state = update_weights(state, batch)
+    del batch
     return state, (expand(hidden[test], expander), sub.labels[test])
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Execute the full protocol; returns M, per-stage timings, final state.
+    """Execute the full protocol; returns M, each task's test rows, per-stage timings, final state.
 
     Deterministic given ``config.seed``: the graph draws from it, the
     backbone from ``seed + 1`` and the expander from ``seed + 2``, so two
@@ -196,6 +174,17 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     check_class_coverage(graph)
     c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
     plan = build_session_plan(graph, c0, config.k)
+    # Every session's splits are checked before the backbone trains on any of them.
+    train_count = np.bincount(graph.labels[graph.train_mask], minlength=graph.num_classes)
+    test_count = np.bincount(graph.labels[graph.test_mask], minlength=graph.num_classes)
+    for k, class_ids in enumerate(plan.groups):
+        where = f"session {k} (classes {list(class_ids)})"
+        ids = np.asarray(class_ids)
+        untrained = ids[train_count[ids] == 0]
+        if untrained.size:
+            raise RuntimeError(f"{where} has an empty train split for class {untrained[0]}")
+        if not test_count[ids].any():
+            raise ValueError(f"{where} has an empty test set")
 
     t0 = time.perf_counter()
     backbone = train_base(graph, plan, config.backbone, config.seed + 1)
@@ -204,13 +193,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     expander = init_expander(config.backbone.hidden, config.expander.dim, seed=config.seed + 2)
 
     state = None
-    test_rows = []                   # (features, labels) of each seen task
+    test_rows = []                   # (features, labels) of each seen task, in session order
     rows: list[tuple[float, ...]] = []
     fit_times: list[float] = []      # the base session's align, then each update
     eval_times: list[float] = []
-    for k, class_ids in enumerate(plan.groups):
+    for class_ids in plan.groups:
         t0 = time.perf_counter()
-        state, task_test = _absorb(state, graph, class_ids, k, backbone, expander, config.gamma)
+        state, task_test = _absorb(state, graph, class_ids, backbone, expander, config.gamma)
         fit_times.append(time.perf_counter() - t0)
         test_rows.append(task_test)
         t0 = time.perf_counter()
@@ -227,6 +216,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     }
     return RunResult(
         matrix=PerformanceMatrix(rows=tuple(rows)),
+        test_rows=tuple(test_rows),
         timings=timings,
         state=state,
         plan=plan,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, canonical_edges, check_fields
+from .graph import FieldError, Graph, canonical_edges, check_fields
 
 # Per-class split used for the masks; remainders go to train.
 _TRAIN_FRAC = 0.6
@@ -68,9 +68,12 @@ def generate_synthetic(
     are the :class:`SyntheticSpec` fields of the same meaning; a value out of
     range raises its :class:`~acgl.graph.FieldError`. The mean degree is fixed at
     4.0: ``round(2.0 * n)`` edges are drawn before repeated pairs merge. ``seed``
-    seeds all randomness: identical seeds give byte-identical graphs.
+    (>= 0, else a ``FieldError``) seeds all randomness: identical seeds give
+    byte-identical graphs.
     """
     SyntheticSpec(num_classes, nodes_per_class, d, homophily, class_sep)
+    if seed < 0:
+        raise FieldError("seed", "must be >= 0", seed)
     n = num_classes * nodes_per_class
 
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from acgl.backbone import (
     sample_dropout_mask,
     train_base,
 )
+from acgl.expander import expand
 from acgl.graph import (
     Graph,
     build_session_plan,
@@ -79,6 +80,16 @@ def run_recording_batches(monkeypatch, config):
     monkeypatch.setattr(harness, "align_base", recording_align)
     monkeypatch.setattr(harness, "update_weights", recording_update)
     return harness.run_experiment(config), batches
+
+
+def oracle_test_rows(graph, class_ids, params, expander):
+    """One task's test rows extracted from scratch: normalize, ``gcn_forward``, then ``expand``.
+
+    The independent reference for the rows a run keeps in ``RunResult.test_rows``.
+    """
+    sub = session_subgraph(graph, class_ids)
+    hidden, _ = gcn_forward(normalize_adjacency(sub), sub.features, params)
+    return expand(hidden[sub.test_mask], expander), sub.labels[sub.test_mask]
 
 
 def count_splits(monkeypatch):

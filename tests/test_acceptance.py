@@ -26,14 +26,8 @@ from acgl.analytic import (
 )
 from acgl.backbone import gcn_backward, init_backbone
 from acgl.cli import EXIT_OK, main
-from acgl.graph import normalize_adjacency, session_subgraph
-from acgl.harness import (
-    PerformanceMatrix,
-    evaluate_task,
-    resolve_graph,
-    run_experiment,
-    task_test_features,
-)
+from acgl.graph import normalize_adjacency
+from acgl.harness import PerformanceMatrix, evaluate_task, run_experiment
 from acgl.metrics import average_forgetting, average_performance
 
 from conftest import (
@@ -182,7 +176,6 @@ def test_gradient_fidelity():
               "rows to 1e-12")
 def test_zero_classifier_level_forgetting(monkeypatch):
     res, batches = run_recording_batches(monkeypatch, FIXTURE_EXPERIMENT)
-    graph = resolve_graph(FIXTURE_EXPERIMENT)
     worst = 0.0
     for k in range(res.matrix.num_sessions):
         W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
@@ -191,9 +184,7 @@ def test_zero_classifier_level_forgetting(monkeypatch):
             seen_classes=tuple(c for group in res.plan.groups[: k + 1] for c in group),
         )
         for i in range(k + 1):
-            task = session_subgraph(graph, res.plan.groups[i])
-            acc = evaluate_task(joint_state,
-                                *task_test_features(task, res.backbone, res.expander))
+            acc = evaluate_task(joint_state, *res.test_rows[i])
             diff = abs(acc - res.matrix.entry(k, i))
             worst = max(worst, diff)
             assert diff <= 1e-12, f"M[{k}][{i}] differs by {diff:.3e}"

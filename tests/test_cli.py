@@ -577,6 +577,12 @@ class TestGenSynth:
         code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "1"])
         assert code == EXIT_RUNTIME
 
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        code = main(["gen-synth", "--out", str(tmp_path / "ds"), "--seed", "-1"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == "error: seed must be >= 0 (got -1)\n"
+        assert not (tmp_path / "ds").exists()
+
 
 class TestValidateDataset:
     def test_valid_directory(self, tmp_path, capsys):

@@ -16,11 +16,16 @@ from acgl.harness import (
     evaluate_task,
     resolve_graph,
     run_experiment,
-    task_test_features,
 )
 
 from acgl import harness
-from conftest import FIXTURE_EXPERIMENT, make_graph, oracle_predict, run_recording_batches
+from conftest import (
+    FIXTURE_EXPERIMENT,
+    make_graph,
+    oracle_predict,
+    oracle_test_rows,
+    run_recording_batches,
+)
 
 
 def run_one_class_sessions(g, directory):
@@ -94,7 +99,6 @@ class TestRunExperiment:
     def test_recursive_rows_equal_joint_rows(self, fixture_run):
         """Weight-level equivalence carries over to every accuracy entry."""
         res, batches = fixture_run
-        graph = resolve_graph(FIXTURE_EXPERIMENT)
         for k in range(res.matrix.num_sessions):
             W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
             seen = tuple(c for group in res.plan.groups[: k + 1] for c in group)
@@ -102,9 +106,7 @@ class TestRunExperiment:
                 weights=W, R=np.eye(W.shape[0]), seen_classes=seen,
             )
             for i in range(k + 1):
-                task = session_subgraph(graph, res.plan.groups[i])
-                acc = evaluate_task(joint_state,
-                                    *task_test_features(task, res.backbone, res.expander))
+                acc = evaluate_task(joint_state, *res.test_rows[i])
                 assert abs(acc - res.matrix.entry(k, i)) <= 1e-12
 
     def test_empty_train_split_aborts_with_session_context(self, tmp_path):
@@ -188,15 +190,61 @@ class TestRunExperiment:
         assert all(ref() is None for ref in refs)
 
     def test_final_row_equals_fresh_extraction(self, fixture_result):
-        """Scoring cached rows matches re-extracting each task from scratch, bit for bit."""
+        """The rows the run kept equal each task re-extracted from scratch, bit for bit."""
         res = fixture_result
         graph = resolve_graph(FIXTURE_EXPERIMENT)
-        fresh = tuple(
-            evaluate_task(res.state, *task_test_features(
-                session_subgraph(graph, group), res.backbone, res.expander))
-            for group in res.plan.groups
-        )
-        assert res.matrix.final_row == fresh
+        assert len(res.test_rows) == res.plan.num_sessions
+        for (features, labels), group in zip(res.test_rows, res.plan.groups):
+            fresh_features, fresh_labels = oracle_test_rows(graph, group, res.backbone,
+                                                            res.expander)
+            np.testing.assert_array_equal(features, fresh_features)
+            np.testing.assert_array_equal(labels, fresh_labels)
+
+    def test_test_rows_score_final_row(self, fixture_result):
+        """Scoring each returned task with the final state reproduces the matrix's last row."""
+        res = fixture_result
+        assert tuple(evaluate_task(res.state, *rows) for rows in res.test_rows) == \
+            res.matrix.final_row
+
+    def test_train_batch_freed_before_test_rows_expand(self, monkeypatch):
+        """When a session's test rows are expanded, its train batch is already dead."""
+        refs, dead_at_test_expand = [], []
+        align, update, expand = harness.align_base, harness.update_weights, harness.expand
+
+        def tracking_align(X0, Y0, *args, **kwargs):
+            refs.append(weakref.ref(X0))
+            return align(X0, Y0, *args, **kwargs)
+
+        def tracking_update(state, batch):
+            refs.append(weakref.ref(batch.features))
+            return update(state, batch)
+
+        def tracking_expand(hidden, params):
+            if len(refs) > len(dead_at_test_expand):  # the session's fit is done: test rows
+                dead_at_test_expand.append(refs[-1]() is None)
+            return expand(hidden, params)
+
+        monkeypatch.setattr(harness, "align_base", tracking_align)
+        monkeypatch.setattr(harness, "update_weights", tracking_update)
+        monkeypatch.setattr(harness, "expand", tracking_expand)
+        res = run_experiment(FIXTURE_EXPERIMENT)
+        assert dead_at_test_expand == [True] * res.plan.num_sessions
+
+    @pytest.mark.parametrize("train, test, error, match", [
+        ([True, False, True, False, False, False], [False, True, False, True, True, True],
+         RuntimeError, "session 2 .* empty train split for class 2"),
+        ([True, False, True, False, True, False], [False, True, False, True, False, False],
+         ValueError, "session 2 .* empty test set"),
+    ], ids=["train", "test"])
+    def test_bad_last_split_fails_before_backbone_trains(self, tmp_path, monkeypatch,
+                                                         train, test, error, match):
+        g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
+                       train=train, val=[False] * 6, test=test)
+        trained = []
+        monkeypatch.setattr(harness, "train_base", lambda *args: trained.append(args))
+        with pytest.raises(error, match=match):
+            run_one_class_sessions(g, tmp_path)
+        assert trained == []
 
 
 class TestEvaluateTask:
@@ -205,10 +253,8 @@ class TestEvaluateTask:
         # test rows that the run's trained backbone and expander extract. Rows
         # that the pipeline collapsed together or zeroed out would tie or
         # cross, and score below one.
-        graph = resolve_graph(FIXTURE_EXPERIMENT)
         group = fixture_result.plan.groups[0]
-        features, labels = task_test_features(
-            session_subgraph(graph, group), fixture_result.backbone, fixture_result.expander)
+        features, labels = fixture_result.test_rows[0]
         state = align_base(features, one_hot(labels, group), FIXTURE_EXPERIMENT.gamma,
                            class_ids=group)
         assert evaluate_task(state, features, labels) == 1.0
@@ -230,19 +276,16 @@ class TestEvaluateTask:
                 weights=rng.normal(size=(12, c)),
                 R=np.eye(12), seen_classes=tuple(range(c)),
             )
-            accs.append(evaluate_task(state, *task_test_features(g, backbone, expander)))
+            accs.append(evaluate_task(state, *oracle_test_rows(g, range(c), backbone, expander)))
         mean = np.mean(accs)
         assert abs(mean - 1.0 / c) < 0.12
 
     def test_untrained_classes_do_not_error(self, fixture_result):
-        graph = resolve_graph(FIXTURE_EXPERIMENT)
-        task3 = session_subgraph(graph, fixture_result.plan.groups[2])
         rng = np.random.default_rng(0)
         partial = AnalyticState(
             weights=rng.normal(size=(64, 2)), R=np.eye(64), seen_classes=(0, 1),
         )
-        acc = evaluate_task(partial, *task_test_features(
-            task3, fixture_result.backbone, fixture_result.expander))
+        acc = evaluate_task(partial, *fixture_result.test_rows[2])
         assert acc == 0.0  # true labels are never in the seen set
 
     def test_row_count_mismatch_rejected(self):
@@ -252,11 +295,9 @@ class TestEvaluateTask:
             evaluate_task(state, np.eye(2)[[0, 0, 0]], np.array([0]))
 
     def test_empty_test_set_rejected(self, fixture_result):
-        g = make_graph(4, [(0, 1)], [0, 0, 1, 1], 2,
-                       train=[True] * 4, val=[False] * 4, test=[False] * 4)
+        state = fixture_result.state
         with pytest.raises(ValueError, match="empty test set"):
-            evaluate_task(fixture_result.state, *task_test_features(
-                g, fixture_result.backbone, fixture_result.expander))
+            evaluate_task(state, np.empty((0, state.feature_dim)), np.empty(0, dtype=np.int64))
 
 
 def test_feature_dim_flows_from_expander():
@@ -282,9 +323,7 @@ def test_align_base_state_reproduces_first_row(fixture_run):
     res, batches = fixture_run
     X0, Y0 = batches[0]
     state = align_base(X0, Y0, FIXTURE_EXPERIMENT.gamma, class_ids=res.plan.groups[0])
-    graph = resolve_graph(FIXTURE_EXPERIMENT)
-    task0 = session_subgraph(graph, res.plan.groups[0])
-    acc = evaluate_task(state, *task_test_features(task0, res.backbone, res.expander))
+    acc = evaluate_task(state, *res.test_rows[0])
     assert acc == res.matrix.entry(0, 0)
 
 
