@@ -10,8 +10,11 @@ and absorbs each session into it by one of two exact paths, chosen from
 the session's row count n against d. A session of fewer than d rows is
 one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
-R^T R + X^T X (two BLAS syrk calls) and factors it again (LAPACK potrf),
-which is the faster path once n reaches d. Each factor is checked where it
+R^T R + X^T X (:func:`_gram`, numpy products) and factors it again (LAPACK
+potrf), which is the faster path once n reaches d. The base and session
+Grams put part of their products on the helper thread (:mod:`acgl.threads`);
+potrf, tpqrt and cho_solve stay on the calling thread, because scipy's
+LAPACK wrappers hold the GIL. Each factor is checked where it
 is made: a session in which float64 loses gamma to rounding raises one
 ValueError form, naming ``analytic.align_base`` or ``analytic.update_R``.
 The weight update corrects existing class columns and appends one column
@@ -30,12 +33,13 @@ available as :attr:`AnalyticState.inv_gram`; the recursion never forms it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.linalg.lapack
+
+from . import threads
 
 __all__ = [
     "AnalyticState",
@@ -49,6 +53,11 @@ __all__ = [
 
 # Block size of the tpqrt reflector panels.
 _QR_BLOCK = 32
+# A one-block Gram's upper-left tile spans about this share of its d columns.
+# The tile's syrk and the right block column's gemm then take about equally
+# long: alone, 47 and 54 ms at 6000 x 1024, 35 and 31 ms at 929 x 2048
+# (one BLAS thread, 2 vCPU, OpenBLAS 0.3.31), of 0.65-0.76 d the best split.
+_GRAM_TILE_SHARE = 0.707
 
 
 @dataclass(frozen=True)
@@ -198,6 +207,39 @@ def _factor(gram: np.ndarray, stage: str, n: int) -> np.ndarray:
     return R
 
 
+def _gram(*blocks: np.ndarray) -> np.ndarray:
+    """The upper triangle of sum_i B_i^T B_i in Fortran order, ready for :func:`_factor`.
+
+    Takes one block, the base session's rows, or two, (R_prev, Xn). Half of
+    the work goes to the helper thread through :func:`threads.run_pair`,
+    which only picks the thread: the bytes are the same either way.
+
+    - One block X: the upper-left (h, h) tile of X^T X here, a syrk, and its
+      right block column X^T X[:, h:] on the helper, a gemm, both into one
+      buffer, with h a multiple of 48 near ``_GRAM_TILE_SHARE`` d. The
+      lower-left block, which potrf does not read, stays zero.
+    - Two blocks: the first's Gram on the helper and the second's here, each
+      a syrk into its own buffer, then their sum.
+
+    Every (d, d) buffer is allocated on the calling thread.
+    """
+    d = blocks[0].shape[1]
+    madds = sum(B.shape[0] for B in blocks) * d * d / 2
+    gram = np.zeros((d, d), order="F")
+    if len(blocks) == 1:
+        X, = blocks
+        h = min(threads.SPLIT_ROW_BLOCK * round(_GRAM_TILE_SHARE * d / threads.SPLIT_ROW_BLOCK),
+                d) or d
+        threads.run_pair(partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h]),
+                         partial(np.matmul, X.T, X[:, h:], out=gram[:, h:]), madds)
+        return gram
+    first, second = blocks
+    other = np.empty((d, d), order="F")
+    threads.run_pair(partial(np.matmul, second.T, second, out=gram),
+                     partial(np.matmul, first.T, first, out=other), madds)
+    return np.add(gram, other, out=gram)
+
+
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
                class_ids=None) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
@@ -216,9 +258,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
         raise ValueError("features contain non-finite values")
     if class_ids is None:
         class_ids = tuple(range(Y0.shape[1]))
-    # The Gram is symmetric, so its transpose is the same matrix in the
-    # Fortran order potrf factors in place.
-    gram = (X0.T @ X0).T
+    gram = _gram(X0)
     gram[np.diag_indices_from(gram)] += gamma
     R = _factor(gram, "analytic.align_base", X0.shape[0])
     return AnalyticState(
@@ -238,8 +278,9 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     - n < d: the triangle of the QR factorization of [R_prev; Xn], one
       LAPACK tpqrt call at about 2nd^2 flops. Its diagonal may carry
       either sign.
-    - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn by two BLAS
-      syrk calls, then its Cholesky factor by potrf, at about
+    - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn by
+      :func:`_gram`, R_prev^T R_prev on the helper thread and Xn^T Xn on
+      the calling one, then its Cholesky factor by potrf, at about
       nd^2 + 4d^3/3 flops. Its diagonal is positive.
 
     Raises ValueError unless R_prev is a nonempty square (d, d) matrix and
@@ -266,11 +307,7 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
             raise ValueError(f"LAPACK tpqrt info {info}")
         _check_factor(R_new, "analytic.update_R", n)
         return R_new
-    # Xn.T of a C-ordered Xn is a Fortran view, so syrk reads the batch uncopied.
-    gram = scipy.linalg.blas.dsyrk(1.0, R_prev, trans=1, lower=0)
-    gram = scipy.linalg.blas.dsyrk(1.0, Xn.T, trans=0, beta=1.0, c=gram, lower=0,
-                                   overwrite_c=1)
-    return _factor(gram, "analytic.update_R", n)
+    return _factor(_gram(R_prev, Xn), "analytic.update_R", n)
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:

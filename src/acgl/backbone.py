@@ -12,44 +12,26 @@ exactly reproducible with plain numpy; dropout uses inverted scaling
 (mask / keep_prob at train time, no mask at inference).
 
 The two largest products, ``X @ W0`` in the forward pass and
-``adj_X.T @ d_z0`` in the backward pass, run as two row halves on two
-threads, each half one ordinary BLAS call. Every bit equals the one-call
-product; every other product is one call on the calling thread.
+``adj_X.T @ d_z0`` in the backward pass, run as two row halves on the
+calling and the helper thread (:func:`threads.split_matmul`), each half one
+ordinary BLAS call. Every bit equals the one-call product; every other
+product is one call on the calling thread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import threads
 from .graph import Graph, SessionPlan, check_fields, normalize_adjacency, session_subgraph
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# A product is split into two row halves only from this many multiply-adds
-# on. Handing a half to the helper thread costs about 40 us, so smaller
-# products lose. Split at one BLAS thread (2 vCPU, OpenBLAS 0.3.31),
-# 200x64x128 (1.6M) went 0.09 -> 0.15 ms, 500x128x64 (4.1M) 0.22 -> 0.21 ms
-# and 1000x128x64 (8.2M) 0.45 -> 0.26 ms.
-_SPLIT_MADDS = 4_000_000
-# The split row is a multiple of this. With OpenBLAS 0.3.31's SkylakeX
-# kernel every split at a multiple of 12 rows kept every bit; other splits
-# changed the last bits of the trailing columns when the column count was
-# not a multiple of 16. 48 is also a multiple of 8 and 16.
-_SPLIT_ROW_BLOCK = 48
-# Each half must do more multiply-adds than this, whatever _SPLIT_MADDS is.
-# OpenBLAS may take a product of at most 10**6 of them through a small-matrix
-# kernel that rounds differently from the blocked one, so a half that small
-# could differ from the one-call product in the last bit.
-_SMALL_GEMM_MADDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -117,41 +99,6 @@ def sample_dropout_mask(rng: np.random.Generator, shape: tuple[int, int],
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-@functools.cache
-def _helper_thread(pid: int) -> ThreadPoolExecutor:
-    """One helper thread per process, started by its first task.
-
-    Keyed on the process id because a forked child inherits the executor
-    but not its thread.
-    """
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="acgl-matmul")
-
-
-def _split_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ B``, bit for bit, with its lower rows computed on the helper thread.
-
-    Each half is one BLAS call written into one output, so the BLAS thread
-    count is untouched. The caller's ``np.errstate`` also governs the
-    helper's half, and the helper is joined before this returns or raises:
-    an error of either half is raised here.
-    """
-    rows, inner = A.shape
-    cols = B.shape[1]
-    h = _SPLIT_ROW_BLOCK * round(rows / (2 * _SPLIT_ROW_BLOCK))
-    if (rows * inner * cols < _SPLIT_MADDS
-            or min(h, rows - h) * inner * cols <= _SMALL_GEMM_MADDS):
-        return A @ B
-    out = np.empty((rows, cols), dtype=np.result_type(A, B))
-    # np.errstate does not reach another thread, so the caller's is applied there.
-    second = _helper_thread(os.getpid()).submit(np.errstate(**np.geterr())(np.matmul),
-                                                A[h:], B, out=out[h:])
-    try:
-        np.matmul(A[:h], B, out=out[:h])
-    finally:
-        second.result()  # waits for the helper's half and raises its error
-    return out
-
-
 def gcn_forward(adj: sp.csr_array, X: np.ndarray, params: BackboneParams,
                 dropout_mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the two-layer GCN; returns (hidden, logits).
@@ -162,7 +109,7 @@ def gcn_forward(adj: sp.csr_array, X: np.ndarray, params: BackboneParams,
     """
     if X.shape[1] != params.W0.shape[0]:
         raise ValueError(f"feature dim {X.shape[1]} != W0 rows {params.W0.shape[0]}")
-    hidden = np.maximum(adj @ _split_matmul(X, params.W0), 0.0)
+    hidden = np.maximum(adj @ threads.split_matmul(X, params.W0), 0.0)
     if dropout_mask is not None:
         hidden = hidden * dropout_mask
     logits = adj @ (hidden @ params.W1)
@@ -224,7 +171,7 @@ def gcn_backward(
     d_z0 = d_hidden * (hidden > 0.0)
     if adj_X is None:
         adj_X = adj @ X
-    grad_W0 = _split_matmul(adj_X.T, d_z0)
+    grad_W0 = threads.split_matmul(adj_X.T, d_z0)
     return grad_W0, grad_W1
 
 

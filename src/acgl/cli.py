@@ -172,12 +172,21 @@ _COMMANDS = {
 }
 
 
+# Routines that only compute products for their caller, on the calling or the
+# helper thread. An error in one is named after that caller, whichever thread hit it.
+_PRODUCT_ROUTINES = ("threads.", "analytic._gram")
+
+
 def _failing_stage(exc: BaseException) -> str:
-    """``module.function`` of the innermost acgl frame in ``exc``'s traceback."""
+    """``module.function`` of the innermost acgl frame in ``exc``'s traceback.
+
+    Frames of the product routines are passed over.
+    """
     package = Path(__file__).parent
-    frame = [f for f in traceback.extract_tb(exc.__traceback__)
-             if Path(f.filename).parent == package][-1]
-    return f"{Path(frame.filename).stem}.{frame.name}"
+    stages = [f"{Path(f.filename).stem}.{f.name}"
+              for f in traceback.extract_tb(exc.__traceback__)
+              if Path(f.filename).parent == package]
+    return [s for s in stages if not s.startswith(_PRODUCT_ROUTINES)][-1]
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 
 A single frozen random projection followed by relu lifts h-dimensional
 embeddings to a wider space where a linear classifier has enough capacity.
-The weight is drawn once from a seeded generator and never trained.
+The weight is drawn once from a seeded generator and never trained. From
+``threads.SPLIT_MADDS`` multiply-adds on, the lower rows' product and ReLU
+run on the helper thread (:func:`threads.split_matmul`), bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import threads
 
 
 @dataclass(frozen=True)
@@ -47,5 +51,4 @@ def expand(hidden: np.ndarray, params: ExpanderParams) -> np.ndarray:
         raise ValueError(
             f"hidden dim {hidden.shape[1]} != expander input dim {params.input_dim}"
         )
-    pre = hidden @ params.weight
-    return np.maximum(pre, 0.0, out=pre)
+    return threads.split_matmul(hidden, params.weight, relu=True)

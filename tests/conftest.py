@@ -2,7 +2,7 @@ import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy lo
 import numpy as np
 import pytest
 
-from acgl import backbone, harness
+from acgl import harness, threads
 from acgl.backbone import (
     AdamState,
     BackboneConfig,
@@ -93,10 +93,10 @@ def oracle_test_rows(graph, class_ids, params, expander):
 
 
 def count_splits(monkeypatch):
-    """Record each product that hands a half to the backbone's helper thread."""
+    """Record each product that hands a part to the helper thread."""
     calls = []
-    helper = backbone._helper_thread
-    monkeypatch.setattr(backbone, "_helper_thread", lambda pid: calls.append(pid) or helper(pid))
+    helper = threads._helper_thread
+    monkeypatch.setattr(threads, "_helper_thread", lambda pid: calls.append(pid) or helper(pid))
     return calls
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,12 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acgl import threads
 from acgl.analytic import (
     AnalyticState,
     SessionBatch,
     _check_factor,
+    _gram,
     align_base,
     joint_solve,
     one_hot,
@@ -22,7 +26,7 @@ from acgl.analytic import (
 from acgl.config import build_experiment, load_config
 from acgl.harness import evaluate_task
 
-from conftest import oracle_predict, run_recording_batches
+from conftest import count_splits, oracle_predict, run_recording_batches
 
 
 def random_batch(rng, n, d, class_ids):
@@ -162,6 +166,73 @@ class TestAlignBase:
         gram = X.T @ X + 0.1 * np.eye(6)
         assert rel_fro(state.R.T @ state.R, gram) < 1e-12
         np.testing.assert_allclose(state.inv_gram @ gram, np.eye(6), atol=1e-8)
+
+
+@st.composite
+def gram_blocks(draw):
+    """One block (n, d), or two: an upper-triangular (d, d) factor and (n, d) rows.
+
+    n < d and n >= d both occur, d mostly not a multiple of 48, and each
+    block is C- or Fortran-ordered.
+    """
+    d = draw(st.integers(1, 200))
+    n = draw(st.integers(0, 2 * d + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from("CF"))
+    X = np.asarray(np.maximum(rng.normal(size=(n, d)), 0.0), order=order)
+    if not draw(st.booleans()):
+        return (X,)
+    R = np.asarray(np.triu(rng.normal(size=(d, d))), order=draw(st.sampled_from("CF")))
+    return R, X
+
+
+def upper(gram):
+    return gram[np.triu_indices_from(gram)]
+
+
+class TestGram:
+    @settings(max_examples=80, deadline=None)
+    @given(blocks=gram_blocks())
+    @example(blocks=(np.ones((50, 100)),))                      # n < d, one tile of 48
+    @example(blocks=(np.ones((150, 97), order="F"),))           # n >= d, d = 2 * 48 + 1
+    @example(blocks=(np.triu(np.ones((130, 130))).T.copy().T, np.ones((60, 130))))  # R, X
+    @example(blocks=(np.ones((40, 30), order="F"),))            # tile edge rounds to 0: d
+    def test_bytes_do_not_depend_on_the_thread(self, blocks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threads, "SPLIT_MADDS", math.inf)
+            here = _gram(*blocks)
+            mp.setattr(threads, "SPLIT_MADDS", 0)
+            calls = count_splits(mp)
+            split = _gram(*blocks)
+        assert calls
+        assert split.tobytes() == here.tobytes()
+        assert split.flags.f_contiguous
+        expected = sum(B.T @ B for B in blocks)
+        np.testing.assert_allclose(upper(split), upper(expected), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("threshold", [0, math.inf], ids=["helper", "one_thread"])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_peak_memory_is_the_result_plus_one_buffer_or_tile(self, monkeypatch, threshold,
+                                                                blocks):
+        # One block allocates only the result, bounded here by the result plus
+        # its upper-left tile; two blocks also the second product's (d, d)
+        # buffer. A sum into a further buffer would add d^2 doubles. 64 KiB
+        # covers the Python objects of the hand-off.
+        monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+        rng = np.random.default_rng(0)
+        d, n = 480, 600
+        X = rng.normal(size=(n, d))
+        args = (X,) if blocks == 1 else (np.triu(rng.normal(size=(d, d))).T.copy().T, X)
+        h = 48 * round(0.707 * d / 48)
+        bound = d * d * 8 + (h * h * 8 if blocks == 1 else d * d * 8) + 64 * 1024
+        _gram(*args)  # starts the helper thread outside the measurement
+        tracemalloc.start()
+        try:
+            gram = _gram(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.nbytes <= peak <= bound
 
 
 class TestUpdateR:

@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from acgl.harness import ExpanderConfig, ExperimentConfig, run_experiment
 from acgl.metrics import matrix_to_csv
 from acgl.synthetic import SyntheticSpec, generate_synthetic, intra_class_fraction
 
-from conftest import SWEEP_FIXTURE_LINES
+from conftest import SWEEP_FIXTURE_LINES, count_splits
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
 
@@ -290,7 +291,40 @@ class TestRun:
                      "--set", "backbone.epochs=1", "--set", "expander.dim=256"])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err == "error: backbone._split_matmul: overflow encountered in matmul\n"
+        assert err == "error: backbone.gcn_forward: overflow encountered in matmul\n"
+
+    @pytest.mark.parametrize("part, stage", [("gram_column", "analytic.align_base"),
+                                             ("expand_rows", "expander.expand")])
+    def test_overflow_in_a_helper_part_names_its_stage(self, run_config_file, tmp_path,
+                                                        capsys, monkeypatch, part, stage):
+        # Finite rows that overflow only in the part on the helper thread: the
+        # last expanded column, which the base Gram's right block column holds,
+        # or the last hidden row, which the lower half of expand holds. The
+        # base session (two classes of 200 nodes, hidden 128, dim 256) is large
+        # enough that both products hand their part to the helper.
+        import acgl.harness as harness
+
+        expand = harness.expand
+
+        def poisoned(hidden, params):
+            if part == "expand_rows":
+                hidden = hidden.copy()
+                hidden[-1] = 1e308 * np.sign(params.weight[:, 0])  # column 0 sums past max
+                return expand(hidden, params)
+            rows = expand(hidden, params)
+            rows[:, -1] = 1e160
+            return rows
+
+        monkeypatch.setattr(harness, "expand", poisoned)
+        calls = count_splits(monkeypatch)
+        code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o"),
+                     "--set", "synthetic.classes=3", "--set", "synthetic.nodes_per_class=200",
+                     "--set", "synthetic.features=128", "--set", "plan.base_classes=2",
+                     "--set", "backbone.hidden=128", "--set", "backbone.epochs=1",
+                     "--set", "expander.dim=256"])
+        assert code == EXIT_RUNTIME
+        assert calls
+        assert capsys.readouterr().err == f"error: {stage}: overflow encountered in matmul\n"
 
     def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
                                             monkeypatch):

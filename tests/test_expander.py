@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from acgl import threads
 from acgl.expander import ExpanderParams, expand, init_expander
+
+from conftest import count_splits
 
 
 def naive_expand(hidden, weight):
@@ -82,3 +89,36 @@ def test_full_row_rank_when_wide_enough():
     out = expand(hidden, p)
     assert np.linalg.matrix_rank(out) == 12
 
+
+
+@st.composite
+def expansions(draw):
+    """(hidden, params): rows on both sides of the split floors, C- or Fortran-ordered rows."""
+    rows = draw(st.integers(1, 700))
+    h = draw(st.integers(1, 64))
+    d_out = draw(st.integers(h + 1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hidden = np.asarray(rng.normal(size=(rows, h)), order=draw(st.sampled_from("CF")))
+    return hidden, init_expander(h, d_out, seed=int(rng.integers(100)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=expansions())
+@example(case=(np.random.default_rng(0).normal(size=(6000, 64)),              # big_sessions base
+               init_expander(64, 1024, seed=0)))
+@example(case=(np.asfortranarray(np.random.default_rng(1).normal(size=(301, 64))),
+               init_expander(64, 130, seed=1)))                                # split at 144
+def test_split_expansion_is_bit_identical(case):
+    hidden, p = case
+    pre = hidden @ p.weight
+    one_call = np.maximum(pre, 0.0, out=pre).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        for threshold in (math.inf, 0):
+            mp.setattr(threads, "SPLIT_MADDS", threshold)
+            assert expand(hidden, p).tobytes() == one_call
+
+
+def test_base_sized_expansion_takes_the_helper(monkeypatch):
+    calls = count_splits(monkeypatch)
+    expand(np.ones((1500, 64)), init_expander(64, 1024, seed=0))
+    assert len(calls) == 1

@@ -1,5 +1,6 @@
-"""The backbone's helper thread: none at import, at most one after runs, no hang at exit."""
+"""The helper thread: none at import, at most one after runs, no hang at exit, shared safely."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,12 @@ import numpy as np
 import pytest
 
 import acgl
-from acgl import backbone
+from acgl import analytic, harness, threads
+from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_OK, main
+from acgl.expander import ExpanderParams, expand
+from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
+from acgl.metrics import matrix_to_csv
 
 from conftest import count_splits
 
@@ -59,26 +64,65 @@ def test_cli_child_that_splits_exits(tmp_path):
 
 def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     # Six caller threads on two cores, switching every microsecond, each
-    # splitting products through the one helper thread.
+    # handing parts of split products, expansions and Grams to the one
+    # helper thread.
     rng = np.random.default_rng(0)
     A, B = rng.normal(size=(301, 700)), rng.normal(size=(700, 37))
-    expected = (A @ B).tobytes()
+    X, R = rng.normal(size=(130, 100)), np.triu(rng.normal(size=(100, 100))).T.copy().T
+    weight = ExpanderParams(rng.normal(size=(700, 130)))
+    jobs = [lambda: threads.split_matmul(A, B), lambda: expand(A, weight),
+            lambda: analytic._gram(X), lambda: analytic._gram(R, X)]
+    expected = [job().tobytes() for job in jobs]
     results = []
 
     def work():
-        results.extend(backbone._split_matmul(A, B).tobytes() == expected for _ in range(20))
+        for _ in range(10):
+            results.extend(job().tobytes() == want for job, want in zip(jobs, expected))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(backbone, "_SPLIT_MADDS", 0)
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for t in threads:
+            mp.setattr(threads, "SPLIT_MADDS", 0)
+            callers = [threading.Thread(target=work) for _ in range(6)]
+            for t in callers:
                 t.start()
-            for t in threads:
+            for t in callers:
                 t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [True] * 120
+    assert not any(t.is_alive() for t in callers)
+    assert results == [True] * 240
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("acgl-matmul")] == ["acgl-matmul_0"]
+
+
+# big_sessions in miniature: four base classes, then one-class sessions of
+# 240 train rows against an expanded width of 128, so update_R takes the
+# Gram path; the base Gram and expansions are above the split threshold.
+BIG_SESSIONS_SHAPED = ExperimentConfig(
+    synthetic=SyntheticSpec(classes=6, nodes_per_class=400, features=32, homophily=0.5,
+                            class_sep=0.2),
+    c0=4,
+    k=1,
+    backbone=BackboneConfig(hidden=32, epochs=3),
+    expander=ExpanderConfig(dim=128),
+    seed=3,
+)
+
+
+def test_big_sessions_shaped_run_is_bit_identical_on_one_or_two_threads(monkeypatch):
+    def outputs(threshold):
+        monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+        r = harness.run_experiment(BIG_SESSIONS_SHAPED)
+        return matrix_to_csv(r.matrix), r.state.weights.tobytes(), r.state.R.tobytes()
+
+    grams = []
+    gram = analytic._gram
+    monkeypatch.setattr(analytic, "_gram", lambda *blocks: grams.append(len(blocks)) or
+                        gram(*blocks))
+    one_thread = outputs(math.inf)
+    calls = count_splits(monkeypatch)
+    assert outputs(0) == one_thread
+    assert calls
+    assert grams == [1, 2, 2] * 2  # the base, then both sessions through the Gram path
