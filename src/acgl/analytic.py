@@ -25,9 +25,9 @@ per new class,
 with both products taken by one solve against the new R. This reproduces
 the one-shot joint solution up to float error, within the README's bound
 8 (kappa(G) + 16) eps, as measured for gamma from 1e-4 to 1e2 up to 200
-sessions at d = 64 and at 40 sessions of d = 512. :func:`joint_solve` is the
-independent oracle for that equivalence. The paper's inverse autocorrelation matrix G^{-1} is
-available as :attr:`AnalyticState.inv_gram`; the recursion never forms it.
+sessions at d = 64, at 40 sessions of d = 512, and at d = 2048 (tpqrt path)
+and d = 1024 (Gram path). :func:`joint_solve` is the independent oracle for
+that equivalence. G^{-1} is :attr:`AnalyticState.inv_gram`, never formed by the recursion.
 """
 
 from __future__ import annotations

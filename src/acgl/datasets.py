@@ -1,17 +1,17 @@
-"""On-disk dataset format: load, save, validate.
+"""On-disk dataset format, version 2: load, save, validate.
 
 A dataset directory contains five files:
 
     edges.csv      one edge per line, two comma-separated integer node ids
-    features.csv   N lines, d comma-separated reals per line
+    features.npy   the N x d float64 feature matrix, in numpy's .npy format
     labels.csv     N lines, one integer class id per line
     split.csv      N lines, each one of: train, val, test, none
-    meta.json      {"num_nodes": N, "num_features": d, "num_classes": C, ...}
+    meta.json      {"format_version": 2, "num_nodes": N, "num_features": d, ...}
 
-Integers round-trip bit-exactly; reals are written with shortest
-round-trip formatting (repr), which reconstructs the exact double.
-``features.csv`` is read by ``np.loadtxt``'s grammar, the other files'
-integers by ``int()``. Edges go through :func:`acgl.graph.canonical_edges`:
+Features round-trip bit for bit. Big-endian or Fortran-ordered float64 is
+accepted (``Graph`` copies it to native, C-ordered float64); every other
+dtype, object arrays, pickles and ``.npz`` archives are rejected. Integers
+are read by ``int()``. Edges go through :func:`acgl.graph.canonical_edges`:
 directed or duplicated edges are symmetrized and deduplicated, self-loops
 dropped (they are reintroduced during normalization).
 """
@@ -19,15 +19,14 @@ dropped (they are reintroduced during normalization).
 from __future__ import annotations
 
 import json
-import warnings
+import tokenize
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, canonical_edges
 
-FORMAT_NAME = "csv-dir"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SPLIT_NAMES = ("train", "val", "test", "none")
 
@@ -59,35 +58,35 @@ def _node_lines(root: Path, name: str, n: int) -> tuple[Path, list[str]]:
     return path, lines
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray | None:
-    """``lines`` as a float64 matrix in ``np.loadtxt``'s grammar, or None if it rejects them."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # loadtxt warns when every line is blank
-        try:
-            return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            return None
+# numpy's .npy header readers by version. A corrupt header raises ValueError, or (numpy
+# 2.4) TokenError, SyntaxError or TypeError from its Python 2 filter, descr and key checks.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _parse_features(path: Path, lines: list[str], d: int) -> np.ndarray:
-    """The ``len(lines) x d`` feature matrix, in one ``np.loadtxt`` pass.
+def _read_features(path: Path, n: int, d: int) -> np.ndarray:
+    """The ``n x d`` float64 matrix of the ``.npy`` file ``path``, in its byte order and layout.
 
-    That grammar reads a well-formed row bit for bit as ``float()`` does,
-    takes ASCII 0x1C-0x1F as blanks and rejects ``1_0`` and non-ASCII digits.
-    When the pass fails (or skips a blank line), the lines are re-read one at
-    a time, column count first, only to name the first bad ``path:line``.
+    Header and file size are checked before any ``n x d`` allocation; nothing is unpickled.
     """
-    features = _loadtxt(lines)
-    if features is not None and features.shape == (len(lines), d):
-        return features
-    for i, line in enumerate(lines, start=1):
-        columns = line.count(",") + 1
-        if columns != d:
-            raise _parse_error(path, i, f"expected {d} columns, got {columns}")
-        row = _loadtxt([line])
-        if row is None or row.shape != (1, d):
-            raise _parse_error(path, i, f"non-numeric feature entry in {line!r}")
-    raise DatasetFormatError(f"{path}: rows parse one at a time but not as one file")
+    if not path.is_file():
+        raise DatasetFormatError(f"{path}: missing dataset file")
+    with path.open("rb") as f:
+        try:
+            shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(f)](f)
+        except (KeyError, ValueError, tokenize.TokenError, SyntaxError, TypeError):
+            raise DatasetFormatError(f"{path}: not a .npy array, or its header is corrupt") from None
+        if dtype not in (np.dtype("<f8"), np.dtype(">f8")) or shape != (n, d):
+            raise DatasetFormatError(f"{path}: {dtype.str} array of shape {shape}, expected "
+                                     f"float64 of shape ({n}, {d}) from meta.json")
+        if path.stat().st_size - f.tell() != n * d * 8:
+            raise DatasetFormatError(f"{path}: the data after the header is not {n * d * 8} bytes")
+        features = np.fromfile(f, dtype=dtype, count=n * d).reshape(
+            shape, order="F" if fortran_order else "C")
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        raise DatasetFormatError(f"{path}: non-finite feature in row {np.argmin(finite_rows)}")
+    return features
 
 
 def load_dataset(path) -> Graph:
@@ -101,6 +100,12 @@ def load_dataset(path) -> Graph:
         raise DatasetFormatError(f"{meta_path}: invalid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
+    version = meta.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"{meta_path}: format_version {version!r}, expected {FORMAT_VERSION}; convert with "
+            'np.save("features.npy", np.loadtxt("features.csv", delimiter=",", ndmin=2)) '
+            f'and "format_version": {FORMAT_VERSION}')
     for key in ("num_nodes", "num_features", "num_classes"):
         if key not in meta:
             raise DatasetFormatError(f"{meta_path}: missing key {key!r}")
@@ -125,12 +130,7 @@ def load_dataset(path) -> Graph:
         raw_edges.append((u, v))
     edges = canonical_edges(np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2), n)
 
-    feat_path, feat_lines = _node_lines(root, "features.csv", n)
-    features = _parse_features(feat_path, feat_lines, d)
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        line_no = int(np.argmin(finite_rows)) + 1
-        raise _parse_error(feat_path, line_no, "features contain non-finite values")
+    features = _read_features(root / "features.npy", n, d)
 
     label_path, label_lines = _node_lines(root, "labels.csv", n)
     labels = np.empty(n, dtype=np.int64)
@@ -168,20 +168,19 @@ def save_dataset(graph: Graph, path) -> None:
     """Write ``graph`` to a dataset directory (created if absent).
 
     ``load_dataset(save_dataset(g)) == g`` holds exactly: integers are
-    written verbatim and reals with shortest round-trip formatting.
+    written verbatim and the features as a C-ordered float64 ``.npy`` array.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
+    np.save(root / "features.npy", graph.features, allow_pickle=False)
 
     split = np.full(graph.num_nodes, "none", dtype=object)
     split[graph.train_mask] = "train"
     split[graph.val_mask] = "val"
     split[graph.test_mask] = "test"
-    # tolist() yields Python ints, floats and strs (same str/repr, no numpy
-    # scalar per cell); features go row by row so no N x d list of floats is built.
+    # tolist() yields Python ints and strs (same str, no numpy scalar per cell).
     line_files = {
         "edges.csv": (f"{u},{v}" for u, v in graph.edges.tolist()),
-        "features.csv": (",".join(map(repr, row.tolist())) for row in graph.features),
         "labels.csv": graph.labels.tolist(),
         "split.csv": split.tolist(),
     }
@@ -190,7 +189,6 @@ def save_dataset(graph: Graph, path) -> None:
             f.writelines(f"{line}\n" for line in lines)
 
     meta = {
-        "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "num_nodes": graph.num_nodes,
         "num_features": graph.feature_dim,

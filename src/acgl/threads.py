@@ -4,9 +4,9 @@ Each BLAS call runs on one thread. A product large enough to pay for the
 hand-off is cut into two parts that give the same bytes however they are
 scheduled: from :data:`SPLIT_MADDS` multiply-adds on, one part runs on the
 calling thread and the other on one helper thread kept for the process;
-below it both run on the calling thread. The backbone's ``X @ W0`` and
-``adj_X.T @ d_z0``, the expander's ``relu(H @ W)`` and the analytic Grams
-(``analytic._gram``) are cut this way.
+below it, or in a process allowed one CPU, both run on the calling thread.
+The backbone's ``X @ W0`` and ``adj_X.T @ d_z0``, the expander's
+``relu(H @ W)`` and the analytic Grams (``analytic._gram``) are cut this way.
 
 Only numpy products and element-wise ufuncs run on the helper. numpy
 releases the GIL around them, while scipy's f2py BLAS and LAPACK wrappers
@@ -55,16 +55,28 @@ def _helper_thread(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="acgl-matmul")
 
 
+@functools.cache
+def _second_cpu(pid: int) -> bool:
+    """Whether this process may run on two CPUs, read once per process id.
+
+    A process pinned to one CPU (``taskset -c 0``) would only take turns
+    between the parts. Where ``os.sched_getaffinity`` does not exist, a
+    second CPU is assumed. A cgroup CPU quota does not show in the affinity.
+    """
+    return not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1
+
+
 def run_pair(here, there, madds: float) -> None:
     """Call ``here()`` and ``there()``, ``there`` on the helper thread from ``madds`` on.
 
-    ``madds`` is the pair's multiply-adds. Below :data:`SPLIT_MADDS` both
-    run on the calling thread, ``here`` first; the two must write disjoint
-    outputs, so the bytes are the same either way. The caller's
-    ``np.errstate`` also governs ``there``, and the helper is joined before
-    this returns or raises: an error of either is raised here.
+    ``madds`` is the pair's multiply-adds. Below :data:`SPLIT_MADDS`, or
+    without a second CPU, both run on the calling thread, ``here`` first;
+    the two must write disjoint outputs, so the bytes are the same either
+    way. The caller's ``np.errstate`` also governs ``there``, and the helper
+    is joined before this returns or raises: an error of either is raised
+    here.
     """
-    if madds < SPLIT_MADDS:
+    if madds < SPLIT_MADDS or not _second_cpu(os.getpid()):
         here()
         there()
         return

@@ -181,9 +181,9 @@ class TestRun:
         split = (ds / "split.csv").read_text().split()
         node = next(i for i, (y, s) in enumerate(zip(labels, split))
                     if y == "3" and s == "test")
-        rows = (ds / "features.csv").read_text().splitlines()
-        rows[node] = ",".join(["nan"] + rows[node].split(",")[1:])
-        (ds / "features.csv").write_text("\n".join(rows) + "\n")
+        features = np.load(ds / "features.npy")
+        features[node, 0] = np.nan
+        np.save(ds / "features.npy", features)
         code = main(["run", "--out", str(tmp_path / "out"),
                      "--set", f"dataset.path={ds}",
                      "--set", "backbone.hidden=8",
@@ -191,7 +191,7 @@ class TestRun:
                      "--set", "expander.dim=16"])
         assert code == EXIT_RUNTIME
         # Rejected when the graph is built at load, not at predict after training.
-        assert "features contain non-finite" in capsys.readouterr().err
+        assert f"non-finite feature in row {node}" in capsys.readouterr().err
 
     def test_session_class_without_train_rows_is_runtime_error(self, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -283,9 +283,9 @@ class TestRun:
         capsys.readouterr()
         labels = (ds / "labels.csv").read_text().split()
         last_base = max(i for i, label in enumerate(labels) if label in ("0", "1"))
-        lines = (ds / "features.csv").read_text().splitlines()
-        lines[last_base] = ",".join(["1e308"] * 128)
-        (ds / "features.csv").write_text("\n".join(lines) + "\n")
+        features = np.load(ds / "features.npy")
+        features[last_base] = 1e308
+        np.save(ds / "features.npy", features)
         code = main(["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={ds}",
                      "--set", "plan.base_classes=2", "--set", "backbone.hidden=128",
                      "--set", "backbone.epochs=1", "--set", "expander.dim=256"])
@@ -571,7 +571,7 @@ class TestGenSynth:
         for name in ("a", "b"):
             main(["gen-synth", "--out", str(tmp_path / name), "--classes", "3",
                   "--nodes-per-class", "10", "--seed", "5"])
-        for f in ("edges.csv", "features.csv", "labels.csv", "split.csv", "meta.json"):
+        for f in DATASET_FILES:
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
     def test_homophily_half_gives_balanced_edges(self, tmp_path):
@@ -635,29 +635,29 @@ class TestValidateDataset:
         assert "labels.csv:2" in capsys.readouterr().err
 
 
-def _truncate_mid_line(text):
-    """The first half of the lines, then one character of the next, no newline."""
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[: len(lines) // 2]) + lines[len(lines) // 2][0]
+def _truncate_mid_line(data):
+    """The first half of the lines, then one byte of the next, no newline."""
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[: len(lines) // 2]) + lines[len(lines) // 2][:1]
 
 
-def _type_error(name, text):
+def _type_error(name, data):
     if name == "meta.json":
-        return "5\n"
-    if name == "features.csv":
-        lines = text.splitlines(keepends=True)
-        lines[2] = "nan" + lines[2][lines[2].index(","):]
-        return "".join(lines)
+        return b"5\n"
+    if name == "features.npy":
+        buf = io.BytesIO()
+        np.save(buf, np.load(io.BytesIO(data)).astype(np.float32))
+        return buf.getvalue()
     # An entry of the wrong type on the first line of a one-value-per-cell file.
-    bad = {"edges.csv": "0,1.5", "labels.csv": "true", "split.csv": "1"}[name]
-    return bad + "\n" + text.split("\n", 1)[1]
+    bad = {"edges.csv": b"0,1.5", "labels.csv": b"true", "split.csv": b"1"}[name]
+    return bad + b"\n" + data.split(b"\n", 1)[1]
 
 
-DATASET_FILES = ("edges.csv", "features.csv", "labels.csv", "split.csv", "meta.json")
+DATASET_FILES = ("edges.csv", "features.npy", "labels.csv", "split.csv", "meta.json")
 CORRUPTIONS = {
-    "truncated": lambda name, text: _truncate_mid_line(text).encode(),
-    "non_utf8": lambda name, text: b"\xff\xfe0,1\n\x80\x81\n",
-    "type_error": lambda name, text: _type_error(name, text).encode(),
+    "truncated": lambda name, data: _truncate_mid_line(data),
+    "non_utf8": lambda name, data: b"\xff\xfe0,1\n\x80\x81\n",
+    "type_error": _type_error,
 }
 
 
@@ -677,18 +677,33 @@ class TestCorruptDataset:
     @pytest.mark.parametrize("name", DATASET_FILES)
     def test_corrupt_file_exits_3_naming_it(self, dataset, capsys, name, kind):
         path = dataset / name
-        path.write_bytes(CORRUPTIONS[kind](name, path.read_text()))
+        path.write_bytes(CORRUPTIONS[kind](name, path.read_bytes()))
         code, err = self._validate(dataset, capsys)
         assert code == EXIT_RUNTIME, err
         assert name in err
         assert "Traceback" not in err
 
     def test_nan_feature_names_its_line(self, dataset, capsys):
-        path = dataset / "features.csv"
-        path.write_text(_type_error("features.csv", path.read_text()))
+        path = dataset / "features.npy"
+        features = np.load(path)
+        features[2, 1] = np.nan
+        np.save(path, features)
         code, err = self._validate(dataset, capsys)
         assert code == EXIT_RUNTIME
-        assert "features.csv:3: features contain non-finite values" in err
+        assert err == f"error: {path}: non-finite feature in row 2\n"
+
+    @pytest.mark.parametrize("version", [None, 1], ids=["unversioned", "version_1"])
+    def test_other_format_version_is_one_line_from_both_commands(self, dataset, capsys,
+                                                                  tmp_path, version):
+        path = dataset / "meta.json"
+        meta = {**json.loads(path.read_text()), "format_version": version}
+        path.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+        for argv in (["validate-dataset", "--path", str(dataset)],
+                     ["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={dataset}"]):
+            assert main(argv) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(f"error: {path}: format_version {version!r}, expected 2; ")
 
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
                                       '{"num_nodes": ' + "1" * 5000 + "}"],
@@ -735,13 +750,13 @@ class TestCorruptDataset:
             assert len(err.splitlines()) == 1, err
             assert err.startswith(f"error: {path}:2: {detail}")
 
-    def test_huge_feature_count_names_first_row(self, dataset, capsys):
+    def test_huge_feature_count_named_from_the_header(self, dataset, capsys):
         path = dataset / "meta.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "num_features": 10**18}))
         code, err = self._validate(dataset, capsys)
         assert code == EXIT_RUNTIME
-        assert "features.csv:1: expected 1000000000000000000 columns, got 4" in err
-        assert "too big" not in err
+        assert err == (f"error: {dataset / 'features.npy'}: <f8 array of shape (18, 4), expected "
+                       "float64 of shape (18, 1000000000000000000) from meta.json\n")
 
 
 @pytest.fixture(scope="module")

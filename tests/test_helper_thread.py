@@ -126,3 +126,23 @@ def test_big_sessions_shaped_run_is_bit_identical_on_one_or_two_threads(monkeypa
     assert outputs(0) == one_thread
     assert calls
     assert grams == [1, 2, 2] * 2  # the base, then both sessions through the Gram path
+
+
+def test_one_cpu_keeps_both_parts_on_the_calling_thread_with_the_same_bytes(monkeypatch):
+    def outputs():
+        r = harness.run_experiment(BIG_SESSIONS_SHAPED)
+        return matrix_to_csv(r.matrix), r.state.weights.tobytes(), r.state.R.tobytes()
+
+    monkeypatch.setattr(threads, "SPLIT_MADDS", 0)
+    calls = count_splits(monkeypatch)
+    two_cpus = outputs()
+    assert calls
+    calls.clear()
+    # As under `taskset -c 0`; the affinity is read once per process, so afresh here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    threads._second_cpu.cache_clear()
+    try:
+        assert outputs() == two_cpus
+    finally:
+        threads._second_cpu.cache_clear()
+    assert calls == []
