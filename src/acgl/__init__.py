@@ -4,10 +4,10 @@ A GCN backbone is trained once on a base set of classes, then frozen.
 Classes arriving in later sessions are absorbed by a closed-form ridge
 classifier over randomly expanded embeddings, updated recursively so the
 result is numerically identical to refitting on every session at once
-while retaining only two fixed-size matrices between sessions: the weights
-and R, the upper-triangular Cholesky factor of the regularized Gram
-(R^T R = G). The paper's inverse G^{-1} is formed on demand as
-``AnalyticState.inv_gram``.
+while retaining only two fixed-size matrices between sessions: the weights,
+whose column j scores class id j, and R, the upper-triangular Cholesky
+factor of the regularized Gram (R^T R = G). The paper's inverse G^{-1} is
+formed on demand as ``AnalyticState.inv_gram``.
 
 Importing the package pins BLAS to one thread unless the caller has set the
 thread variables. A BLAS reads them once, when numpy is first imported, so a

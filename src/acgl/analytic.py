@@ -17,8 +17,9 @@ potrf, tpqrt and cho_solve stay on the calling thread, because scipy's
 LAPACK wrappers hold the GIL. Each factor is checked where it
 is made: a session in which float64 loses gamma to rounding raises one
 ValueError form, naming ``analytic.align_base`` or ``analytic.update_R``.
-The weight update corrects existing class columns and appends one column
-per new class,
+Column j of W scores class id j, so sessions bring their classes in
+ascending id order and :func:`predict` returns the argmax column. The weight
+update corrects the existing columns and appends one column per new class,
 
     W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
@@ -33,7 +34,7 @@ that equivalence. G^{-1} is :attr:`AnalyticState.inv_gram`, never formed by the 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -62,33 +63,26 @@ _GRAM_TILE_SHARE = 0.707
 
 @dataclass(frozen=True)
 class AnalyticState:
-    """Everything retained between sessions: W, R, and class order.
+    """Everything retained between sessions: W and R.
 
-    ``weights`` has one column per seen class, in the order the classes
-    were first seen, and ``seen_classes`` names those columns.
+    ``weights`` has one column per seen class, column j for class id j.
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
     gamma itself is not kept; it stays in the Fortran order LAPACK returns.
     Both arrays are read-only. The state's footprint is one (d, d) matrix
     plus one (d, C) matrix, fixed in d regardless of how many samples have
-    been absorbed. :func:`predict` reads the columns in ascending class-id
-    order through a permutation derived once per state, not stored.
+    been absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
     R: np.ndarray                    # (d, d), upper triangular
-    seen_classes: tuple[int, ...]
 
     def __post_init__(self):
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         R = np.asarray(self.R, dtype=np.float64)
-        d, c = weights.shape
+        d, _ = weights.shape
         if R.shape != (d, d):
             raise ValueError(f"R shape {R.shape} incompatible with weights {weights.shape}")
-        if c != len(self.seen_classes):
-            raise ValueError("one weight column per seen class required")
-        if len(set(self.seen_classes)) != c:
-            raise ValueError("seen_classes must be unique")
         for name, arr in (("weights", weights), ("R", R)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -105,64 +99,35 @@ class AnalyticState:
             raise ValueError(f"matrix numerically singular: LAPACK info {info}")
         return np.triu(upper) + np.triu(upper, 1).T
 
-    @cached_property
-    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weight-column permutation that sorts ``seen_classes``, and the sorted ids."""
-        ids = np.asarray(self.seen_classes, dtype=np.int64)
-        order = np.argsort(ids)
-        return order, ids[order]
-
 
 @dataclass(frozen=True)
 class SessionBatch:
     """One session's expanded training features and one-hot targets.
 
-    Every class id needs at least one row: a class with no training row
-    would get an all-zero weight column and could never be predicted.
+    Each target column is one new class, in ascending class-id order. Every
+    column needs at least one row: a class with no training row would get
+    an all-zero weight column and could never be predicted.
     """
 
     features: np.ndarray        # (N, d)
     targets: np.ndarray         # (N, C_new), one-hot rows
-    class_ids: tuple[int, ...]
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
         Y = np.ascontiguousarray(self.targets, dtype=np.float64)
         if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
             raise ValueError("features and targets must share their row count")
-        if Y.shape[1] != len(self.class_ids):
-            raise ValueError("one target column per class id required")
-        if len(set(self.class_ids)) != len(self.class_ids):
-            raise ValueError("class_ids must be unique")
         if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
             raise ValueError("every target row must be one-hot")
-        empty = [c for c, count in zip(self.class_ids, Y.sum(axis=0)) if count == 0]
-        if empty:
-            raise ValueError(f"class {empty[0]} has no training rows")
+        empty = np.flatnonzero(Y.sum(axis=0) == 0)
+        if empty.size:
+            raise ValueError(f"target column {empty[0]} has no training rows")
         if not np.isfinite(X).all():
             raise ValueError("features contain non-finite values")
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", Y)
-
-
-def one_hot(labels: np.ndarray, class_ids) -> np.ndarray:
-    """One-hot float64 rows over ``class_ids`` (column order follows class_ids).
-
-    Raises ValueError naming the first label that is not one of ``class_ids``,
-    and when ``class_ids`` repeats an id.
-    """
-    ids = np.array([int(c) for c in class_ids], dtype=np.int64)
-    if np.unique(ids).size != ids.size:
-        raise ValueError("class_ids must be unique")
-    labels = np.asarray(labels).reshape(-1)
-    hits = labels[:, None] == ids
-    found = hits.any(axis=1)
-    if not found.all():
-        raise ValueError(f"label {labels[~found][0]!s} is not one of the class ids "
-                         f"{ids.tolist()}")
-    return hits.astype(np.float64)
 
 
 def _singular_gram(stage: str, n: int, d: int, evidence: str) -> ValueError:
@@ -240,15 +205,14 @@ def _gram(*blocks: np.ndarray) -> np.ndarray:
     return np.add(gram, other, out=gram)
 
 
-def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
-               class_ids=None) -> AnalyticState:
+def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
     Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
-    recursion's state, and solves G W = X^T Y against it. ``class_ids``
-    defaults to 0..C0-1 when the base classes are not explicitly named.
-    Non-finite features raise ValueError, and so does a Gram in which
-    gamma is lost to rounding (:func:`_factor`).
+    recursion's state, and solves G W = X^T Y against it, so Y's column j
+    becomes class id j's weight column. Non-finite features raise
+    ValueError, and so does a Gram in which gamma is lost to rounding
+    (:func:`_factor`).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -256,15 +220,12 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float,
     Y0 = np.asarray(Y0, dtype=np.float64)
     if not np.isfinite(X0).all():
         raise ValueError("features contain non-finite values")
-    if class_ids is None:
-        class_ids = tuple(range(Y0.shape[1]))
     gram = _gram(X0)
     gram[np.diag_indices_from(gram)] += gamma
     R = _factor(gram, "analytic.align_base", X0.shape[0])
     return AnalyticState(
         weights=scipy.linalg.cho_solve((R, False), X0.T @ Y0, check_finite=False),
         R=R,
-        seen_classes=tuple(int(c) for c in class_ids),
     )
 
 
@@ -315,24 +276,17 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
 
     R absorbs the new session first; then, with G the Gram R^T R, existing
     class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
-    columns G^{-1} X^T Y are appended, both from one solve against R.
-    Revisiting an already-seen class is rejected, and :func:`update_R`
+    columns G^{-1} X^T Y are appended, both from one solve against R, so the
+    batch's target columns become the next class ids. :func:`update_R`
     rejects a session in which gamma is lost to rounding.
     """
-    overlap = set(batch.class_ids) & set(state.seen_classes)
-    if overlap:
-        raise ValueError(f"classes revisited across sessions: {sorted(overlap)}")
     X, Y = batch.features, batch.targets
     R_new = update_R(state.R, X)
     W = state.weights
     weights = scipy.linalg.cho_solve((R_new, False), X.T @ np.hstack([-(X @ W), Y]),
                                      check_finite=False)
     weights[:, :W.shape[1]] += W
-    return AnalyticState(
-        weights=weights,
-        R=R_new,
-        seen_classes=state.seen_classes + tuple(int(c) for c in batch.class_ids),
-    )
+    return AnalyticState(weights=weights, R=R_new)
 
 
 def _as_xy(batch) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +301,7 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 
     Accumulates sum X_i^T X_i + gamma I and stacks the per-session blocks
     X_i^T Y_i as label columns, then solves once. Column order is session
-    order, matching the recursion's first-seen ordering.
+    order, as in the recursion.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -370,13 +324,12 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     """Class id of the largest linear score X @ W in each row, as int64.
 
-    One GEMM against the weights as stored, then one argmax over the score
-    columns taken in ascending class-id order. argmax returns the first
-    maximal column, so a tie (an all-zero row, or +0.0 against -0.0) goes to
-    the smallest tied class id, whatever order the classes were learned in.
-    Non-finite scores (from NaN or inf features or weights) raise
-    ValueError rather than yielding an id outside ``seen_classes``, and so
-    does an ``X`` of any shape but (n, d).
+    One GEMM, then one argmax over the score columns; column j is class id
+    j. argmax returns the first maximal column, so a tie (an all-zero row,
+    or +0.0 against -0.0) goes to the smallest tied class id. Non-finite
+    scores (from NaN or inf features or weights) raise ValueError rather
+    than yielding an arbitrary id, and so does an ``X`` of any shape but
+    (n, d).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != state.feature_dim:
@@ -384,5 +337,4 @@ def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     scores = X @ state.weights
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classifier scores; features or weights contain NaN or inf")
-    order, ids = state._id_order
-    return ids[scores.take(order, axis=1).argmax(axis=1)]
+    return scores.argmax(axis=1).astype(np.int64, copy=False)

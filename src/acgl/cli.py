@@ -96,8 +96,7 @@ def _run_and_report(cfg: dict, experiment, out) -> RunReport:
 
 
 def _summary(report: RunReport) -> str:
-    af = "n/a" if report.af is None else f"{report.af:.4f}"
-    return f"AP={report.ap:.4f} AF={af} total={report.times['total_s']:.2f}s"
+    return f"AP={report.ap:.4f} AF={report.af:.4f} total={report.times['total_s']:.2f}s"
 
 
 def _cmd_run(args) -> int:
@@ -131,11 +130,8 @@ def _cmd_sweep(args) -> int:
     with (out / "sweep.csv").open("w", encoding="utf-8") as f:
         f.write(f"{args.axis},ap,af,time_s\n")
         for value, r in zip(values, reports):
-            af_cell = "" if r.af is None else repr(r.af)
-            f.write(f"{value},{repr(r.ap)},{af_cell},{repr(r.times['total_s'])}\n")
-    series = {"AP": [r.ap for r in reports]}
-    if all(r.af is not None for r in reports):
-        series["AF"] = [r.af for r in reports]
+            f.write(f"{value},{repr(r.ap)},{repr(r.af)},{repr(r.times['total_s'])}\n")
+    series = {"AP": [r.ap for r in reports], "AF": [r.af for r in reports]}
     svg = curve_svg([str(v) for v in values], series, title=f"sweep over {args.axis}")
     (out / "sweep.svg").write_text(svg, encoding="utf-8")
     return EXIT_OK

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnalyticState, SessionBatch, align_base, one_hot, predict, update_weights
+from .analytic import AnalyticState, SessionBatch, align_base, predict, update_weights
 from .backbone import BackboneConfig, BackboneParams, gcn_forward, train_base
 from .datasets import load_dataset
 from .expander import ExpanderParams, expand, init_expander
@@ -53,7 +53,8 @@ class ExperimentConfig:
     All randomness flows from ``seed``, by offsets :func:`run_experiment`
     applies. Exactly one of ``dataset_path`` and ``synthetic`` is set.
     Classes run in ascending id order: the base session takes the first
-    ``c0`` ids, each later session the next ``k``.
+    ``c0`` ids, each later session the next ``k``, so class id j is column
+    j of the classifier's weights.
     """
 
     dataset_path: str | None = None
@@ -150,11 +151,10 @@ def _absorb(state: AnalyticState | None, graph: Graph, class_ids, backbone, expa
     train, test = sub.train_mask, sub.test_mask
     batch = SessionBatch(
         features=expand(hidden[train], expander),
-        targets=one_hot(sub.labels[train], class_ids),
-        class_ids=tuple(int(c) for c in class_ids),
+        targets=(sub.labels[train, None] == np.asarray(class_ids)).astype(np.float64),
     )
     if state is None:
-        state = align_base(batch.features, batch.targets, gamma, class_ids=batch.class_ids)
+        state = align_base(batch.features, batch.targets, gamma)
     else:
         state = update_weights(state, batch)
     del batch
@@ -186,11 +186,13 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         if not test_count[ids].any():
             raise ValueError(f"{where} has an empty test set")
 
+    # The expander draws from its own generator, so it is made, and its width
+    # checked, before the backbone trains.
+    expander = init_expander(config.backbone.hidden, config.expander.dim, seed=config.seed + 2)
+
     t0 = time.perf_counter()
     backbone = train_base(graph, plan, config.backbone, config.seed + 1)
     t_base = time.perf_counter() - t0
-
-    expander = init_expander(config.backbone.hidden, config.expander.dim, seed=config.seed + 2)
 
     state = None
     test_rows = []                   # (features, labels) of each seen task, in session order

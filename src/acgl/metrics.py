@@ -33,18 +33,16 @@ def average_performance(matrix: PerformanceMatrix) -> float:
     return float(sum(row) / len(row))
 
 
-def average_forgetting(matrix: PerformanceMatrix):
+def average_forgetting(matrix: PerformanceMatrix) -> float:
     """Mean of (just-learned accuracy - final accuracy) over non-final tasks.
 
-    Undefined for single-session runs (the formula divides by k - 1);
-    returns None in that case rather than 0, so "no forgetting measured"
-    and "nothing to forget yet" stay distinguishable.
+    The formula divides by k - 1, so it needs at least two sessions, which
+    every run has (``build_session_plan`` requires ``c0 < C``); fewer rows
+    raise ValueError.
     """
     k = matrix.num_sessions
-    if k < 1:
-        raise ValueError("performance matrix is empty")
     if k < 2:
-        return None
+        raise ValueError(f"average forgetting needs at least two sessions, got {k}")
     drops = [matrix.entry(i, i) - matrix.entry(k - 1, i) for i in range(k - 1)]
     return float(sum(drops) / (k - 1))
 
@@ -60,7 +58,7 @@ class RunReport:
         return average_performance(self.matrix)
 
     @property
-    def af(self) -> float | None:
+    def af(self) -> float:
         return average_forgetting(self.matrix)
 
 

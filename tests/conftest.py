@@ -100,14 +100,20 @@ def count_splits(monkeypatch):
     return calls
 
 
+def one_hot(labels, class_ids):
+    """float64 targets with one column per entry of ``class_ids``, in that order."""
+    return (np.asarray(labels)[:, None] == np.asarray(class_ids)).astype(np.float64)
+
+
 def oracle_predict(X, state):
     """``predict``'s tie rule written out: the smallest class id among each row's maximal scores.
 
-    The reference for ``predict``'s single argmax in class-id order; the
-    finiteness and shape checks are ``predict``'s own and are left out.
+    Column j of the weights is class id j. The reference for ``predict``'s
+    single argmax; the finiteness and shape checks are ``predict``'s own and
+    are left out.
     """
     scores = np.asarray(X, dtype=np.float64) @ state.weights
-    ids = np.asarray(state.seen_classes, dtype=np.int64)
+    ids = np.arange(scores.shape[1], dtype=np.int64)
     best = scores.max(axis=1, keepdims=True)
     return np.where(scores == best, ids[None, :], np.iinfo(np.int64).max).min(axis=1)
 

@@ -19,7 +19,6 @@ from acgl.analytic import (
     SessionBatch,
     align_base,
     joint_solve,
-    one_hot,
     predict,
     update_R,
     update_weights,
@@ -34,6 +33,7 @@ from conftest import (
     FIXTURE_EXPERIMENT,
     SWEEP_FIXTURE_LINES,
     finetune_matrix,
+    one_hot,
     random_graph,
     run_recording_batches,
 )
@@ -65,19 +65,15 @@ def random_stream(rng, d, num_sessions):
     n = int(rng.integers(4, 21))
     labels = np.concatenate([np.asarray(ids), rng.choice(ids, size=n - 2)])
     batches.append(SessionBatch(features=rng.normal(size=(n, d)),
-                                targets=one_hot(labels, ids), class_ids=ids))
-    for s in range(1, num_sessions):
-        cid = (1 + s,)
+                                targets=one_hot(labels, ids)))
+    for _ in range(1, num_sessions):
         n = int(rng.integers(3, 21))
-        batches.append(SessionBatch(features=rng.normal(size=(n, d)),
-                                    targets=one_hot([cid[0]] * n, cid),
-                                    class_ids=cid))
+        batches.append(SessionBatch(features=rng.normal(size=(n, d)), targets=np.ones((n, 1))))
     return batches
 
 
 def run_recursion(batches, gamma):
-    state = align_base(batches[0].features, batches[0].targets, gamma,
-                       class_ids=batches[0].class_ids)
+    state = align_base(batches[0].features, batches[0].targets, gamma)
     for batch in batches[1:]:
         state = update_weights(state, batch)
     return state
@@ -179,10 +175,7 @@ def test_zero_classifier_level_forgetting(monkeypatch):
     worst = 0.0
     for k in range(res.matrix.num_sessions):
         W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
-        joint_state = AnalyticState(
-            weights=W, R=np.eye(W.shape[0]),
-            seen_classes=tuple(c for group in res.plan.groups[: k + 1] for c in group),
-        )
+        joint_state = AnalyticState(weights=W, R=np.eye(W.shape[0]))
         for i in range(k + 1):
             acc = evaluate_task(joint_state, *res.test_rows[i])
             diff = abs(acc - res.matrix.entry(k, i))
@@ -204,7 +197,7 @@ def test_complexity_claims():
     d = state.feature_dim
     assert arrays["R"].shape == (d, d)
     assert not np.tril(arrays["R"], -1).any()
-    assert arrays["weights"].shape == (d, len(state.seen_classes))
+    assert arrays["weights"].shape == (d, 4)  # two base classes, then one per session
 
     # (b) per-session update cost stays flat across 20 equal-size sessions:
     # one probe session is absorbed into a state before and after them,
@@ -217,23 +210,17 @@ def test_complexity_claims():
     base = SessionBatch(
         features=rng.normal(size=(n, d)),
         targets=one_hot([0] * (n // 2) + [1] * (n - n // 2), (0, 1)),
-        class_ids=(0, 1),
     )
-    wide = tuple(range(22))
     early = run_recursion([SessionBatch(
         features=rng.normal(size=(n, d)),
-        targets=one_hot([i % 22 for i in range(n)], wide),
-        class_ids=wide,
+        targets=one_hot([i % 22 for i in range(n)], range(22)),
     )], gamma=1.0)
     state = run_recursion([base], gamma=1.0)
-    for s in range(20):
-        cid = (2 + s,)
+    for _ in range(20):
         state = update_weights(state, SessionBatch(
-            features=rng.normal(size=(n, d)), targets=one_hot([cid[0]] * n, cid),
-            class_ids=cid))
+            features=rng.normal(size=(n, d)), targets=np.ones((n, 1))))
     late = state
-    probe = SessionBatch(features=rng.normal(size=(n, d)),
-                         targets=one_hot([999] * n, (999,)), class_ids=(999,))
+    probe = SessionBatch(features=rng.normal(size=(n, d)), targets=np.ones((n, 1)))
     update_weights(early, probe)  # library warm-up, discarded
     best = {"early": np.inf, "late": np.inf}
     for _ in range(repeats):
@@ -263,7 +250,8 @@ def test_metric_formulas():
     assert average_forgetting(improving) < 0.0
 
     single = PerformanceMatrix(rows=((0.7,),))
-    assert average_forgetting(single) is None
+    with pytest.raises(ValueError, match="at least two sessions"):
+        average_forgetting(single)
 
 
 @criterion(8, "end-to-end target: Cora gate when data present, otherwise "

@@ -18,7 +18,6 @@ from acgl.analytic import (
     _gram,
     align_base,
     joint_solve,
-    one_hot,
     predict,
     update_R,
     update_weights,
@@ -26,14 +25,13 @@ from acgl.analytic import (
 from acgl.config import build_experiment, load_config
 from acgl.harness import evaluate_task
 
-from conftest import count_splits, oracle_predict, run_recording_batches
+from conftest import count_splits, one_hot, oracle_predict, run_recording_batches
 
 
 def random_batch(rng, n, d, class_ids):
     X = rng.normal(size=(n, d))
     labels = rng.choice(list(class_ids), size=n)
-    return SessionBatch(features=X, targets=one_hot(labels, class_ids),
-                        class_ids=tuple(class_ids))
+    return SessionBatch(features=X, targets=one_hot(labels, class_ids))
 
 
 def random_stream(rng, d, num_sessions, classes_per_session=2, n_lo=3, n_hi=20):
@@ -48,8 +46,7 @@ def random_stream(rng, d, num_sessions, classes_per_session=2, n_lo=3, n_hi=20):
         n = max(n, classes_per_session)
         X = rng.normal(size=(n, d))
         labels = np.concatenate([np.asarray(ids), rng.choice(ids, size=n - len(ids))])
-        batches.append(SessionBatch(features=X, targets=one_hot(labels, ids),
-                                    class_ids=ids))
+        batches.append(SessionBatch(features=X, targets=one_hot(labels, ids)))
     return batches
 
 
@@ -68,7 +65,7 @@ def relu_stream(seed, session_rows, h=32, d=256, classes_per_session=2):
         ids = tuple(range(s * classes_per_session, (s + 1) * classes_per_session))
         labels = np.concatenate([np.asarray(ids), rng.choice(ids, size=rows - len(ids))])
         X = np.maximum(rng.normal(size=(rows, h)) @ lift, 0.0)
-        batches.append(SessionBatch(features=X, targets=one_hot(labels, ids), class_ids=ids))
+        batches.append(SessionBatch(features=X, targets=one_hot(labels, ids)))
     return batches
 
 
@@ -88,21 +85,18 @@ TIE_PRONE = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
 
 @st.composite
 def tie_prone_cases(draw, min_rows=0):
-    """(X, W, seen_classes): small integer-valued X and W, some all-zero rows of X,
-    and distinct class ids in drawn (usually not ascending) order."""
+    """(X, W): small integer-valued X and W, and some all-zero rows of X."""
     d = draw(st.integers(1, 4))
     c = draw(st.integers(1, 6))
     n = draw(st.integers(min_rows, 8))
     W = np.array(draw(st.lists(TIE_PRONE, min_size=d * c, max_size=d * c))).reshape(d, c)
     X = np.array(draw(st.lists(TIE_PRONE, min_size=n * d, max_size=n * d))).reshape(n, d)
     X[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)] = 0.0
-    ids = draw(st.lists(st.integers(0, 50), min_size=c, max_size=c, unique=True))
-    return X, W, tuple(ids)
+    return X, W
 
 
 def run_recursion(batches, gamma):
-    state = align_base(batches[0].features, batches[0].targets, gamma,
-                       class_ids=batches[0].class_ids)
+    state = align_base(batches[0].features, batches[0].targets, gamma)
     for batch in batches[1:]:
         state = update_weights(state, batch)
     return state
@@ -259,7 +253,7 @@ class TestUpdateR:
         Xn = rng.normal(size=(5, 16))
         out = update_R(upper_factor(gram_prev), Xn)
         assert rel_fro(out.T @ out, gram_prev + Xn.T @ Xn) < 1e-12
-        state = AnalyticState(weights=np.zeros((16, 0)), R=out, seen_classes=())
+        state = AnalyticState(weights=np.zeros((16, 0)), R=out)
         assert rel_fro(state.inv_gram, np.linalg.inv(gram_prev + Xn.T @ Xn)) < 1e-9
 
     # n = 3 < d = 16 takes the tpqrt path; n = 16 and n = 40 take the Gram
@@ -276,7 +270,7 @@ class TestUpdateR:
         P = np.linalg.inv(gram_prev)
         woodbury = P - P @ Xn.T @ np.linalg.solve(np.eye(n) + Xn @ P @ Xn.T, Xn @ P)
         direct = np.linalg.inv(gram_prev + Xn.T @ Xn)
-        inv_gram = AnalyticState(weights=np.zeros((d, 0)), R=out, seen_classes=()).inv_gram
+        inv_gram = AnalyticState(weights=np.zeros((d, 0)), R=out).inv_gram
         assert rel_fro(inv_gram, woodbury) < 1e-9
         assert rel_fro(inv_gram, direct) < 1e-9
 
@@ -326,9 +320,9 @@ class TestUpdateR:
         # A zero column in both the factor and the session leaves a zero on
         # the new factor's diagonal; a NaN in the factor spreads to it.
         zero_col = SessionBatch(features=np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
-                                targets=np.eye(2), class_ids=(1, 2))
+                                targets=np.eye(2))
         for R_bad in (np.zeros((3, 3)), np.diag([1.0, np.nan, 1.0])):
-            state = AnalyticState(weights=np.zeros((3, 1)), R=R_bad, seen_classes=(0,))
+            state = AnalyticState(weights=np.zeros((3, 1)), R=R_bad)
             with pytest.raises(ValueError, match="singular"):
                 update_weights(state, zero_col)
 
@@ -342,9 +336,8 @@ def lost_gamma_rows(n, d, seed=0):
 
 def lost_gamma_probe(n, d=8):
     """From R = 1e-150 I (gamma = 1e-300), the session of :func:`lost_gamma_rows`."""
-    state = AnalyticState(weights=np.zeros((d, 1)), R=1e-150 * np.eye(d), seen_classes=(0,))
-    return state, SessionBatch(features=lost_gamma_rows(n, d), targets=np.ones((n, 1)),
-                               class_ids=(1,))
+    state = AnalyticState(weights=np.zeros((d, 1)), R=1e-150 * np.eye(d))
+    return state, SessionBatch(features=lost_gamma_rows(n, d), targets=np.ones((n, 1)))
 
 
 LOST_GAMMA = (r"^analytic\.update_R: the Gram after a session of n={n} rows at "
@@ -422,14 +415,12 @@ class TestUpdateWeights:
     def test_zero_features_change_nothing_and_append_zeros(self):
         rng = np.random.default_rng(7)
         base = random_batch(rng, 10, 6, (0, 1))
-        state = align_base(base.features, base.targets, 1.0, class_ids=(0, 1))
-        batch = SessionBatch(features=np.zeros((4, 6)),
-                             targets=one_hot([2, 2, 3, 3], (2, 3)),
-                             class_ids=(2, 3))
+        state = align_base(base.features, base.targets, 1.0)
+        batch = SessionBatch(features=np.zeros((4, 6)), targets=one_hot([2, 2, 3, 3], (2, 3)))
         new = update_weights(state, batch)
+        assert new.weights.shape == (6, 4)
         np.testing.assert_allclose(new.weights[:, :2], state.weights, atol=1e-12)
         np.testing.assert_array_equal(new.weights[:, 2:], np.zeros((6, 2)))
-        assert new.seen_classes == (0, 1, 2, 3)
 
     def test_one_session_matches_joint(self):
         rng = np.random.default_rng(8)
@@ -445,26 +436,18 @@ class TestUpdateWeights:
         W_joint = joint_solve(batches, gamma=0.05)
         assert rel_fro(state.weights, W_joint) < 1e-8
 
-    def test_class_revisit_rejected(self):
-        rng = np.random.default_rng(10)
-        base = random_batch(rng, 8, 4, (0, 1))
-        state = align_base(base.features, base.targets, 1.0, class_ids=(0, 1))
-        again = random_batch(rng, 5, 4, (1, 2))
-        with pytest.raises(ValueError, match="revisited"):
-            update_weights(state, again)
-
     def test_wrong_width_batch_names_both_widths(self):
         rng = np.random.default_rng(10)
         base = random_batch(rng, 8, 4, (0, 1))
-        state = align_base(base.features, base.targets, 1.0, class_ids=(0, 1))
+        state = align_base(base.features, base.targets, 1.0)
         with pytest.raises(ValueError, match="feature dim 5 != R dim 4"):
             update_weights(state, random_batch(rng, 6, 5, (2,)))
 
     def test_zero_diagonal_factor_rejected(self):
         # R = 0 factors no Gram. Rows e0 and e1 (n = 2 < d = 4, the QR path)
         # leave the new factor's diagonal at (-1, -1, 0, 0), which update_R rejects.
-        state = AnalyticState(weights=np.zeros((4, 1)), R=np.zeros((4, 4)), seen_classes=(0,))
-        batch = SessionBatch(features=np.eye(4)[:2], targets=np.ones((2, 1)), class_ids=(1,))
+        state = AnalyticState(weights=np.zeros((4, 1)), R=np.zeros((4, 4)))
+        batch = SessionBatch(features=np.eye(4)[:2], targets=np.ones((2, 1)))
         lost = r"^analytic\.update_R: .* n=2 rows at d=4 .*\(8 rho\^2 eps = inf >= 1"
         with pytest.raises(ValueError, match=lost):
             update_R(state.R, batch.features)
@@ -476,8 +459,7 @@ class TestUpdateWeights:
         rng = np.random.default_rng(19)
         batches = [random_batch(rng, rows, 300, (2 * s, 2 * s + 1))
                    for s, rows in enumerate((50, 40, 300, 40, 300, 40))]
-        state = align_base(batches[0].features, batches[0].targets, 0.1,
-                           class_ids=batches[0].class_ids)
+        state = align_base(batches[0].features, batches[0].targets, 0.1)
         assert not np.tril(state.R, -1).any()
         for batch in batches[1:]:
             state = update_weights(state, batch)
@@ -487,8 +469,7 @@ class TestUpdateWeights:
         rng = np.random.default_rng(11)
         batches = random_stream(rng, d=10, num_sessions=6)
         gamma = 0.3
-        state = align_base(batches[0].features, batches[0].targets, gamma,
-                           class_ids=batches[0].class_ids)
+        state = align_base(batches[0].features, batches[0].targets, gamma)
         gram = batches[0].features.T @ batches[0].features + gamma * np.eye(10)
         assert rel_fro(state.R.T @ state.R, gram) < 1e-12
         for batch in batches[1:]:
@@ -502,14 +483,12 @@ class TestUpdateWeights:
         state_a = run_recursion(batches, gamma=0.2)
         order = [2, 0, 3, 1]
         state_b = run_recursion([batches[i] for i in order], gamma=0.2)
-        # Map columns back by class id and compare.
-        cols_a = {c: state_a.weights[:, j] for j, c in enumerate(state_a.seen_classes)}
-        cols_b = {c: state_b.weights[:, j] for j, c in enumerate(state_b.seen_classes)}
-        assert cols_a.keys() == cols_b.keys()
-        for c in cols_a:
-            assert np.linalg.norm(cols_a[c] - cols_b[c]) <= 1e-8 * max(
-                1.0, np.linalg.norm(cols_a[c])
-            )
+        # Each session appends its two columns: map state_b's back to state_a's and compare.
+        cols = [2 * i + j for i in order for j in range(2)]
+        assert state_b.weights.shape == state_a.weights.shape
+        for col_b, col_a in enumerate(cols):
+            a, b = state_a.weights[:, col_a], state_b.weights[:, col_b]
+            assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(a))
 
     # These streams are well conditioned enough for a fixed 1e-8 against
     # joint_solve at every gamma down to 1e-6. 300-row sessions exceed
@@ -559,11 +538,10 @@ class TestUpdateWeights:
 
 
 def absorb(pairs, gamma):
-    """The recursion's state after the sessions ``pairs`` of (X, Y), with class ids in order."""
+    """The recursion's state after the sessions ``pairs`` of (X, Y)."""
     state = align_base(*pairs[0], gamma)
     for X, Y in pairs[1:]:
-        c = len(state.seen_classes)
-        state = update_weights(state, SessionBatch(X, Y, tuple(range(c, c + Y.shape[1]))))
+        state = update_weights(state, SessionBatch(X, Y))
     return state
 
 
@@ -666,7 +644,7 @@ class TestJointSolve:
     def test_single_batch_equals_align_base(self):
         rng = np.random.default_rng(13)
         batch = random_batch(rng, 12, 5, (0, 1, 2))
-        state = align_base(batch.features, batch.targets, 0.7, class_ids=batch.class_ids)
+        state = align_base(batch.features, batch.targets, 0.7)
         W = joint_solve([batch], gamma=0.7)
         np.testing.assert_allclose(W, state.weights, atol=1e-10)
 
@@ -709,24 +687,21 @@ class TestJointSolve:
 
 
 class TestPredict:
-    def make_state(self, weights, classes):
-        d = weights.shape[0]
-        return AnalyticState(weights=weights, R=np.eye(d), seen_classes=classes)
+    def make_state(self, weights):
+        return AnalyticState(weights=weights, R=np.eye(weights.shape[0]))
 
     def test_one_hot_weights_recover_class(self):
-        W = np.eye(3) * 2.0
-        state = self.make_state(W, (4, 7, 9))
-        X = np.eye(3)
-        np.testing.assert_array_equal(predict(X, state), [4, 7, 9])
+        state = self.make_state(np.eye(3) * 2.0)
+        X = np.eye(3)[[2, 0, 1, 2]]
+        np.testing.assert_array_equal(predict(X, state), [2, 0, 1, 2])
 
     def test_zero_row_breaks_tie_to_lowest_class_id(self):
-        W = np.ones((3, 3))
-        state = self.make_state(W, (9, 4, 7))  # first-seen order is not sorted
+        state = self.make_state(np.ones((3, 3)))
         preds = predict(np.zeros((2, 3)), state)
-        np.testing.assert_array_equal(preds, [4, 4])
+        np.testing.assert_array_equal(preds, [0, 0])
 
     def test_nan_feature_row_rejected(self):
-        state = self.make_state(np.eye(3), (4, 7, 9))
+        state = self.make_state(np.eye(3))
         X = np.eye(3)
         X[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -735,26 +710,26 @@ class TestPredict:
     def test_non_finite_weights_rejected(self):
         W = np.eye(3)
         W[2, 2] = np.inf
-        state = self.make_state(W, (4, 7, 9))
+        state = self.make_state(W)
         with pytest.raises(ValueError, match="non-finite"):
             predict(np.ones((1, 3)), state)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 1, 3), (2, 4), (0,)])
     def test_input_not_n_by_d_names_its_shape(self, shape):
-        state = self.make_state(np.eye(3), (4, 7, 9))
+        state = self.make_state(np.eye(3))
         message = f"X must be (n, d) with d = 3: X shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             predict(np.ones(shape), state)
 
     @settings(max_examples=300, deadline=None)
     @given(case=tie_prone_cases())
-    @example(case=(np.zeros((3, 2)), np.ones((2, 3)), (9, 4, 7)))
-    @example(case=(np.zeros((0, 2)), np.ones((2, 3)), (9, 4, 7)))
-    # Scores [+0.0, -0.0]: a tie, which goes to class 2.
-    @example(case=(np.array([[1.0, -1.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]]), (8, 2)))
+    @example(case=(np.zeros((3, 2)), np.ones((2, 3))))
+    @example(case=(np.zeros((0, 2)), np.ones((2, 3))))
+    # Scores [-0.0, +0.0]: a tie, which goes to class 0.
+    @example(case=(np.array([[1.0, -1.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]])))
     def test_argmax_in_id_order_matches_tie_oracle(self, case):
-        X, W, ids = case
-        state = self.make_state(W, ids)
+        X, W = case
+        state = self.make_state(W)
         preds = predict(X, state)
         assert preds.dtype == np.int64
         np.testing.assert_array_equal(preds, oracle_predict(X, state))
@@ -763,10 +738,10 @@ class TestPredict:
     @given(case=tie_prone_cases(min_rows=1), in_weights=st.booleans(),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]), where=st.integers(0, 2**16))
     def test_non_finite_input_still_rejected(self, case, in_weights, bad, where):
-        X, W, ids = case
+        X, W = case
         target = W if in_weights else X
         target.flat[where % target.size] = bad
-        state = self.make_state(W, ids)
+        state = self.make_state(W)
         # inf * 0 sets the invalid flag inside the GEMM; the check must still fire.
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             predict(X, state)
@@ -774,9 +749,10 @@ class TestPredict:
     @settings(max_examples=200, deadline=None)
     @given(case=tie_prone_cases(min_rows=1), data=st.data())
     def test_evaluate_task_is_the_mean_of_hits(self, case, data):
-        X, W, ids = case
-        state = self.make_state(W, ids)
-        labels = np.array(data.draw(st.lists(st.sampled_from(ids + (51,)),
+        X, W = case
+        state = self.make_state(W)
+        # Class id W.shape[1] has no column, so a row labelled with it always misses.
+        labels = np.array(data.draw(st.lists(st.integers(0, W.shape[1]),
                                              min_size=len(X), max_size=len(X))))
         acc = evaluate_task(state, X, labels)
         expected = float((oracle_predict(X, state) == labels).mean())
@@ -788,43 +764,9 @@ class TestPredict:
         batches = random_stream(rng, d=10, num_sessions=4)
         state = run_recursion(batches, gamma=0.2)
         W_joint = joint_solve(batches, gamma=0.2)
-        joint_state = self.make_state(W_joint, state.seen_classes)
+        joint_state = self.make_state(W_joint)
         X = rng.normal(size=(50, 10))
         np.testing.assert_array_equal(predict(X, state), predict(X, joint_state))
-
-
-class TestOneHot:
-    @staticmethod
-    def loop_one_hot(labels, class_ids):
-        """One row at a time through a label -> column table."""
-        pos = {int(c): j for j, c in enumerate(class_ids)}
-        out = np.zeros((len(labels), len(pos)))
-        for i, y in enumerate(labels):
-            out[i, pos[int(y)]] = 1.0
-        return out
-
-    @pytest.mark.parametrize("labels, class_ids", [
-        ([3, 1, 1, 2], (1, 2, 3)),
-        (np.array([7, 4, 9, 9, 4], dtype=np.int32), (9, 4, 7)),
-        ([5], range(5, 6)),
-        ([], (0, 1)),
-        (np.array([2.0, 0.0]), np.array([0, 1, 2])),
-    ])
-    def test_bytes_match_row_by_row_fill(self, labels, class_ids):
-        out = one_hot(labels, class_ids)
-        expected = self.loop_one_hot(labels, class_ids)
-        assert out.dtype == np.float64 and out.shape == expected.shape
-        assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("labels, name", [([0, 5, 1], "5"), ([0, 2.5], "2.5"),
-                                              (np.array([0, -1]), "-1")])
-    def test_label_outside_class_ids_is_named(self, labels, name):
-        with pytest.raises(ValueError, match=f"^label {name} is not one of the class ids"):
-            one_hot(labels, (0, 1, 2))
-
-    def test_repeated_class_id_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            one_hot([0, 1], (0, 1, 0))
 
 
 class TestStateStructure:
@@ -841,30 +783,31 @@ class TestStateStructure:
         d = state.feature_dim
         assert array_fields["R"].shape == (d, d)
         assert not np.tril(array_fields["R"], -1).any()
-        assert array_fields["weights"].shape == (d, len(state.seen_classes))
+        assert array_fields["weights"].shape == (d, 6)  # 3 sessions of 2 classes
+
+    def test_fields_are_the_arrays_alone(self):
+        # Column j of the weights is class id j: no field names the classes.
+        assert [f.name for f in dataclasses.fields(AnalyticState)] == ["weights", "R"]
+        assert [f.name for f in dataclasses.fields(SessionBatch)] == ["features", "targets"]
 
     def test_invalid_states_rejected(self):
         with pytest.raises(ValueError, match="R shape"):
-            AnalyticState(weights=np.ones((2, 1)), R=np.eye(3), seen_classes=(0,))
-        with pytest.raises(ValueError, match="one weight column"):
-            AnalyticState(weights=np.ones((2, 2)), R=np.eye(2), seen_classes=(0,))
+            AnalyticState(weights=np.ones((2, 1)), R=np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_features_must_be_finite(self, bad):
         X = np.ones((2, 3))
         X[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            SessionBatch(features=X, targets=np.eye(2), class_ids=(0, 1))
+            SessionBatch(features=X, targets=np.eye(2))
 
     def test_batch_class_without_rows_rejected(self):
-        # Class 7's column is empty: it would get an all-zero weight column.
-        with pytest.raises(ValueError, match="class 7 has no training rows"):
+        # Target column 1 is empty: its class would get an all-zero weight column.
+        with pytest.raises(ValueError, match="target column 1 has no training rows"):
             SessionBatch(features=np.ones((2, 3)),
-                         targets=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                         class_ids=(5, 7))
+                         targets=np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_batch_targets_must_be_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):
             SessionBatch(features=np.ones((2, 3)),
-                         targets=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                         class_ids=(0, 1))
+                         targets=np.array([[1.0, 1.0], [0.0, 1.0]]))

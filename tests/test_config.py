@@ -81,7 +81,8 @@ def test_overrides_apply_in_order():
 
 def test_seed_derivation_offsets(monkeypatch):
     # The run draws the graph from seed, the backbone from seed + 1 and the
-    # expander from seed + 2, and no other generator.
+    # expander from seed + 2, and no other generator. The expander is drawn
+    # before the backbone trains, so a too-narrow width fails first.
     seeds = []
     default_rng = np.random.default_rng
 
@@ -94,7 +95,7 @@ def test_seed_derivation_offsets(monkeypatch):
         "synthetic.nodes_per_class=10", "backbone.hidden=4", "backbone.epochs=2",
         "expander.dim=8", "seed=100"])
     run_experiment(build_experiment(cfg))
-    assert seeds == [100, 101, 102]
+    assert seeds == [100, 102, 101]
 
 
 def test_missing_config_file(tmp_path):

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from acgl.analytic import AnalyticState, joint_solve, one_hot, align_base, predict
+from acgl.analytic import AnalyticState, joint_solve, align_base, predict
 from acgl.backbone import BackboneConfig
 from acgl.datasets import save_dataset
 from acgl.expander import init_expander
@@ -22,6 +22,7 @@ from acgl import harness
 from conftest import (
     FIXTURE_EXPERIMENT,
     make_graph,
+    one_hot,
     oracle_predict,
     oracle_test_rows,
     run_recording_batches,
@@ -93,18 +94,28 @@ class TestRunExperiment:
         assert t["load_s"] > 0
 
     def test_state_covers_all_classes(self, fixture_result):
-        assert fixture_result.state.seen_classes == (0, 1, 2, 3)
         assert fixture_result.state.weights.shape == (64, 4)
+
+    def test_final_weights_equal_joint_solve_column_by_column(self, fixture_run):
+        """Column j of the final W is class id j's, and equals joint_solve's column j."""
+        res, batches = fixture_run
+        classes = [c for group in res.plan.groups for c in group]
+        assert classes == list(range(res.state.weights.shape[1]))
+        graph = resolve_graph(FIXTURE_EXPERIMENT)
+        for group, (_, Y) in zip(res.plan.groups, batches):
+            sub = session_subgraph(graph, group)
+            np.testing.assert_array_equal(Y, one_hot(sub.labels[sub.train_mask], group))
+        W_joint = joint_solve(batches, FIXTURE_EXPERIMENT.gamma)
+        for j in classes:
+            column, joint = res.state.weights[:, j], W_joint[:, j]
+            assert np.linalg.norm(column - joint) <= 1e-10 * np.linalg.norm(joint), j
 
     def test_recursive_rows_equal_joint_rows(self, fixture_run):
         """Weight-level equivalence carries over to every accuracy entry."""
         res, batches = fixture_run
         for k in range(res.matrix.num_sessions):
             W = joint_solve(batches[: k + 1], FIXTURE_EXPERIMENT.gamma)
-            seen = tuple(c for group in res.plan.groups[: k + 1] for c in group)
-            joint_state = AnalyticState(
-                weights=W, R=np.eye(W.shape[0]), seen_classes=seen,
-            )
+            joint_state = AnalyticState(weights=W, R=np.eye(W.shape[0]))
             for i in range(k + 1):
                 acc = evaluate_task(joint_state, *res.test_rows[i])
                 assert abs(acc - res.matrix.entry(k, i)) <= 1e-12
@@ -246,6 +257,19 @@ class TestRunExperiment:
             run_one_class_sessions(g, tmp_path)
         assert trained == []
 
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_narrow_expander_fails_before_backbone_trains(self, monkeypatch, dim):
+        trained = []
+        monkeypatch.setattr(harness, "train_base", lambda *args: trained.append(args))
+        cfg = ExperimentConfig(
+            synthetic=SyntheticSpec(classes=4, nodes_per_class=20, features=6),
+            c0=2, k=1, backbone=BackboneConfig(hidden=8, epochs=5),
+            expander=ExpanderConfig(dim=dim), seed=0,
+        )
+        with pytest.raises(ValueError, match=f"expansion dim {dim} must exceed input dim 8"):
+            run_experiment(cfg)
+        assert trained == []
+
 
 class TestEvaluateTask:
     def test_saturated_state_scores_one(self, fixture_result):
@@ -255,8 +279,7 @@ class TestEvaluateTask:
         # cross, and score below one.
         group = fixture_result.plan.groups[0]
         features, labels = fixture_result.test_rows[0]
-        state = align_base(features, one_hot(labels, group), FIXTURE_EXPERIMENT.gamma,
-                           class_ids=group)
+        state = align_base(features, one_hot(labels, group), FIXTURE_EXPERIMENT.gamma)
         assert evaluate_task(state, features, labels) == 1.0
 
     def test_random_weights_score_near_chance(self):
@@ -272,24 +295,19 @@ class TestEvaluateTask:
             g = generate_synthetic(c, 30, 8, 0.5, seed=seed)
             backbone = init_backbone(8, 6, 2, rng)
             expander = init_expander(6, 12, seed=seed)
-            state = AnalyticState(
-                weights=rng.normal(size=(12, c)),
-                R=np.eye(12), seen_classes=tuple(range(c)),
-            )
+            state = AnalyticState(weights=rng.normal(size=(12, c)), R=np.eye(12))
             accs.append(evaluate_task(state, *oracle_test_rows(g, range(c), backbone, expander)))
         mean = np.mean(accs)
         assert abs(mean - 1.0 / c) < 0.12
 
     def test_untrained_classes_do_not_error(self, fixture_result):
         rng = np.random.default_rng(0)
-        partial = AnalyticState(
-            weights=rng.normal(size=(64, 2)), R=np.eye(64), seen_classes=(0, 1),
-        )
+        partial = AnalyticState(weights=rng.normal(size=(64, 2)), R=np.eye(64))
         acc = evaluate_task(partial, *fixture_result.test_rows[2])
-        assert acc == 0.0  # true labels are never in the seen set
+        assert acc == 0.0  # task 2's class has no column, so no row is predicted right
 
     def test_row_count_mismatch_rejected(self):
-        state = AnalyticState(weights=np.eye(2), R=np.eye(2), seen_classes=(0, 1))
+        state = AnalyticState(weights=np.eye(2), R=np.eye(2))
         # One label against three rows would otherwise broadcast to an accuracy above 1.
         with pytest.raises(ValueError, match="3 feature rows but 1 labels"):
             evaluate_task(state, np.eye(2)[[0, 0, 0]], np.array([0]))
@@ -322,7 +340,7 @@ def test_align_base_state_reproduces_first_row(fixture_run):
     """Refitting the base stage from its recorded batch reproduces M[0][0]."""
     res, batches = fixture_run
     X0, Y0 = batches[0]
-    state = align_base(X0, Y0, FIXTURE_EXPERIMENT.gamma, class_ids=res.plan.groups[0])
+    state = align_base(X0, Y0, FIXTURE_EXPERIMENT.gamma)
     acc = evaluate_task(state, *res.test_rows[0])
     assert acc == res.matrix.entry(0, 0)
 

@@ -70,8 +70,10 @@ class TestAverageForgetting:
         assert average_forgetting(m) == pytest.approx(-0.3)
 
     def test_single_session_is_undefined_not_zero(self):
+        # Every run has at least two sessions; fewer is an error, not an AF of 0.
         m = PerformanceMatrix(rows=((0.7,),))
-        assert average_forgetting(m) is None
+        with pytest.raises(ValueError, match="at least two sessions, got 1"):
+            average_forgetting(m)
 
     def test_pairs_diagonal_with_final_row_per_task(self):
         # Swapping two earlier tasks (rows/cols together) must swap their
@@ -131,12 +133,11 @@ class TestEmission:
         assert doc["config"]["seed"] == 42
         assert len(doc["matrix"]) == 4
 
-    def test_af_null_for_single_session(self, tmp_path):
-        m = PerformanceMatrix(rows=((0.5,),))
-        report = RunReport(m, times={}, config={})
-        emit_report(report, tmp_path)
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["af"] is None
+    def test_single_session_report_is_refused(self, tmp_path):
+        report = RunReport(PerformanceMatrix(rows=((0.5,),)), times={}, config={})
+        with pytest.raises(ValueError, match="at least two sessions"):
+            emit_report(report, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_emission_deterministic(self, tmp_path):
         report = four_task_report()

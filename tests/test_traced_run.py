@@ -1,12 +1,14 @@
 """The benchmark's span probe on a real CLI run: every wrapped call site is hit.
 
 ``perfbench/tracing.py`` replaces the module attributes acgl calls through
-and checks the call counts against the session plan. Running it here makes
-a refactor that bypasses one of those call sites fail the test suite, not
-only the benchmark.
+and checks the call counts against the session plan, and its per-layer
+metrics read the final state. Running it here makes a refactor that
+bypasses one of those call sites, or changes what the readers read, fail
+the test suite, not only the benchmark.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -49,3 +51,5 @@ def test_synthetic_config_hits_every_wrapped_call_site(tmp_path, monkeypatch, ov
     assert code == EXIT_OK
     assert probe.coverage_problems(experiment) == []
     assert probe.joint_rel_err() <= 1e-8
+    metrics = probe.layer_metrics()
+    assert metrics and all(math.isfinite(v) for v in metrics.values())
