@@ -10,13 +10,13 @@ and absorbs each session into it by one of two exact paths, chosen from
 the session's row count n against d. A session of fewer than d rows is
 one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
-R^T R + X^T X (:func:`_gram`, numpy products) and factors it again (LAPACK
-potrf), which is the faster path once n reaches d. The base and session
-Grams put part of their products on the helper thread (:mod:`acgl.threads`);
-potrf, tpqrt and cho_solve stay on the calling thread, because scipy's
-LAPACK wrappers hold the GIL. Each factor is checked where it
-is made: a session in which float64 loses gamma to rounding raises one
-ValueError form, naming ``analytic.align_base`` or ``analytic.update_R``.
+R^T R + X^T X and factors it again (LAPACK potrf), the faster path once n
+reaches d. Each Gram, X^T X or R^T R, is one :func:`threads.split_gram`,
+part of it on the helper thread; potrf, tpqrt and cho_solve stay on the
+calling thread, because scipy's LAPACK wrappers hold the GIL. Each factor
+is checked where it is made: a session in which float64 loses gamma to
+rounding raises one ValueError form, naming ``analytic.align_base`` or
+``analytic.update_R``.
 Column j of W scores class id j, so sessions bring their classes in
 ascending id order and :func:`predict` returns the argmax column. The weight
 update corrects the existing columns and appends one column per new class,
@@ -34,7 +34,6 @@ that equivalence. G^{-1} is :attr:`AnalyticState.inv_gram`, never formed by the 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -54,11 +53,6 @@ __all__ = [
 
 # Block size of the tpqrt reflector panels.
 _QR_BLOCK = 32
-# A one-block Gram's upper-left tile spans about this share of its d columns.
-# The tile's syrk and the right block column's gemm then take about equally
-# long: alone, 47 and 54 ms at 6000 x 1024, 35 and 31 ms at 929 x 2048
-# (one BLAS thread, 2 vCPU, OpenBLAS 0.3.31), of 0.65-0.76 d the best split.
-_GRAM_TILE_SHARE = 0.707
 
 
 @dataclass(frozen=True)
@@ -130,6 +124,11 @@ class SessionBatch:
         object.__setattr__(self, "targets", Y)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ValueError(f"gamma must be finite and positive (got {gamma!r})")
+
+
 def _singular_gram(stage: str, n: int, d: int, evidence: str) -> ValueError:
     """The one error for a Gram in which float64 has lost gamma."""
     return ValueError(f"{stage}: the Gram after a session of n={n} rows at d={d} is "
@@ -172,55 +171,21 @@ def _factor(gram: np.ndarray, stage: str, n: int) -> np.ndarray:
     return R
 
 
-def _gram(*blocks: np.ndarray) -> np.ndarray:
-    """The upper triangle of sum_i B_i^T B_i in Fortran order, ready for :func:`_factor`.
-
-    Takes one block, the base session's rows, or two, (R_prev, Xn). Half of
-    the work goes to the helper thread through :func:`threads.run_pair`,
-    which only picks the thread: the bytes are the same either way.
-
-    - One block X: the upper-left (h, h) tile of X^T X here, a syrk, and its
-      right block column X^T X[:, h:] on the helper, a gemm, both into one
-      buffer, with h a multiple of 48 near ``_GRAM_TILE_SHARE`` d. The
-      lower-left block, which potrf does not read, stays zero.
-    - Two blocks: the first's Gram on the helper and the second's here, each
-      a syrk into its own buffer, then their sum.
-
-    Every (d, d) buffer is allocated on the calling thread.
-    """
-    d = blocks[0].shape[1]
-    madds = sum(B.shape[0] for B in blocks) * d * d / 2
-    gram = np.zeros((d, d), order="F")
-    if len(blocks) == 1:
-        X, = blocks
-        h = min(threads.SPLIT_ROW_BLOCK * round(_GRAM_TILE_SHARE * d / threads.SPLIT_ROW_BLOCK),
-                d) or d
-        threads.run_pair(partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h]),
-                         partial(np.matmul, X.T, X[:, h:], out=gram[:, h:]), madds)
-        return gram
-    first, second = blocks
-    other = np.empty((d, d), order="F")
-    threads.run_pair(partial(np.matmul, second.T, second, out=gram),
-                     partial(np.matmul, first.T, first, out=other), madds)
-    return np.add(gram, other, out=gram)
-
-
 def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
     Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
     recursion's state, and solves G W = X^T Y against it, so Y's column j
-    becomes class id j's weight column. Non-finite features raise
-    ValueError, and so does a Gram in which gamma is lost to rounding
-    (:func:`_factor`).
+    becomes class id j's weight column. A gamma that is not finite and
+    positive raises ValueError, and so do non-finite features and a Gram in
+    which gamma is lost to rounding (:func:`_factor`).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     X0 = np.asarray(X0, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
     if not np.isfinite(X0).all():
         raise ValueError("features contain non-finite values")
-    gram = _gram(X0)
+    gram = threads.split_gram(X0)
     gram[np.diag_indices_from(gram)] += gamma
     R = _factor(gram, "analytic.align_base", X0.shape[0])
     return AnalyticState(
@@ -239,13 +204,12 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     - n < d: the triangle of the QR factorization of [R_prev; Xn], one
       LAPACK tpqrt call at about 2nd^2 flops. Its diagonal may carry
       either sign.
-    - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn by
-      :func:`_gram`, R_prev^T R_prev on the helper thread and Xn^T Xn on
-      the calling one, then its Cholesky factor by potrf, at about
-      nd^2 + 4d^3/3 flops. Its diagonal is positive.
+    - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn, each term
+      one :func:`threads.split_gram`, then its Cholesky factor by potrf, at
+      about nd^2 + 4d^3/3 flops. Its diagonal is positive.
 
     Raises ValueError unless R_prev is a nonempty square (d, d) matrix and
-    Xn a 2-D array of d columns, and when the session's entries are so
+    Xn a finite 2-D array of d columns, and when the session's entries are so
     large that gamma, the only term keeping the Gram away from singular,
     is lost to rounding: potrf fails, or the new factor's diagonal shows it
     (:func:`_check_factor`), on either path.
@@ -261,6 +225,8 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     if Xn.shape[1] != d:
         raise ValueError(f"feature dim {Xn.shape[1]} != R dim {d}: Xn shape {Xn.shape}, "
                          f"R_prev shape {R_prev.shape}")
+    if not np.isfinite(Xn).all():
+        raise ValueError("features contain non-finite values")
     n = Xn.shape[0]
     if n < d:
         R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
@@ -268,7 +234,9 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
             raise ValueError(f"LAPACK tpqrt info {info}")
         _check_factor(R_new, "analytic.update_R", n)
         return R_new
-    return _factor(_gram(R_prev, Xn), "analytic.update_R", n)
+    gram = threads.split_gram(R_prev)
+    np.add(gram, threads.split_gram(Xn), out=gram)
+    return _factor(gram, "analytic.update_R", n)
 
 
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
@@ -301,10 +269,9 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 
     Accumulates sum X_i^T X_i + gamma I and stacks the per-session blocks
     X_i^T Y_i as label columns, then solves once. Column order is session
-    order, as in the recursion.
+    order, as in the recursion. gamma must be finite and positive.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     batches = list(batches)
     if not batches:
         raise ValueError("at least one session required")

@@ -168,9 +168,9 @@ _COMMANDS = {
 }
 
 
-# Routines that only compute products for their caller, on the calling or the
-# helper thread. An error in one is named after that caller, whichever thread hit it.
-_PRODUCT_ROUTINES = ("threads.", "analytic._gram")
+# The module whose routines only compute products for their caller: an error
+# in one is named after that caller, whichever thread hit it.
+_PRODUCT_ROUTINES = ("threads.",)
 
 
 def _failing_stage(exc: BaseException) -> str:

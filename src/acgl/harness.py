@@ -67,7 +67,7 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_fields(self, [("gamma", self.gamma > 0, "must be positive"),
+        check_fields(self, [("gamma", 0 < self.gamma < np.inf, "must be finite and positive"),
                             ("seed", self.seed >= 0, "must be >= 0")])
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset_path and synthetic must be set")

@@ -4,9 +4,9 @@ Each BLAS call runs on one thread. A product large enough to pay for the
 hand-off is cut into two parts that give the same bytes however they are
 scheduled: from :data:`SPLIT_MADDS` multiply-adds on, one part runs on the
 calling thread and the other on one helper thread kept for the process;
-below it, or in a process allowed one CPU, both run on the calling thread.
-The backbone's ``X @ W0`` and ``adj_X.T @ d_z0``, the expander's
-``relu(H @ W)`` and the analytic Grams (``analytic._gram``) are cut this way.
+below it both run on the calling thread. :func:`split_matmul` cuts the
+backbone's and the expander's products into row halves, :func:`split_gram`
+each analytic Gram into a tile and a block column.
 
 Only numpy products and element-wise ufuncs run on the helper. numpy
 releases the GIL around them, while scipy's f2py BLAS and LAPACK wrappers
@@ -43,6 +43,10 @@ SPLIT_ROW_BLOCK = 48
 # blocked one, so a half that small could differ from the one-call product
 # in the last bit.
 SMALL_GEMM_MADDS = 1_000_000
+# A Gram's tile spans about this share of its d columns: alone, its syrk and
+# the block column's gemm took 47 and 54 ms at 6000 x 1024, 35 and 31 ms at
+# 929 x 2048 (one BLAS thread, 2 vCPU, OpenBLAS 0.3.31); 0.65-0.76 d was best.
+GRAM_TILE_SHARE = 0.707
 
 
 @functools.cache
@@ -55,28 +59,16 @@ def _helper_thread(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="acgl-matmul")
 
 
-@functools.cache
-def _second_cpu(pid: int) -> bool:
-    """Whether this process may run on two CPUs, read once per process id.
-
-    A process pinned to one CPU (``taskset -c 0``) would only take turns
-    between the parts. Where ``os.sched_getaffinity`` does not exist, a
-    second CPU is assumed. A cgroup CPU quota does not show in the affinity.
-    """
-    return not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1
-
-
 def run_pair(here, there, madds: float) -> None:
     """Call ``here()`` and ``there()``, ``there`` on the helper thread from ``madds`` on.
 
-    ``madds`` is the pair's multiply-adds. Below :data:`SPLIT_MADDS`, or
-    without a second CPU, both run on the calling thread, ``here`` first;
-    the two must write disjoint outputs, so the bytes are the same either
-    way. The caller's ``np.errstate`` also governs ``there``, and the helper
-    is joined before this returns or raises: an error of either is raised
-    here.
+    ``madds`` is the pair's multiply-adds. Below :data:`SPLIT_MADDS` both
+    run on the calling thread, ``here`` first; the two must write disjoint
+    outputs, so the bytes are the same either way. The caller's
+    ``np.errstate`` also governs ``there``, and the helper is joined before
+    this returns or raises: an error of either is raised here.
     """
-    if madds < SPLIT_MADDS or not _second_cpu(os.getpid()):
+    if madds < SPLIT_MADDS:
         here()
         there()
         return
@@ -113,3 +105,19 @@ def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray
         run_pair(functools.partial(_product, A[:h], B, out[:h], relu),
                  functools.partial(_product, A[h:], B, out[h:], relu), madds)
     return out
+
+
+def split_gram(X: np.ndarray) -> np.ndarray:
+    """The upper triangle of ``X.T @ X`` in Fortran order, for LAPACK potrf.
+
+    The upper-left (h, h) tile is one syrk here and the right block column
+    ``X.T @ X[:, h:]`` one gemm on the helper, both into one buffer
+    allocated here, h a multiple of :data:`SPLIT_ROW_BLOCK` near
+    :data:`GRAM_TILE_SHARE` d. The lower-left block stays zero.
+    """
+    n, d = X.shape
+    gram = np.zeros((d, d), order="F")
+    h = min(SPLIT_ROW_BLOCK * round(GRAM_TILE_SHARE * d / SPLIT_ROW_BLOCK), d) or d
+    run_pair(functools.partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h]),
+             functools.partial(np.matmul, X.T, X[:, h:], out=gram[:, h:]), n * d * d / 2)
+    return gram

@@ -10,12 +10,11 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acgl import analytic, threads
+from acgl import threads
 from acgl.analytic import (
     AnalyticState,
     SessionBatch,
     _check_factor,
-    _gram,
     align_base,
     joint_solve,
     predict,
@@ -145,6 +144,12 @@ class TestAlignBase:
         with pytest.raises(ValueError, match="gamma"):
             align_base(np.eye(2), np.eye(2), gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma must be finite and positive (got {gamma!r})")):
+            align_base(np.eye(2), np.eye(2), gamma=gamma)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         X = np.eye(3)
@@ -163,21 +168,18 @@ class TestAlignBase:
 
 
 @st.composite
-def gram_blocks(draw):
-    """One block (n, d), or two: an upper-triangular (d, d) factor and (n, d) rows.
+def gram_inputs(draw):
+    """Rows (n, d), or an upper-triangular (d, d) factor, C- or Fortran-ordered.
 
-    n < d and n >= d both occur, d mostly not a multiple of 48, and each
-    block is C- or Fortran-ordered.
+    n < d and n >= d both occur, and d is mostly not a multiple of 48.
     """
     d = draw(st.integers(1, 200))
-    n = draw(st.integers(0, 2 * d + 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = draw(st.sampled_from("CF"))
-    X = np.asarray(np.maximum(rng.normal(size=(n, d)), 0.0), order=order)
-    if not draw(st.booleans()):
-        return (X,)
-    R = np.asarray(np.triu(rng.normal(size=(d, d))), order=draw(st.sampled_from("CF")))
-    return R, X
+    if draw(st.booleans()):
+        return np.asarray(np.triu(rng.normal(size=(d, d))), order=order)
+    n = draw(st.integers(0, 2 * d + 5))
+    return np.asarray(np.maximum(rng.normal(size=(n, d)), 0.0), order=order)
 
 
 def upper(gram):
@@ -186,47 +188,63 @@ def upper(gram):
 
 class TestGram:
     @settings(max_examples=80, deadline=None)
-    @given(blocks=gram_blocks())
-    @example(blocks=(np.ones((50, 100)),))                      # n < d, one tile of 48
-    @example(blocks=(np.ones((150, 97), order="F"),))           # n >= d, d = 2 * 48 + 1
-    @example(blocks=(np.triu(np.ones((130, 130))).T.copy().T, np.ones((60, 130))))  # R, X
-    @example(blocks=(np.ones((40, 30), order="F"),))            # tile edge rounds to 0: d
-    def test_bytes_do_not_depend_on_the_thread(self, blocks):
+    @given(X=gram_inputs())
+    @example(X=np.ones((50, 100)))                                # n < d, one tile of 48
+    @example(X=np.ones((150, 97), order="F"))                     # n >= d, d = 2 * 48 + 1
+    @example(X=np.asfortranarray(np.triu(np.ones((130, 130)))))  # a factor R
+    @example(X=np.ones((40, 30), order="F"))                      # tile edge rounds to 0: d
+    def test_bytes_do_not_depend_on_the_thread(self, X):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(threads, "SPLIT_MADDS", math.inf)
-            here = _gram(*blocks)
+            here = threads.split_gram(X)
             mp.setattr(threads, "SPLIT_MADDS", 0)
             calls = count_splits(mp)
-            split = _gram(*blocks)
+            split = threads.split_gram(X)
         assert calls
         assert split.tobytes() == here.tobytes()
         assert split.flags.f_contiguous
-        expected = sum(B.T @ B for B in blocks)
-        np.testing.assert_allclose(upper(split), upper(expected), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(upper(split), upper(X.T @ X), rtol=1e-13, atol=1e-13)
+
+    # At the expanded widths of stream40, big_sessions and configs/cora.cfg a
+    # factor's tiles give every bit of the one-call R^T R (OpenBLAS 0.3.31,
+    # one BLAS thread), so the R half of a Gram-path session keeps the bytes
+    # of the whole product. The rows' half need not: OpenBLAS cuts the inner
+    # dimension of a gemm and of a syrk apart differently, and at
+    # big_sessions' 1500 rows the last bits of the right block column move.
+    @pytest.mark.parametrize("d", [512, 1024, 2048])
+    def test_factor_gram_equals_the_whole_product_byte_for_byte(self, monkeypatch, d):
+        monkeypatch.setattr(threads, "SPLIT_MADDS", 0)
+        R = np.asfortranarray(np.triu(np.random.default_rng(d).normal(size=(d, d))))
+        assert upper(threads.split_gram(R)).tobytes() == upper(R.T @ R).tobytes()
 
     @pytest.mark.parametrize("threshold", [0, math.inf], ids=["helper", "one_thread"])
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_peak_memory_is_the_result_plus_one_buffer_or_tile(self, monkeypatch, threshold,
                                                                 blocks):
-        # One block allocates only the result, bounded here by the result plus
-        # its upper-left tile; two blocks also the second product's (d, d)
-        # buffer. A sum into a further buffer would add d^2 doubles. 64 KiB
-        # covers the Python objects of the hand-off.
+        # One block, the base Gram, allocates only the result, bounded here by
+        # the result plus its upper-left tile. Two blocks, update_R's Gram
+        # path, also the second Gram's (d, d) buffer, summed into the first,
+        # which potrf factors in place. A sum into a further buffer, or a
+        # copy for potrf, would add d^2 doubles. 64 KiB covers the Python
+        # objects of the hand-off.
         monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
         rng = np.random.default_rng(0)
         d, n = 480, 600
         X = rng.normal(size=(n, d))
-        args = (X,) if blocks == 1 else (np.triu(rng.normal(size=(d, d))).T.copy().T, X)
+        if blocks == 1:
+            gram, args = threads.split_gram, (X,)
+        else:
+            gram, args = update_R, (np.asfortranarray(np.triu(rng.normal(size=(d, d)))), X)
         h = 48 * round(0.707 * d / 48)
         bound = d * d * 8 + (h * h * 8 if blocks == 1 else d * d * 8) + 64 * 1024
-        _gram(*args)  # starts the helper thread outside the measurement
+        gram(*args)  # starts the helper thread outside the measurement
         tracemalloc.start()
         try:
-            gram = _gram(*args)
+            result = gram(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert gram.nbytes <= peak <= bound
+        assert result.nbytes <= peak <= bound
 
 
 class TestUpdateR:
@@ -303,6 +321,14 @@ class TestUpdateR:
                              ids=["1-D", "narrow_qr_side", "narrow_gram_side"])
     def test_batch_must_be_2d_with_d_columns(self, Xn):
         with pytest.raises(ValueError, match=re.escape(f"Xn shape {Xn.shape}")):
+            update_R(np.eye(4), Xn)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [2, 6], ids=["qr_side", "gram_side"])
+    def test_non_finite_features_rejected(self, n, bad):
+        Xn = np.ones((n, 4))
+        Xn[1, 2] = bad
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
             update_R(np.eye(4), Xn)
 
     def test_gram_path_names_lost_gamma(self):
@@ -622,20 +648,23 @@ class TestExactnessAtScale:
     # The widths the configs absorb at, at the hardest gamma, one-class sessions
     # of relu rows: configs/cora.cfg (h = 256 -> d = 2048, a 929-row base, then
     # 3 sessions of 232 rows, the tpqrt path) and big_sessions (h = 64 -> d = 1024,
-    # a 6000-row base, then 4 sessions of 1500, the Gram path). ``grams`` counts
-    # the blocks of each _gram call: the base's, then one per Gram-path session.
+    # a 6000-row base, then 4 sessions of 1500, the Gram path). ``grams`` lists
+    # the rows of each split_gram call: the base's, then R's and the session's
+    # for each Gram-path session.
     @pytest.mark.parametrize("h, d, base, rows, sessions, grams", [
-        pytest.param(256, 2048, 929, 232, 3, [1], id="cora-qr_path"),
-        pytest.param(64, 1024, 6000, 1500, 4, [1, 2, 2, 2, 2], id="big_sessions-gram_path"),
+        pytest.param(256, 2048, 929, 232, 3, [929], id="cora-qr_path"),
+        pytest.param(64, 1024, 6000, 1500, 4, [6000] + [1024, 1500] * 4,
+                     id="big_sessions-gram_path"),
     ])
     def test_config_shapes_within_bound(self, monkeypatch, h, d, base, rows, sessions, grams):
         gamma = 1e-4
         batches = relu_stream(0, [base] + [rows] * sessions, h=h, d=d, classes_per_session=1)
-        blocks = []
-        gram = analytic._gram
-        monkeypatch.setattr(analytic, "_gram", lambda *b: blocks.append(len(b)) or gram(*b))
+        calls = []
+        split_gram = threads.split_gram
+        monkeypatch.setattr(threads, "split_gram",
+                            lambda X: calls.append(X.shape[0]) or split_gram(X))
         weights = run_recursion(batches, gamma).weights
-        assert blocks == grams
+        assert calls == grams
         W_star, kappa = qr_reference([(b.features, b.targets) for b in batches], gamma)
         assert rel_fro(weights, W_star) <= 8 * (kappa + 16) * np.finfo(float).eps
 
@@ -684,6 +713,13 @@ class TestJointSolve:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             joint_solve([], gamma=1.0)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        batch = (np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma must be finite and positive (got {gamma!r})")):
+            joint_solve([batch], gamma)
 
 
 class TestPredict:

@@ -294,17 +294,21 @@ class TestRun:
         assert err == "error: backbone.gcn_forward: overflow encountered in matmul\n"
 
     @pytest.mark.parametrize("part, stage", [("gram_column", "analytic.align_base"),
+                                             ("session_gram_column", "analytic.update_R"),
                                              ("expand_rows", "expander.expand")])
     def test_overflow_in_a_helper_part_names_its_stage(self, run_config_file, tmp_path,
                                                         capsys, monkeypatch, part, stage):
         # Finite rows that overflow only in the part on the helper thread: the
-        # last expanded column, which the base Gram's right block column holds,
-        # or the last hidden row, which the lower half of expand holds. The
-        # base session (two classes of 200 nodes, hidden 128, dim 256) is large
-        # enough that both products hand their part to the helper.
+        # last expanded column, which a Gram's right block column holds, in
+        # the base's rows or in the session's only, or the last hidden row,
+        # which the lower half of expand holds. The base session (two classes
+        # of 500 nodes, hidden 128, dim 256) is large enough that both
+        # products hand their part to the helper, and the session (one class,
+        # 300 train rows) takes update_R's Gram path.
         import acgl.harness as harness
 
         expand = harness.expand
+        expanded = []
 
         def poisoned(hidden, params):
             if part == "expand_rows":
@@ -312,19 +316,24 @@ class TestRun:
                 hidden[-1] = 1e308 * np.sign(params.weight[:, 0])  # column 0 sums past max
                 return expand(hidden, params)
             rows = expand(hidden, params)
-            rows[:, -1] = 1e160
+            expanded.append(len(rows))
+            # The session's train rows come after the base's train and test rows.
+            if part == "gram_column" or len(expanded) == 3:
+                rows[:, -1] = 1e160
             return rows
 
         monkeypatch.setattr(harness, "expand", poisoned)
         calls = count_splits(monkeypatch)
         code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o"),
-                     "--set", "synthetic.classes=3", "--set", "synthetic.nodes_per_class=200",
+                     "--set", "synthetic.classes=3", "--set", "synthetic.nodes_per_class=500",
                      "--set", "synthetic.features=128", "--set", "plan.base_classes=2",
                      "--set", "backbone.hidden=128", "--set", "backbone.epochs=1",
                      "--set", "expander.dim=256"])
         assert code == EXIT_RUNTIME
         assert calls
         assert capsys.readouterr().err == f"error: {stage}: overflow encountered in matmul\n"
+        if part == "session_gram_column":
+            assert expanded == [600, 200, 300]
 
     def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
                                             monkeypatch):
@@ -446,7 +455,7 @@ CONFIG_ERROR_LINES = {
     "backbone.weight_decay=-1.0": "config key 'backbone.weight_decay' must be >= 0 (got -1.0)",
     "backbone.weight_decay=nan": "key 'backbone.weight_decay' expects a finite float, got 'nan'",
     "expander.dim=256": "config key 'expander.dim' must exceed backbone.hidden (got 256)",
-    "gamma=0.0": "config key 'gamma' must be positive (got 0.0)",
+    "gamma=0.0": "config key 'gamma' must be finite and positive (got 0.0)",
     "seed=-1": "config key 'seed' must be >= 0 (got -1)",
 }
 

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -334,6 +335,14 @@ def test_feature_dim_flows_from_expander():
 def test_exactly_one_graph_source_required(dataset_path, synthetic):
     with pytest.raises(ValueError, match="exactly one of dataset_path and synthetic"):
         ExperimentConfig(dataset_path=dataset_path, synthetic=synthetic)
+
+
+@pytest.mark.parametrize("gamma", [0.0, float("nan"), float("inf")])
+def test_gamma_must_be_finite_and_positive(gamma):
+    # Refused before any backbone trains, in the same words as align_base's.
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma must be finite and positive (got {gamma!r})")):
+        ExperimentConfig(synthetic=SyntheticSpec(), gamma=gamma)
 
 
 def test_align_base_state_reproduces_first_row(fixture_run):

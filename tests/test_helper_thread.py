@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import acgl
-from acgl import analytic, harness, threads
+from acgl import harness, threads
 from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_OK, main
 from acgl.expander import ExpanderParams, expand
@@ -71,7 +71,7 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     X, R = rng.normal(size=(130, 100)), np.triu(rng.normal(size=(100, 100))).T.copy().T
     weight = ExpanderParams(rng.normal(size=(700, 130)))
     jobs = [lambda: threads.split_matmul(A, B), lambda: expand(A, weight),
-            lambda: analytic._gram(X), lambda: analytic._gram(R, X)]
+            lambda: threads.split_gram(X), lambda: threads.split_gram(R)]
     expected = [job().tobytes() for job in jobs]
     results = []
 
@@ -118,31 +118,14 @@ def test_big_sessions_shaped_run_is_bit_identical_on_one_or_two_threads(monkeypa
         return matrix_to_csv(r.matrix), r.state.weights.tobytes(), r.state.R.tobytes()
 
     grams = []
-    gram = analytic._gram
-    monkeypatch.setattr(analytic, "_gram", lambda *blocks: grams.append(len(blocks)) or
-                        gram(*blocks))
+    split_gram = threads.split_gram
+    monkeypatch.setattr(threads, "split_gram", lambda X: grams.append(X.shape[0]) or
+                        split_gram(X))
     one_thread = outputs(math.inf)
     calls = count_splits(monkeypatch)
     assert outputs(0) == one_thread
     assert calls
-    assert grams == [1, 2, 2] * 2  # the base, then both sessions through the Gram path
+    # The rows of each Gram: the base's, then R's and the rows' of each session
+    # through the Gram path, in each of the two runs.
+    assert grams == [960, 128, 240, 128, 240] * 2
 
-
-def test_one_cpu_keeps_both_parts_on_the_calling_thread_with_the_same_bytes(monkeypatch):
-    def outputs():
-        r = harness.run_experiment(BIG_SESSIONS_SHAPED)
-        return matrix_to_csv(r.matrix), r.state.weights.tobytes(), r.state.R.tobytes()
-
-    monkeypatch.setattr(threads, "SPLIT_MADDS", 0)
-    calls = count_splits(monkeypatch)
-    two_cpus = outputs()
-    assert calls
-    calls.clear()
-    # As under `taskset -c 0`; the affinity is read once per process, so afresh here.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    threads._second_cpu.cache_clear()
-    try:
-        assert outputs() == two_cpus
-    finally:
-        threads._second_cpu.cache_clear()
-    assert calls == []
