@@ -116,8 +116,6 @@ class SessionBatch:
         empty = np.flatnonzero(Y.sum(axis=0) == 0)
         if empty.size:
             raise ValueError(f"target column {empty[0]} has no training rows")
-        if not np.isfinite(X).all():
-            raise ValueError("features contain non-finite values")
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "features", X)
@@ -246,7 +244,7 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
     columns G^{-1} X^T Y are appended, both from one solve against R, so the
     batch's target columns become the next class ids. :func:`update_R`
-    rejects a session in which gamma is lost to rounding.
+    rejects non-finite features and a session in which gamma is lost to rounding.
     """
     X, Y = batch.features, batch.targets
     R_new = update_R(state.R, X)
@@ -269,7 +267,8 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 
     Accumulates sum X_i^T X_i + gamma I and stacks the per-session blocks
     X_i^T Y_i as label columns, then solves once. Column order is session
-    order, as in the recursion. gamma must be finite and positive.
+    order, as in the recursion. gamma must be finite and positive, and the
+    features finite.
     """
     _check_gamma(gamma)
     batches = list(batches)
@@ -282,6 +281,8 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
         X, Y = _as_xy(batch)
         if X.shape[1] != d:
             raise ValueError("all sessions must share the feature dimension")
+        if not np.isfinite(X).all():
+            raise ValueError("features contain non-finite values")
         gram += X.T @ X
         blocks.append(X.T @ Y)
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram, check_finite=False),

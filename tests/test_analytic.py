@@ -721,6 +721,14 @@ class TestJointSolve:
                 f"gamma must be finite and positive (got {gamma!r})")):
             joint_solve([batch], gamma)
 
+    @pytest.mark.parametrize("as_batch", [True, False], ids=["session_batch", "pair"])
+    def test_non_finite_features_rejected(self, as_batch):
+        X = np.ones((2, 3))
+        X[1, 0] = np.nan
+        batch = SessionBatch(X, np.eye(2)) if as_batch else (X, np.eye(2))
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
+            joint_solve([batch], gamma=1.0)
+
 
 class TestPredict:
     def make_state(self, weights):
@@ -832,10 +840,12 @@ class TestStateStructure:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_features_must_be_finite(self, bad):
+        # SessionBatch leaves the check to the fit: update_R rejects the batch.
+        state = align_base(np.eye(3), np.eye(3), gamma=1.0)
         X = np.ones((2, 3))
         X[1, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            SessionBatch(features=X, targets=np.eye(2))
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
+            update_weights(state, SessionBatch(X, np.eye(2)))
 
     def test_batch_class_without_rows_rejected(self):
         # Target column 1 is empty: its class would get an all-zero weight column.

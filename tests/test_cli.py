@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
-from acgl.datasets import DatasetFormatError, load_dataset, save_dataset
+from acgl.datasets import SPLIT_CODES, DatasetFormatError, load_dataset, save_dataset
 from acgl.harness import ExpanderConfig, ExperimentConfig, run_experiment
 from acgl.metrics import matrix_to_csv
 from acgl.synthetic import SyntheticSpec, generate_synthetic, intra_class_fraction
@@ -177,10 +177,8 @@ class TestRun:
                      "--seed", "9"]) == EXIT_OK
         # Poison one test node of the last class: it never reaches the
         # backbone's training, only the last session's features.
-        labels = (ds / "labels.csv").read_text().split()
-        split = (ds / "split.csv").read_text().split()
-        node = next(i for i, (y, s) in enumerate(zip(labels, split))
-                    if y == "3" and s == "test")
+        labels, split = np.load(ds / "labels.npy"), np.load(ds / "split.npy")
+        node = int(np.flatnonzero((labels == 3) & (split == SPLIT_CODES.index("test")))[0])
         features = np.load(ds / "features.npy")
         features[node, 0] = np.nan
         np.save(ds / "features.npy", features)
@@ -200,10 +198,9 @@ class TestRun:
                      "--seed", "9"]) == EXIT_OK
         # Move class 3's train nodes to test: session 1 (classes 2 and 3)
         # still has train rows, but none of class 3.
-        labels = (ds / "labels.csv").read_text().split()
-        split = (ds / "split.csv").read_text().split()
-        split = ["test" if y == "3" and s == "train" else s for y, s in zip(labels, split)]
-        (ds / "split.csv").write_text("\n".join(split) + "\n")
+        labels, split = np.load(ds / "labels.npy"), np.load(ds / "split.npy")
+        split[(labels == 3) & (split == SPLIT_CODES.index("train"))] = SPLIT_CODES.index("test")
+        np.save(ds / "split.npy", split)
         out = tmp_path / "out"
         code = main(["run", "--out", str(out),
                      "--set", f"dataset.path={ds}",
@@ -281,8 +278,7 @@ class TestRun:
         assert main(["gen-synth", "--out", str(ds), "--classes", "3",
                      "--nodes-per-class", "200", "--features", "128"]) == EXIT_OK
         capsys.readouterr()
-        labels = (ds / "labels.csv").read_text().split()
-        last_base = max(i for i, label in enumerate(labels) if label in ("0", "1"))
+        last_base = int(np.flatnonzero(np.load(ds / "labels.npy") < 2).max())
         features = np.load(ds / "features.npy")
         features[last_base] = 1e308
         np.save(ds / "features.npy", features)
@@ -636,35 +632,27 @@ class TestValidateDataset:
 
     def test_corrupt_directory(self, tmp_path, capsys):
         main(["gen-synth", "--out", str(tmp_path / "ds"), "--seed", "1"])
-        labels = (tmp_path / "ds" / "labels.csv").read_text().splitlines()
-        labels[1] = "broken"
-        (tmp_path / "ds" / "labels.csv").write_text("\n".join(labels) + "\n")
+        path = tmp_path / "ds" / "labels.npy"
+        labels = np.load(path)
+        labels[1] = -1
+        np.save(path, labels)
         code = main(["validate-dataset", "--path", str(tmp_path / "ds")])
         assert code == EXIT_RUNTIME
-        assert "labels.csv:2" in capsys.readouterr().err
-
-
-def _truncate_mid_line(data):
-    """The first half of the lines, then one byte of the next, no newline."""
-    lines = data.splitlines(keepends=True)
-    return b"".join(lines[: len(lines) // 2]) + lines[len(lines) // 2][:1]
+        assert f"{path}: row 1 holds -1, outside [0, " in capsys.readouterr().err
 
 
 def _type_error(name, data):
     if name == "meta.json":
         return b"5\n"
-    if name == "features.npy":
-        buf = io.BytesIO()
-        np.save(buf, np.load(io.BytesIO(data)).astype(np.float32))
-        return buf.getvalue()
-    # An entry of the wrong type on the first line of a one-value-per-cell file.
-    bad = {"edges.csv": b"0,1.5", "labels.csv": b"true", "split.csv": b"1"}[name]
-    return bad + b"\n" + data.split(b"\n", 1)[1]
+    # float32 is no array file's dtype.
+    buf = io.BytesIO()
+    np.save(buf, np.load(io.BytesIO(data)).astype(np.float32))
+    return buf.getvalue()
 
 
-DATASET_FILES = ("edges.csv", "features.npy", "labels.csv", "split.csv", "meta.json")
+DATASET_FILES = ("edges.npy", "features.npy", "labels.npy", "split.npy", "meta.json")
 CORRUPTIONS = {
-    "truncated": lambda name, data: _truncate_mid_line(data),
+    "truncated": lambda name, data: data[:len(data) // 2],
     "non_utf8": lambda name, data: b"\xff\xfe0,1\n\x80\x81\n",
     "type_error": _type_error,
 }
@@ -701,7 +689,7 @@ class TestCorruptDataset:
         assert code == EXIT_RUNTIME
         assert err == f"error: {path}: non-finite feature in row 2\n"
 
-    @pytest.mark.parametrize("version", [None, 1], ids=["unversioned", "version_1"])
+    @pytest.mark.parametrize("version", [None, 1, 2], ids=["unversioned", "version_1", "version_2"])
     def test_other_format_version_is_one_line_from_both_commands(self, dataset, capsys,
                                                                   tmp_path, version):
         path = dataset / "meta.json"
@@ -712,7 +700,7 @@ class TestCorruptDataset:
             assert main(argv) == EXIT_RUNTIME
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1, err
-            assert err.startswith(f"error: {path}: format_version {version!r}, expected 2; ")
+            assert err.startswith(f"error: {path}: format_version {version!r}, expected 3; ")
 
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
                                       '{"num_nodes": ' + "1" * 5000 + "}"],
@@ -740,24 +728,23 @@ class TestCorruptDataset:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"error: num_nodes={num_nodes} exceeds 3037000499")
 
-    @pytest.mark.parametrize("name, token, detail", [
-        ("labels.csv", "99999999999999999999", "label 99999999999999999999 out of range [0, 3)"),
-        ("labels.csv", "-99999999999999999999", "label -99999999999999999999 out of range [0, 3)"),
-        ("split.csv", "99999999999999999999", "unknown split tag '99999999999999999999'"),
+    @pytest.mark.parametrize("name, value, end", [
+        ("labels.npy", 2**63 - 1, 3), ("labels.npy", -2**63, 3), ("split.npy", 2**63 - 1, 4),
     ], ids=["huge_label", "huge_negative_label", "huge_split_token"])
     def test_huge_token_is_one_line_from_both_commands(self, dataset, capsys, tmp_path,
-                                                       name, token, detail):
+                                                       name, value, end):
+        # The int64 extremes, in row 1 of labels.npy or split.npy.
         path = dataset / name
-        lines = path.read_text().splitlines()
-        lines[1] = token
-        path.write_text("\n".join(lines) + "\n")
+        array = np.load(path)
+        array[1] = value
+        np.save(path, array)
         for argv in (["validate-dataset", "--path", str(dataset)],
                      ["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={dataset}"]):
             code = main(argv)
             err = capsys.readouterr().err
             assert code == EXIT_RUNTIME, err
             assert len(err.splitlines()) == 1, err
-            assert err.startswith(f"error: {path}:2: {detail}")
+            assert err == f"error: {path}: row 1 holds {value}, outside [0, {end})\n"
 
     def test_huge_feature_count_named_from_the_header(self, dataset, capsys):
         path = dataset / "meta.json"
@@ -765,7 +752,7 @@ class TestCorruptDataset:
         code, err = self._validate(dataset, capsys)
         assert code == EXIT_RUNTIME
         assert err == (f"error: {dataset / 'features.npy'}: <f8 array of shape (18, 4), expected "
-                       "float64 of shape (18, 1000000000000000000) from meta.json\n")
+                       "float64 of shape (18, 1000000000000000000)\n")
 
 
 @pytest.fixture(scope="module")
@@ -786,8 +773,10 @@ def mutated_file(draw, files):
     """One dataset file's name and its mutated bytes, or None for a deleted file."""
     name = draw(st.sampled_from(DATASET_FILES))
     data = files[name]
-    kind = draw(st.sampled_from(["truncate", "replace_byte", "insert_byte", "duplicate_line",
-                                 "delete_line", "delete_file", "splice_token"]))
+    kinds = ["truncate", "replace_byte", "insert_byte", "delete_file"]
+    if name == "meta.json":  # the one text file
+        kinds += ["duplicate_line", "delete_line", "splice_token"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "delete_file":
         return name, None
     if kind == "truncate":
@@ -846,20 +835,18 @@ def test_mutated_dataset_exits_0_or_3(small_dataset_files, data):
 
 def test_label_past_int64_under_huge_class_count_exits_3(small_dataset_files, tmp_path, capsys):
     # Two corruptions at once, which the one-mutation property test above never draws:
-    # with num_classes = 10**30 a 20-digit label lies below C but past int64.
+    # with num_classes = 10**30, past int64, the largest int64 label lies below C.
     root = tmp_path / "ds"
     root.mkdir()
     for name, content in small_dataset_files.items():
         (root / name).write_bytes(content)
     meta = root / "meta.json"
     meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": 10**30}))
-    labels = root / "labels.csv"
-    lines = labels.read_text().splitlines()
-    lines[1] = "99999999999999999999"
-    labels.write_text("\n".join(lines) + "\n")
+    labels = np.load(root / "labels.npy")
+    labels[1] = 2**63 - 1
+    np.save(root / "labels.npy", labels)
     assert main(["validate-dataset", "--path", str(root)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err == (
-        f"error: {labels}:2: label 99999999999999999999 out of range [0, {2**63})\n")
+    assert capsys.readouterr().err == f"error: class 3 has no node; the graph declares {10**30} classes\n"
 
 
 class TestHelp:
