@@ -846,7 +846,8 @@ def test_label_past_int64_under_huge_class_count_exits_3(small_dataset_files, tm
     labels[1] = 2**63 - 1
     np.save(root / "labels.npy", labels)
     assert main(["validate-dataset", "--path", str(root)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err == f"error: class 3 has no node; the graph declares {10**30} classes\n"
+    assert capsys.readouterr().err == \
+        f"error: class 3 has no node; the graph declares {10**30} classes\n"
 
 
 class TestHelp:
