@@ -109,17 +109,24 @@ class SessionBatch:
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=np.float64)
         Y = np.ascontiguousarray(self.targets, dtype=np.float64)
-        if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-            raise ValueError("features and targets must share their row count")
-        if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
-            raise ValueError("every target row must be one-hot")
-        empty = np.flatnonzero(Y.sum(axis=0) == 0)
-        if empty.size:
-            raise ValueError(f"target column {empty[0]} has no training rows")
+        _check_targets(X, Y)
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", Y)
+
+
+def _check_targets(X: np.ndarray, Y: np.ndarray) -> None:
+    """Raise ValueError unless ``Y`` is 2-D, one one-hot row per row of the 2-D ``X``,
+    and every column of ``Y`` has a row."""
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        raise ValueError(f"features and targets must be 2-D and share their row count: "
+                         f"features shape {X.shape}, targets shape {Y.shape}")
+    if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
+        raise ValueError("every target row must be one-hot")
+    empty = np.flatnonzero(Y.sum(axis=0) == 0)
+    if empty.size:
+        raise ValueError(f"target column {empty[0]} has no training rows")
 
 
 def _check_gamma(gamma: float) -> None:
@@ -175,12 +182,14 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
     recursion's state, and solves G W = X^T Y against it, so Y's column j
     becomes class id j's weight column. A gamma that is not finite and
-    positive raises ValueError, and so do non-finite features and a Gram in
-    which gamma is lost to rounding (:func:`_factor`).
+    positive raises ValueError, and so do targets that break
+    :class:`SessionBatch`'s rule, non-finite features and a Gram in which
+    gamma is lost to rounding (:func:`_factor`). The inputs are not written.
     """
     _check_gamma(gamma)
     X0 = np.asarray(X0, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
+    _check_targets(X0, Y0)
     if not np.isfinite(X0).all():
         raise ValueError("features contain non-finite values")
     gram = threads.split_gram(X0)

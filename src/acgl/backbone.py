@@ -231,14 +231,13 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig,
     """Train the backbone on the base session's induced subgraph.
 
     Runs ``config.epochs`` full-batch Adam steps on the train-mask nodes of
-    the base subgraph; no early stopping. The label head indexes classes by
-    their position in the base group. Init and dropout draw from ``seed``.
+    the base subgraph; no early stopping. The base group holds class ids
+    0..c0-1, so head column j is class id j. Init and dropout draw from ``seed``.
     """
     base = session_subgraph(graph, plan.base_classes)
-    if not base.train_mask.any():
+    train = base.train_mask
+    if not train.any():
         raise ValueError("base session has an empty train split")
-    class_pos = {c: i for i, c in enumerate(plan.base_classes)}
-    y = np.array([class_pos[int(c)] for c in base.labels], dtype=np.int64)
 
     adj = normalize_adjacency(base)
     X = base.features
@@ -251,7 +250,7 @@ def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig,
         mask_drop = None
         if config.dropout > 0.0:
             mask_drop = sample_dropout_mask(rng, (X.shape[0], config.hidden), config.dropout)
-        grads = gcn_backward(adj, X, params, y, base.train_mask, mask_drop, adj_X=adj_X)
+        grads = gcn_backward(adj, X, params, base.labels, train, mask_drop, adj_X=adj_X)
         params, state = adam_step(params, grads, state)
     return params
 

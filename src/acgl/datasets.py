@@ -8,11 +8,13 @@ A dataset directory contains five files:
     split.npy      (N,) int64, the split code of each node, an index into SPLIT_CODES
     meta.json      {"format_version": 3, "num_nodes": N, "num_features": d, "num_classes": C}
 
-Every array is numpy's ``.npy`` format, read by one rule (:func:`_read_array`)
-and round-tripped bit for bit. Big-endian or Fortran-ordered arrays are
-accepted (``Graph`` copies them to native, C-ordered arrays); every other
-dtype, object arrays, pickles and ``.npz`` archives are rejected. Edges go
-through :func:`acgl.graph.canonical_edges`: directed or duplicated edges are
+Each file is the :class:`~acgl.graph.Graph` field of its name. Every array is
+numpy's ``.npy`` format, read by one rule (:func:`_read_array`) and
+round-tripped bit for bit. Big-endian or Fortran-ordered arrays are accepted
+(``Graph`` copies them to native, C-ordered arrays); every other dtype, object
+arrays, pickles and ``.npz`` archives are rejected. The values are checked by
+``Graph`` itself; the loader adds the file name to its error. Edges go through
+:func:`acgl.graph.canonical_edges`: directed or duplicated edges are
 symmetrized and deduplicated, self-loops dropped (they are reintroduced
 during normalization).
 """
@@ -26,11 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, canonical_edges
+from .graph import SPLIT_CODES, FieldError, Graph, canonical_edges
 
 FORMAT_VERSION = 3
-
-SPLIT_CODES = ("train", "val", "test", "none")  # split.npy code i puts a node in SPLIT_CODES[i]
 
 
 class DatasetFormatError(ValueError):
@@ -72,15 +72,6 @@ def _read_array(path: Path, kind: str, shape: tuple) -> np.ndarray:
             found, order="F" if fortran_order else "C")
 
 
-def _check_range(path: Path, values: np.ndarray, end: int) -> None:
-    """Raise naming the first row of ``values`` that holds a value outside ``[0, end)``."""
-    bad = (values < 0) | (values >= end)
-    if bad.any():
-        row = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
-        raise DatasetFormatError(f"{path}: row {row} holds {values[row].tolist()}, "
-                                 f"outside [0, {end})")
-
-
 def load_dataset(path) -> Graph:
     """Load a dataset directory into a validated :class:`Graph`."""
     root = Path(path)
@@ -103,32 +94,15 @@ def load_dataset(path) -> Graph:
             raise DatasetFormatError(f"{meta_path}: {key} must be a positive integer")
     n, d, c = meta["num_nodes"], meta["num_features"], meta["num_classes"]
 
-    edges_path = root / "edges.npy"
-    edges = _read_array(edges_path, "i", (None, 2))
-    _check_range(edges_path, edges, n)
-    edges = canonical_edges(edges, n)
-
-    features_path = root / "features.npy"
-    features = _read_array(features_path, "f", (n, d))
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        raise DatasetFormatError(f"{features_path}: non-finite feature in row {np.argmin(finite_rows)}")
-
-    labels_path, split_path = root / "labels.npy", root / "split.npy"
-    labels = _read_array(labels_path, "i", (n,))
-    _check_range(labels_path, labels, c)
-    split = _read_array(split_path, "i", (n,))
-    _check_range(split_path, split, len(SPLIT_CODES))
-
-    return Graph(
-        edges=edges,
-        features=features,
-        labels=labels,
-        train_mask=split == 0,
-        val_mask=split == 1,
-        test_mask=split == 2,
-        num_classes=c,
-    )
+    try:
+        # Edges first: canonical_edges rejects a num_nodes too large for its keys
+        # before features.npy's shape is checked against it.
+        edges = canonical_edges(_read_array(root / "edges.npy", "i", (None, 2)), n)
+        return Graph(edges=edges, features=_read_array(root / "features.npy", "f", (n, d)),
+                     labels=_read_array(root / "labels.npy", "i", (n,)),
+                     split=_read_array(root / "split.npy", "i", (n,)), num_classes=c)
+    except FieldError as exc:
+        raise DatasetFormatError(f"{root / exc.field}.npy: {exc.rule}") from None
 
 
 def save_dataset(graph: Graph, path) -> None:
@@ -139,12 +113,8 @@ def save_dataset(graph: Graph, path) -> None:
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    split = np.full(graph.num_nodes, SPLIT_CODES.index("none"), dtype=np.int64)
-    for code, mask in enumerate((graph.train_mask, graph.val_mask, graph.test_mask)):
-        split[mask] = code
-    for name, array in (("edges", graph.edges), ("features", graph.features),
-                        ("labels", graph.labels), ("split", split)):
-        np.save(root / f"{name}.npy", array, allow_pickle=False)
+    for name in ("edges", "features", "labels", "split"):
+        np.save(root / f"{name}.npy", getattr(graph, name), allow_pickle=False)
 
     meta = {
         "format_version": FORMAT_VERSION,
@@ -157,12 +127,11 @@ def save_dataset(graph: Graph, path) -> None:
 
 def dataset_summary(graph: Graph) -> dict:
     """Human-facing statistics used by the CLI validator."""
+    counts = np.bincount(graph.split, minlength=len(SPLIT_CODES)).tolist()
     return {
         "num_nodes": graph.num_nodes,
         "num_edges": graph.num_edges,
         "num_features": graph.feature_dim,
         "num_classes": graph.num_classes,
-        "train_nodes": int(graph.train_mask.sum()),
-        "val_nodes": int(graph.val_mask.sum()),
-        "test_nodes": int(graph.test_mask.sum()),
+        **{f"{code}_nodes": count for code, count in zip(SPLIT_CODES[:3], counts)},
     }

@@ -1,11 +1,12 @@
 """Graph data model, adjacency normalization, and class-incremental session plans.
 
-A :class:`Graph` is a single undirected attributed graph: edge list, dense
-node features, integer labels, and disjoint train/val/test masks. Edges are
-stored canonically (each pair once, smaller id first, no self-loops, rows in
-sorted order); the self-loop needed by GCN message passing is added inside
-:func:`normalize_adjacency`, which writes the CSR arrays of the normalized
-matrix directly from the edge list and the degrees.
+A :class:`Graph` is a single undirected attributed graph, holding what a
+dataset directory holds: edge list, dense node features, integer labels
+and one split code per node; its constructor is the one checker of these
+arrays. Edges are stored canonically (each pair once, smaller id first, no
+self-loops, rows in sorted order); the self-loop needed by GCN message
+passing is added inside :func:`normalize_adjacency`, which writes the CSR
+arrays of the normalized matrix directly from the edge list and the degrees.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import scipy.sparse as sp
 
 
 class FieldError(ValueError):
-    """A config dataclass field outside its range, named so a caller can map it to its key."""
+    """A dataclass field or graph array outside its range, named so a caller can map it to
+    its config key or dataset file."""
 
     def __init__(self, field: str, rule: str, value):
         super().__init__(f"{field} {rule} (got {value!r})")
@@ -32,24 +34,36 @@ def check_fields(config, checks) -> None:
             raise FieldError(field, rule, getattr(config, field))
 
 
+def _check_rows(field: str, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise the :class:`FieldError` of ``field`` for the first row of ``values`` with a
+    ``bad`` entry; ``rule`` is formatted with that ``row`` and its ``value``."""
+    if bad.any():
+        first = int(bad.argmax())  # in C order, the first bad entry lies in the first bad row
+        row = first // (bad.size // len(bad))
+        raise FieldError(field, rule.format(row=row, value=values[row].tolist()),
+                         values.flat[first].item())
+
+
+def _check_range(field: str, values: np.ndarray, end: int) -> None:
+    _check_rows(field, values, (values < 0) | (values >= end),
+                f"row {{row}} holds {{value}}, outside [0, {end})")
+
+
 def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
 
     Accepts any (E, 2) integer array; returns int64 rows with u < v,
     lexicographically sorted and unique: the int64 keys ``lo * num_nodes +
-    hi`` are sorted once and a neighbour mask drops repeats. Raises
-    ValueError on out-of-range endpoints, and on a ``num_nodes`` above
-    3,037,000,499 = isqrt(2**63 - 1), whose keys would overflow int64.
+    hi`` are sorted once and a neighbour mask drops repeats. An endpoint
+    outside [0, num_nodes) raises the :class:`FieldError` of ``edges``
+    naming its row; a ``num_nodes`` above 3,037,000,499 = isqrt(2**63 - 1),
+    whose keys would overflow int64, raises ValueError.
     """
     if num_nodes > math.isqrt(np.iinfo(np.int64).max):
         raise ValueError(f"num_nodes={num_nodes} exceeds 3037000499, the most whose "
                          "edge keys fit in int64")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
-        raise ValueError(
-            f"edge endpoint out of range [0, {num_nodes}): "
-            f"min={edges.min()}, max={edges.max()}"
-        )
+    _check_range("edges", edges, num_nodes)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keys = np.sort((lo * num_nodes + hi)[lo != hi])
@@ -59,21 +73,25 @@ def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.stack((keys // num_nodes, keys % num_nodes), axis=1)
 
 
+SPLIT_CODES = ("train", "val", "test", "none")  # split code i puts a node in SPLIT_CODES[i]
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable attributed graph with train/val/test node masks.
+    """Immutable attributed graph: the arrays of a dataset directory and its class count.
 
     The node count N is the feature row count. Invariants (checked at
     construction): N >= 1, canonical edge list, finite features, labels in
-    [0, num_classes), masks boolean, length N, and pairwise disjoint.
+    [0, num_classes) and split codes in [0, len(SPLIT_CODES)), each a
+    length-N vector. An endpoint, label or code out of range, or a
+    non-finite feature, raises the :class:`FieldError` of its field,
+    naming the first row that holds one.
     """
 
     edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique
     features: np.ndarray     # (N, d) float64
     labels: np.ndarray       # (N,) int64
-    train_mask: np.ndarray   # (N,) bool
-    val_mask: np.ndarray     # (N,) bool
-    test_mask: np.ndarray    # (N,) bool
+    split: np.ndarray        # (N,) int64, an index into SPLIT_CODES
     num_classes: int
 
     def __post_init__(self):
@@ -82,9 +100,8 @@ class Graph:
             raise ValueError(f"features must be (N, d) with N >= 1 nodes, got {features.shape}")
         n = features.shape[0]
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        _check_range("edges", edges, n)
         if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] >= edges[:, 1]):
                 raise ValueError("edges must be canonical (u < v, no self-loops)")
             # Rows strictly increasing in lexicographic order: sorted and unique.
@@ -92,30 +109,28 @@ class Graph:
             dv = np.diff(edges[:, 1])
             if np.any((du < 0) | ((du == 0) & (dv <= 0))):
                 raise ValueError("edges must be sorted and free of duplicates")
+        _check_rows("features", features, ~np.isfinite(features), "non-finite feature in row {row}")
         labels = np.asarray(self.labels, dtype=np.int64)
-        if not np.isfinite(features).all():
-            raise ValueError("features contain non-finite values (NaN or inf)")
-        if labels.shape != (n,):
-            raise ValueError("labels must be a length-N vector")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.num_classes}); "
-                f"found range [{labels.min()}, {labels.max()}]"
-            )
-        masks = []
-        for name in ("train_mask", "val_mask", "test_mask"):
-            m = np.asarray(getattr(self, name), dtype=bool)
-            if m.shape != (n,):
-                raise ValueError(f"{name} must be a length-N boolean vector")
-            masks.append(m)
-        if np.any(masks[0] & masks[1]) or np.any(masks[0] & masks[2]) or np.any(masks[1] & masks[2]):
-            raise ValueError("train/val/test masks must be disjoint")
+        split = np.asarray(self.split, dtype=np.int64)
+        for name, codes, end in (("labels", labels, self.num_classes),
+                                 ("split", split, len(SPLIT_CODES))):
+            if codes.shape != (n,):
+                raise ValueError(f"{name} must be a length-N vector")
+            _check_range(name, codes, end)
 
         for name, arr in (("edges", edges), ("features", features), ("labels", labels),
-                          ("train_mask", masks[0]), ("val_mask", masks[1]), ("test_mask", masks[2])):
+                          ("split", split)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def train_mask(self) -> np.ndarray:
+        return self.split == 0
+
+    @property
+    def test_mask(self) -> np.ndarray:
+        return self.split == 2
 
     @property
     def num_nodes(self) -> int:
@@ -173,19 +188,19 @@ class SessionPlan:
     """Ordered class groups for one class-incremental run.
 
     ``groups[0]`` is the base group (size c0); the rest are incremental
-    groups of size k (the last may be smaller).
+    groups of size k (the last may be smaller). The groups, concatenated,
+    are the class ids 0, 1, ... in order, so column j of the classifier's
+    weights is class id j.
     """
 
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for g in self.groups:
-            if not g:
-                raise ValueError("empty class group")
-            if seen & set(g):
-                raise ValueError("class groups must be disjoint")
-            seen.update(g)
+        if not all(self.groups):
+            raise ValueError("empty class group")
+        ids = [c for g in self.groups for c in g]
+        if ids != list(range(len(ids))):
+            raise ValueError(f"class groups must hold the ids 0, 1, ... in order, got {self.groups}")
 
     @property
     def num_sessions(self) -> int:
@@ -223,7 +238,7 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
     """Induced subgraph over nodes whose label is in ``class_set``.
 
     Node ids are compacted (ascending original order); features, labels and
-    masks are restricted. Labels keep their original ids and num_classes is
+    split codes are restricted. Labels keep their original ids and num_classes is
     inherited from the parent graph. The compaction is monotone, so the
     parent's canonical edges stay canonical after remapping.
     """
@@ -239,12 +254,5 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
     e = graph.edges
     inside = (remap[e[:, 0]] >= 0) & (remap[e[:, 1]] >= 0)
 
-    return Graph(
-        edges=remap[e[inside]],
-        features=graph.features[keep],
-        labels=graph.labels[keep],
-        train_mask=graph.train_mask[keep],
-        val_mask=graph.val_mask[keep],
-        test_mask=graph.test_mask[keep],
-        num_classes=graph.num_classes,
-    )
+    return Graph(edges=remap[e[inside]], features=graph.features[keep], labels=graph.labels[keep],
+                 split=graph.split[keep], num_classes=graph.num_classes)

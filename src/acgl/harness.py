@@ -149,15 +149,13 @@ def _absorb(state: AnalyticState | None, graph: Graph, class_ids, backbone, expa
     sub = session_subgraph(graph, class_ids)
     hidden, _ = gcn_forward(normalize_adjacency(sub), sub.features, backbone)
     train, test = sub.train_mask, sub.test_mask
-    batch = SessionBatch(
-        features=expand(hidden[train], expander),
-        targets=(sub.labels[train, None] == np.asarray(class_ids)).astype(np.float64),
-    )
+    X = expand(hidden[train], expander)
+    Y = (sub.labels[train, None] == np.asarray(class_ids)).astype(np.float64)
     if state is None:
-        state = align_base(batch.features, batch.targets, gamma)
+        state = align_base(X, Y, gamma)
     else:
-        state = update_weights(state, batch)
-    del batch
+        state = update_weights(state, SessionBatch(features=X, targets=Y))
+    del X, Y
     return state, (expand(hidden[test], expander), sub.labels[test])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import FieldError, Graph, canonical_edges, check_fields
 
-# Per-class split used for the masks; remainders go to train.
+# Per-class split fractions; remainders go to test.
 _TRAIN_FRAC = 0.6
 _VAL_FRAC = 0.2
 _AVG_DEGREE = 4.0  # mean degree of every graph before repeated pairs merge
@@ -43,15 +43,17 @@ class SyntheticSpec:
         ])
 
 
-def _class_split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split n in-class node slots into train/val/test index sets."""
+def _class_split(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Split codes (0 train, 1 val, 2 test) of n in-class node slots, in random order."""
     order = rng.permutation(n)
     n_train = max(1, round(_TRAIN_FRAC * n))
     n_val = int(_VAL_FRAC * n)
     if n_train + n_val >= n:  # keep at least one test node
         n_val = max(0, n - n_train - 1)
     n_train = min(n_train, n - 1)
-    return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = np.repeat([0, 1, 2], [n_train, n_val, n - n_train - n_val])
+    return codes
 
 
 def generate_synthetic(
@@ -94,25 +96,9 @@ def generate_synthetic(
     v[clash] = first[clash] + (u[clash] - first[clash] + 1) % nodes_per_class
     edges = canonical_edges(np.stack((u, v), axis=1), n)
 
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
-    for c in range(num_classes):
-        members = np.arange(c * nodes_per_class, (c + 1) * nodes_per_class)
-        tr, va, te = _class_split(len(members), rng)
-        train[members[tr]] = True
-        val[members[va]] = True
-        test[members[te]] = True
-
-    return Graph(
-        edges=edges,
-        features=features,
-        labels=labels,
-        train_mask=train,
-        val_mask=val,
-        test_mask=test,
-        num_classes=num_classes,
-    )
+    split = np.concatenate([_class_split(nodes_per_class, rng) for _ in range(num_classes)])
+    return Graph(edges=edges, features=features, labels=labels, split=split,
+                 num_classes=num_classes)
 
 
 def intra_class_fraction(graph: Graph) -> float:

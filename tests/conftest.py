@@ -26,37 +26,29 @@ from acgl.graph import (
 from acgl.harness import ExpanderConfig, ExperimentConfig, PerformanceMatrix, SyntheticSpec
 
 
-def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0,
-               train=None, val=None, test=None):
-    """Small hand-specified graph; features random unless given via seed."""
+def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0, split=None):
+    """Small hand-specified graph; features random unless given via seed. ``split`` holds
+    the split codes (default: every node in train)."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(num_nodes, d))
-    labels = np.asarray(labels, dtype=np.int64)
-    if train is None:
-        train = np.ones(num_nodes, dtype=bool)
-        val = np.zeros(num_nodes, dtype=bool)
-        test = np.zeros(num_nodes, dtype=bool)
     return Graph(
         edges=canonical_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_nodes),
         features=features,
-        labels=labels,
-        train_mask=np.asarray(train, dtype=bool),
-        val_mask=np.asarray(val, dtype=bool),
-        test_mask=np.asarray(test, dtype=bool),
+        labels=np.asarray(labels, dtype=np.int64),
+        split=np.zeros(num_nodes, dtype=np.int64) if split is None else split,
         num_classes=num_classes,
     )
 
 
 def random_graph(rng, num_nodes, num_classes=3, d=4, edge_prob=0.3):
-    """Erdos-Renyi style random graph with random masks."""
+    """Erdos-Renyi style random graph with random train/val/test codes."""
     pairs = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)
              if rng.random() < edge_prob]
     labels = rng.integers(num_classes, size=num_nodes)
     split = rng.integers(3, size=num_nodes)
     return make_graph(
         num_nodes, pairs or np.empty((0, 2)), labels, num_classes, d=d,
-        seed=int(rng.integers(2**31)),
-        train=split == 0, val=split == 1, test=split == 2,
+        seed=int(rng.integers(2**31)), split=split,
     )
 
 

@@ -135,7 +135,7 @@ def test_ridge_correctness():
         gamma = float(10.0 ** rng.uniform(-3, 1))
         X = rng.normal(size=(n, d))
         labels = rng.integers(c, size=n)
-        Y = one_hot(labels, range(c))
+        Y = one_hot(labels, np.unique(labels))  # every target column needs a row
         state = align_base(X, Y, gamma)
         lhs = (X.T @ X + gamma * np.eye(d)) @ state.weights
         rhs = X.T @ Y

@@ -157,6 +157,25 @@ class TestAlignBase:
         with pytest.raises(ValueError, match="non-finite"):
             align_base(X, np.eye(3), gamma=1.0)
 
+    @pytest.mark.parametrize("targets, match", [
+        # Column 1 is empty: its class would get an all-zero weight column.
+        (np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), "target column 1 has no training rows"),
+        (np.ones(3), r"must be 2-D and share their row count: .* targets shape \(3,\)"),
+        (np.eye(2), r"must be 2-D and share their row count: features shape \(3, 3\), "
+                    r"targets shape \(2, 2\)"),
+    ], ids=["empty_column", "one_dimensional", "row_mismatch"])
+    def test_targets_follow_the_session_batch_rule(self, targets, match):
+        X, Y = np.eye(3), targets.copy()
+        with pytest.raises(ValueError, match=match):
+            align_base(X, Y, gamma=1.0)
+        with pytest.raises(ValueError, match=match):
+            SessionBatch(X, Y)
+
+    def test_inputs_stay_writeable(self):
+        X, Y = np.eye(3), np.eye(3)
+        align_base(X, Y, gamma=1.0)
+        assert X.flags.writeable and Y.flags.writeable
+
     def test_r_is_inverse_of_gram(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(15, 6))

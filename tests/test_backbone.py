@@ -351,8 +351,7 @@ class TestTrainBase:
         np.testing.assert_array_equal(a.W1, b.W1)
 
     def test_empty_train_split_rejected(self):
-        g = make_graph(4, [(0, 1), (2, 3)], [0, 0, 1, 1], 2,
-                       train=[False] * 4, val=[False] * 4, test=[True] * 4)
+        g = make_graph(4, [(0, 1), (2, 3)], [0, 0, 1, 1], 2, split=[2] * 4)
         plan = build_session_plan(g, 1, 1)
         with pytest.raises(ValueError, match="empty train split"):
             train_base(g, plan, BackboneConfig(hidden=4, epochs=1), seed=0)

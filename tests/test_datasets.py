@@ -109,15 +109,13 @@ class TestLoad:
         (tmp_path / "v2" / "split.csv").write_text(" train\nval\t\r\nnone \n")
         readme_conversion()(tmp_path / "v2")
         g = load_dataset(tmp_path / "v2")
-        assert (g.train_mask.tolist(), g.val_mask.tolist(), g.test_mask.tolist()) == (
-            [True, False, False], [False, True, False], [False, False, False])
+        assert g.split.tolist() == [0, 1, 3]
 
     def test_split_codes_index_train_val_test_none(self, tmp_path):
         assert SPLIT_CODES == ("train", "val", "test", "none")
         write_toy_dataset(tmp_path / "toy", split=np.array([3, 2, 1]))
         g = load_dataset(tmp_path / "toy")
-        assert (g.train_mask.tolist(), g.val_mask.tolist(), g.test_mask.tolist()) == (
-            [False, False, False], [False, False, True], [False, True, False])
+        assert g.split.tolist() == [3, 2, 1]
 
     def test_missing_file(self, tmp_path):
         for name in (*TOY_ARRAYS, "meta.json"):
@@ -231,12 +229,10 @@ class TestFeatureFile:
         write_toy_dataset(tmp_path / "ds", **{name.removesuffix(".npy"): layout(toy)
                                              for name, toy in TOY_ARRAYS.items()})
         g = load_dataset(tmp_path / "ds")
-        for name in ("edges", "features", "labels"):
+        for name in ("edges", "features", "labels", "split"):
             array = getattr(g, name)
             assert array.dtype.isnative and array.flags.c_contiguous, name
             assert array.tobytes() == TOY_ARRAYS[f"{name}.npy"].tobytes(), name
-        assert (g.train_mask.tolist(), g.val_mask.tolist(), g.test_mask.tolist()) == (
-            [True, False, False], [False, True, False], [False, False, True])
 
     def test_huge_feature_count_named_before_allocating(self, tmp_path):
         # Were n x d allocated or read, 10**18 columns would raise MemoryError, not this.
@@ -268,9 +264,7 @@ def write_text_dataset(graph, root, version):
     """``graph`` in dataset format version 1 or 2, as those versions wrote it: edges,
     labels and split tags as text lines; the features as ``repr`` text (1) or .npy (2)."""
     root.mkdir(parents=True)
-    tags = np.full(graph.num_nodes, "none", dtype=object)
-    for tag in ("train", "val", "test"):
-        tags[getattr(graph, f"{tag}_mask")] = tag
+    tags = np.array(SPLIT_CODES, dtype=object)[graph.split]
     lines = {"edges.csv": [f"{u},{v}" for u, v in graph.edges.tolist()],
              "labels.csv": graph.labels.tolist(), "split.csv": tags.tolist()}
     if version == 1:
@@ -304,8 +298,7 @@ class TestFormatVersion:
         g = generate_synthetic(3, 5, d, 0.8, seed=2)
         features = g.features.copy()
         features.ravel()[:len(EDGE_REALS)] = EDGE_REALS
-        unlabelled = np.arange(g.num_nodes) == int(np.flatnonzero(g.train_mask)[0])
-        g = dataclasses.replace(g, features=features, train_mask=g.train_mask & ~unlabelled)
+        g = dataclasses.replace(g, features=features, split=with_one_none_row(g))
         for version in (1, 2):
             root = tmp_path / f"v{version}"
             write_text_dataset(g, root, version)
@@ -316,11 +309,18 @@ class TestFormatVersion:
             assert_same_graph(load_dataset(root), g)
 
 
+def with_one_none_row(g):
+    """``g``'s split codes with its first train node moved to "none"."""
+    split = g.split.copy()
+    split[np.flatnonzero(g.train_mask)[0]] = SPLIT_CODES.index("none")
+    return split
+
+
 def assert_same_graph(back, g):
     """Every array of ``back`` equals ``g``'s bit for bit, and so do the counts."""
     assert (back.num_nodes, back.feature_dim, back.num_classes) == \
         (g.num_nodes, g.feature_dim, g.num_classes)
-    for name in ("edges", "features", "labels", "train_mask", "val_mask", "test_mask"):
+    for name in ("edges", "features", "labels", "split"):
         ours, theirs = getattr(back, name), getattr(g, name)
         assert (ours.dtype, ours.shape, ours.tobytes()) == \
             (theirs.dtype, theirs.shape, theirs.tobytes()), name
@@ -345,15 +345,12 @@ def drawn_graphs(draw):
     return Graph(
         edges=canonical_edges(np.asarray(edges, dtype=np.int64), n),
         features=np.asarray(cells, dtype=np.float64).reshape(n, d),
-        labels=np.asarray(labels), train_mask=split == 0, val_mask=split == 1,
-        test_mask=split == 2, num_classes=num_classes,
+        labels=np.asarray(labels), split=split, num_classes=num_classes,
     )
 
 
 EDGELESS = Graph(edges=np.zeros((0, 2), dtype=np.int64), features=np.array([[-0.0], [5e-324]]),
-                 labels=np.array([1, 0]), train_mask=np.array([True, False]),
-                 val_mask=np.array([False, False]), test_mask=np.array([False, True]),
-                 num_classes=2)
+                 labels=np.array([1, 0]), split=np.array([0, 2]), num_classes=2)
 
 
 class TestRoundTrip:
@@ -372,9 +369,7 @@ class TestRoundTrip:
         feats = np.array([[1.0 / 3.0, 1e-300], [np.pi, -2.5e17]])
         g = Graph(
             edges=np.array([[0, 1]]), features=feats,
-            labels=np.array([0, 1]), train_mask=np.array([True, False]),
-            val_mask=np.array([False, False]), test_mask=np.array([False, True]),
-            num_classes=2,
+            labels=np.array([0, 1]), split=np.array([0, 2]), num_classes=2,
         )
         save_dataset(g, tmp_path / "ds")
         assert_same_graph(load_dataset(tmp_path / "ds"), g)
@@ -401,8 +396,7 @@ GOLDEN_DATASET = Path(__file__).parent / "golden" / "dataset"
 def test_save_dataset_matches_golden_files(tmp_path):
     """The five files ``save_dataset`` writes, byte for byte, with all four split codes."""
     g = generate_synthetic(3, 5, 2, 0.5, seed=1)
-    unlabelled = np.arange(g.num_nodes) == int(np.flatnonzero(g.train_mask)[0])
-    g = dataclasses.replace(g, train_mask=g.train_mask & ~unlabelled)  # one "none" row
+    g = dataclasses.replace(g, split=with_one_none_row(g))
     save_dataset(g, tmp_path)
     names = (*ARRAY_FILES, "meta.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)

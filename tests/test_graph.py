@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgl.graph import (
+    FieldError,
     Graph,
+    SessionPlan,
     build_session_plan,
     canonical_edges,
     default_base_size,
@@ -135,27 +139,38 @@ def node_count_and_pairs(draw):
 
 class TestGraphInvariants:
     def test_rejects_out_of_range_edge(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(FieldError, match=re.escape("edges row 0 holds [0, 99], outside [0, 3)")):
             canonical_edges(np.array([[0, 99]]), 3)
 
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError, match="labels"):
             make_graph(3, [(0, 1)], [0, 1, 5], 2)
 
-    def test_rejects_overlapping_masks(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            make_graph(2, [], [0, 1], 2,
-                       train=[True, False], val=[True, False], test=[False, False])
+    @pytest.mark.parametrize("field, labels, split, rule", [
+        ("labels", [0, 1, 5, -1], [0, 1, 2, 3], "row 2 holds 5, outside [0, 2)"),
+        ("split", [0, 1, 1, 0], [0, -1, 4, 3], "row 1 holds -1, outside [0, 4)"),
+    ])
+    def test_out_of_range_code_names_its_field_and_row(self, field, labels, split, rule):
+        g = make_graph(4, [(0, 1)], [0, 1, 1, 0], 2)
+        with pytest.raises(FieldError) as info:
+            Graph(edges=g.edges, features=g.features, labels=np.array(labels),
+                  split=np.array(split), num_classes=2)
+        assert (info.value.field, info.value.rule) == (field, rule)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, bad):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2, d=2)
         features = np.array(g.features)
-        features[1, 0] = bad
-        with pytest.raises(ValueError, match="features contain non-finite"):
-            Graph(edges=g.edges, features=features, labels=g.labels,
-                  train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
+        features[1, 0] = features[2, 1] = bad
+        with pytest.raises(FieldError, match="features non-finite feature in row 1"):
+            Graph(edges=g.edges, features=features, labels=g.labels, split=g.split,
                   num_classes=2)
+
+    def test_train_and_test_masks_are_split_codes_0_and_2(self):
+        g = random_graph(np.random.default_rng(5), 30)
+        assert set(g.split.tolist()) == {0, 1, 2}
+        np.testing.assert_array_equal(g.train_mask, g.split == 0)
+        np.testing.assert_array_equal(g.test_mask, g.split == 2)
 
     @pytest.mark.parametrize("edges", [
         [[2, 3], [1, 2], [0, 1]],   # canonical rows, reversed order
@@ -164,8 +179,7 @@ class TestGraphInvariants:
     def test_rejects_unsorted_or_duplicate_edges(self, edges):
         g = make_graph(4, [], [0, 1, 1, 0], 2)
         with pytest.raises(ValueError, match="sorted and free of duplicates"):
-            Graph(edges=np.array(edges), features=g.features, labels=g.labels,
-                  train_mask=g.train_mask, val_mask=g.val_mask, test_mask=g.test_mask,
+            Graph(edges=np.array(edges), features=g.features, labels=g.labels, split=g.split,
                   num_classes=2)
 
     def test_canonical_edges_dedupes_and_symmetrizes(self):
@@ -232,6 +246,12 @@ class TestSessionPlan:
             build_session_plan(g, 4, 1)
         with pytest.raises(ValueError):
             build_session_plan(g, 5, 1)
+
+    @pytest.mark.parametrize("groups", [((1,), (0,)), ((0, 2), (1,)), ((0,), ()), ((1, 2),)])
+    def test_groups_must_be_nonempty_and_run_0_1_in_order(self, groups):
+        # Column j of the classifier's weights is class id j only for such groups.
+        with pytest.raises(ValueError, match="empty class group|ids 0, 1, ... in order"):
+            SessionPlan(groups=groups)
 
     def test_default_base_size(self):
         assert default_base_size(7) == 4

@@ -19,7 +19,7 @@ from acgl.harness import (
     run_experiment,
 )
 
-from acgl import harness
+from acgl import analytic, harness
 from conftest import (
     FIXTURE_EXPERIMENT,
     make_graph,
@@ -122,23 +122,15 @@ class TestRunExperiment:
                 assert abs(acc - res.matrix.entry(k, i)) <= 1e-12
 
     def test_empty_train_split_aborts_with_session_context(self, tmp_path):
-        g = make_graph(
-            6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
-            train=[True, False, True, False, False, False],
-            val=[False] * 6,
-            test=[False, True, False, True, True, True],
-        )
+        g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
+                       split=[0, 2, 0, 2, 2, 2])
         # Class 2 (session 2) has no train nodes.
         with pytest.raises(RuntimeError, match="session 2 .* empty train split"):
             run_one_class_sessions(g, tmp_path)
 
     def test_empty_test_split_aborts_in_its_session(self, tmp_path):
-        g = make_graph(
-            6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
-            train=[True, False, True, False, True, False],
-            val=[False] * 6,
-            test=[False, True, False, True, False, False],
-        )
+        g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
+                       split=[0, 2, 0, 2, 0, 3])
         # Class 2 (session 2) has no test nodes.
         with pytest.raises(ValueError, match="session 2 .* empty test set"):
             run_one_class_sessions(g, tmp_path)
@@ -242,16 +234,13 @@ class TestRunExperiment:
         res = run_experiment(FIXTURE_EXPERIMENT)
         assert dead_at_test_expand == [True] * res.plan.num_sessions
 
-    @pytest.mark.parametrize("train, test, error, match", [
-        ([True, False, True, False, False, False], [False, True, False, True, True, True],
-         RuntimeError, "session 2 .* empty train split for class 2"),
-        ([True, False, True, False, True, False], [False, True, False, True, False, False],
-         ValueError, "session 2 .* empty test set"),
+    @pytest.mark.parametrize("split, error, match", [
+        ([0, 2, 0, 2, 2, 2], RuntimeError, "session 2 .* empty train split for class 2"),
+        ([0, 2, 0, 2, 0, 3], ValueError, "session 2 .* empty test set"),
     ], ids=["train", "test"])
     def test_bad_last_split_fails_before_backbone_trains(self, tmp_path, monkeypatch,
-                                                         train, test, error, match):
-        g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
-                       train=train, val=[False] * 6, test=test)
+                                                         split, error, match):
+        g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3, split=split)
         trained = []
         monkeypatch.setattr(harness, "train_base", lambda *args: trained.append(args))
         with pytest.raises(error, match=match):
@@ -352,6 +341,16 @@ def test_align_base_state_reproduces_first_row(fixture_run):
     state = align_base(X0, Y0, FIXTURE_EXPERIMENT.gamma)
     acc = evaluate_task(state, *res.test_rows[0])
     assert acc == res.matrix.entry(0, 0)
+
+
+def test_each_session_targets_checked_once(monkeypatch):
+    """The base session's targets reach align_base as arrays, not as a SessionBatch."""
+    checked = []
+    check = analytic._check_targets
+    monkeypatch.setattr(analytic, "_check_targets", lambda X, Y: checked.append(Y.shape) or
+                        check(X, Y))
+    res = run_experiment(FIXTURE_EXPERIMENT)
+    assert [shape[1] for shape in checked] == [len(g) for g in res.plan.groups]
 
 
 def test_matrix_unchanged_under_tie_oracle(monkeypatch):

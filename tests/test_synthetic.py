@@ -14,7 +14,7 @@ SHAPES = {
     "homophily_1": dict(num_classes=3, nodes_per_class=10, d=2, homophily=1.0),
     "two_per_class": dict(num_classes=2, nodes_per_class=2, d=1, homophily=0.5),
 }
-GRAPH_FIELDS = ("edges", "features", "labels", "train_mask", "val_mask", "test_mask")
+GRAPH_FIELDS = ("edges", "features", "labels", "split")
 
 
 def _each_shape(seeds=(1, 7)):
