@@ -12,8 +12,9 @@ one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
 R^T R + X^T X and factors it again (LAPACK potrf), the faster path once n
 reaches d. Each Gram, X^T X or R^T R, is one :func:`threads.split_gram`,
-part of it on the helper thread; potrf, tpqrt and cho_solve stay on the
-calling thread, because scipy's LAPACK wrappers hold the GIL. Each factor
+and each QR step one :func:`threads.split_tpqrt`, part of each on the
+helper thread; potrf and cho_solve stay on the calling thread, because
+scipy's LAPACK wrappers hold the GIL. Each factor
 is checked where it is made: a session in which float64 loses gamma to
 rounding raises one ValueError form, naming ``analytic.align_base`` or
 ``analytic.update_R``.
@@ -50,10 +51,6 @@ __all__ = [
     "joint_solve",
     "predict",
 ]
-
-# Block size of the tpqrt reflector panels.
-_QR_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class AnalyticState:
@@ -208,9 +205,10 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     R^T R = R_prev^T R_prev + Xn^T Xn; neither input is written. The path
     follows the session's row count n against d:
 
-    - n < d: the triangle of the QR factorization of [R_prev; Xn], one
-      LAPACK tpqrt call at about 2nd^2 flops. Its diagonal may carry
-      either sign.
+    - n < d: the triangle of the QR factorization of [R_prev; Xn] by
+      LAPACK tpqrt's panel loop, its panel updates split between two
+      threads (:func:`threads.split_tpqrt`), bit for bit one tpqrt call,
+      at about 2nd^2 flops. Its diagonal may carry either sign.
     - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn, each term
       one :func:`threads.split_gram`, then its Cholesky factor by potrf, at
       about nd^2 + 4d^3/3 flops. Its diagonal is positive.
@@ -236,7 +234,7 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
         raise ValueError("features contain non-finite values")
     n = Xn.shape[0]
     if n < d:
-        R_new, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(_QR_BLOCK, d), R_prev, Xn)
+        R_new, info = threads.split_tpqrt(R_prev, Xn)
         if info != 0:
             raise ValueError(f"LAPACK tpqrt info {info}")
         _check_factor(R_new, "analytic.update_R", n)

@@ -1,4 +1,4 @@
-"""The helper thread: a second core for the library's large numpy products.
+"""The helper thread: a second core for the library's large products.
 
 Each BLAS call runs on one thread. A product large enough to pay for the
 hand-off is cut into two parts that give the same bytes however they are
@@ -6,24 +6,29 @@ scheduled: from :data:`SPLIT_MADDS` multiply-adds on, one part runs on the
 calling thread and the other on one helper thread kept for the process;
 below it both run on the calling thread. :func:`split_matmul` cuts the
 backbone's and the expander's products into row halves, :func:`split_gram`
-each analytic Gram into a tile and a block column.
+each analytic Gram into a tile and a block column, and :func:`split_tpqrt`
+each panel update of the QR path into two column halves.
 
-Only numpy products and element-wise ufuncs run on the helper. numpy
-releases the GIL around them, while scipy's f2py BLAS and LAPACK wrappers
-hold it: on 2 vCPU, two concurrent ``scipy.linalg.blas.dsyrk`` calls of a
-3000 x 1024 matrix took as long as two in turn (0.97-0.99x), while two
-numpy ``A.T @ A`` calls overlapped 1.7-1.8x. So ``potrf``, ``tpqrt`` and
-``cho_solve`` stay on the calling thread. A helper task never
-submits to the helper, which has one worker and would deadlock.
+The helper runs numpy products, element-wise ufuncs and LAPACK routines
+that release the GIL. scipy's f2py BLAS and LAPACK wrappers hold it: on
+2 vCPU, two concurrent ``scipy.linalg.blas.dsyrk`` calls of a 3000 x 1024
+matrix took as long as two in turn (0.97-0.99x), while two numpy
+``A.T @ A`` calls overlapped 1.7-1.8x. So the QR path calls scipy's LAPACK
+through the ``nogil`` C functions of ``scipy.linalg.cython_lapack``, bound
+here by ctypes (:func:`_lapack`); ``potrf`` and ``cho_solve`` stay on the
+calling thread. A helper task never submits to the helper, which has one
+worker and would deadlock.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.linalg.cython_lapack
 
 # A product is split into two parts only from this many multiply-adds on.
 # Handing a part to the helper thread costs about 40 us, so smaller
@@ -47,6 +52,15 @@ SMALL_GEMM_MADDS = 1_000_000
 # the block column's gemm took 47 and 54 ms at 6000 x 1024, 35 and 31 ms at
 # 929 x 2048 (one BLAS thread, 2 vCPU, OpenBLAS 0.3.31); 0.65-0.76 d was best.
 GRAM_TILE_SHARE = 0.707
+# Columns per reflector panel of the QR update, LAPACK tpqrt's block size.
+_QR_BLOCK = 32
+
+# Bound here rather than through ctypes.pythonapi's shared attributes, whose
+# restype another module may set.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 @functools.cache
@@ -121,3 +135,84 @@ def split_gram(X: np.ndarray) -> np.ndarray:
     run_pair(functools.partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h]),
              functools.partial(np.matmul, X.T, X[:, h:], out=gram[:, h:]), n * d * d / 2)
     return gram
+
+
+@functools.cache
+def _lapack(name: str):
+    """scipy's LAPACK routine ``name``, called through ctypes without the GIL.
+
+    ``scipy.linalg.cython_lapack`` exports each routine's ``nogil`` C
+    function as a capsule whose name is its C signature. Every argument is
+    a pointer: an array's address, :func:`_int` for an integer, one-letter
+    bytes for a character. The call releases the GIL and runs scipy's own
+    LAPACK and OpenBLAS, the ones ``scipy.linalg.lapack`` calls. A routine
+    scipy does not export raises RuntimeError naming it.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__.get(name)
+    if capsule is None:
+        raise RuntimeError(f"scipy.linalg.cython_lapack exports no LAPACK routine {name}")
+    signature = _capsule_name(capsule)
+    argtypes = [ctypes.c_void_p] * signature.count(b"*")
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, signature))
+
+
+def _int(value: int):
+    """A pointer to a fresh C int holding ``value``."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK dtpqrt's R of ``[R_prev; Xn]`` and info, bit for bit, each panel update in halves.
+
+    ``R_prev`` is (d, d) upper triangular, ``Xn`` (n, d); neither is
+    written. This is dtpqrt's own loop (L = 0, NB = min(32, d)) run in one
+    Fortran copy of each: each panel of NB columns is one dtpqrt2, and its
+    block reflector is applied to the trailing columns by two dtprfb calls
+    on column halves, the second on the helper thread (:func:`run_pair`).
+    The halves' cut, counted from the panel's end, is a multiple of
+    :data:`SPLIT_ROW_BLOCK`; from the first panel where a half would do
+    at most :data:`SMALL_GEMM_MADDS` multiply-adds, the trailing block is
+    one dtpqrt call, which makes the same panel calls. Returns the new
+    factor in Fortran order and the first nonzero info, else 0. Shapes
+    other than these raise ValueError before LAPACK sees a pointer.
+    """
+    d = np.shape(R_prev)[0] if np.ndim(R_prev) else 0
+    if d == 0 or np.shape(R_prev) != (d, d) or np.shape(Xn)[1:] != (d,):
+        raise ValueError(f"split_tpqrt needs a (d, d) R_prev and an (n, d) Xn with d >= 1: "
+                         f"shapes {np.shape(R_prev)} and {np.shape(Xn)}")
+    n = Xn.shape[0]
+    nb = min(_QR_BLOCK, d)
+    lda, ldb = d, max(1, n)
+    A = np.array(R_prev, dtype=np.float64, order="F")
+    B = np.array(Xn, dtype=np.float64, order="F")
+    T = np.empty((nb, d), order="F")
+    work = np.empty((2, nb * d))  # one per half; the helper's half never shares the caller's
+
+    def reflect(i: int, lo: int, hi: int, half: int) -> None:
+        """Apply panel i's block reflector to columns lo:hi of A and B."""
+        _lapack("dtprfb")(b"L", b"T", b"F", b"C", _int(n), _int(hi - lo), _int(nb), _int(0),
+                          B[:, i:].ctypes.data, _int(ldb), T[:, i:].ctypes.data, _int(nb),
+                          A[i:, lo:].ctypes.data, _int(lda), B[:, lo:].ctypes.data, _int(ldb),
+                          work[half].ctypes.data, _int(nb))
+
+    info = ctypes.c_int(0)
+    i = 0
+    while i + nb < d:
+        rest = d - i - nb
+        h = SPLIT_ROW_BLOCK * round(rest / (2 * SPLIT_ROW_BLOCK))
+        if min(h, rest - h) * n * nb <= SMALL_GEMM_MADDS:
+            break
+        _lapack("dtpqrt2")(_int(n), _int(nb), _int(0), A[i:, i:].ctypes.data, _int(lda),
+                           B[:, i:].ctypes.data, _int(ldb), T[:, i:].ctypes.data, _int(nb),
+                           ctypes.byref(info))
+        if info.value:
+            return A, info.value
+        # A, B, T and work stay referenced here until run_pair has joined the
+        # helper. dtprfb's two products each take n * nb multiply-adds a column.
+        run_pair(functools.partial(reflect, i, i + nb, i + nb + h, 0),
+                 functools.partial(reflect, i, i + nb + h, d, 1), 2 * n * nb * rest)
+        i += nb
+    _lapack("dtpqrt")(_int(n), _int(d - i), _int(0), _int(nb), A[i:, i:].ctypes.data, _int(lda),
+                      B[:, i:].ctypes.data, _int(ldb), T[:, i:].ctypes.data, _int(nb),
+                      work[0].ctypes.data, ctypes.byref(info))
+    return A, info.value

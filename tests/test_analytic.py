@@ -266,6 +266,67 @@ class TestGram:
         assert result.nbytes <= peak <= bound
 
 
+def qr_case(d, n, seed=0):
+    """An upper-triangular (d, d) factor with a safe diagonal and (n, d) rows."""
+    rng = np.random.default_rng(seed)
+    R = np.asfortranarray(np.triu(rng.normal(size=(d, d))) + 5 * np.eye(d))
+    return R, rng.normal(size=(n, d))
+
+
+class TestSplitTpqrt:
+    # (d, n, whether the first panel is cut). cora_csv's sessions are (2048, 232)
+    # and stream40's (512, 60). At d = 768 the first panel's halves are 384 and
+    # 352 columns of n * 32 rows, so n = 89 is the smallest cut: 89 * 32 * 352
+    # is just above 10**6 multiply-adds, 88 * 32 * 352 just below.
+    @pytest.mark.parametrize("d, n, cut", [
+        (2048, 232, True), (2048, 336, True), (1024, 600, True), (1024, 500, True),
+        (1536, 777, True), (768, 200, True), (2048, 100, True), (2048, 20, False),
+        (512, 60, False), (64, 10, False), (300, 0, False), (300, 1, False),
+        (300, 150, False), (300, 299, True), (20, 5, False), (768, 89, True),
+        (768, 88, False),
+    ])
+    def test_bytes_equal_one_dtpqrt_call(self, monkeypatch, d, n, cut):
+        R, X = qr_case(d, n)
+        before = R.tobytes(), X.tobytes()
+        want, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(32, d), R, X)
+        assert info == 0
+        calls = count_splits(monkeypatch)
+        got, info = threads.split_tpqrt(R, X)
+        assert info == 0
+        assert bool(calls) == cut
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous
+        monkeypatch.setattr(threads, "SPLIT_MADDS", math.inf)
+        assert threads.split_tpqrt(R, X)[0].tobytes() == want.tobytes()
+        assert (R.tobytes(), X.tobytes()) == before
+
+    @pytest.mark.parametrize("routine, d, n", [("dtpqrt2", 768, 200), ("dtpqrt", 768, 200),
+                                               ("dtpqrt", 64, 10)])
+    def test_every_info_is_checked(self, monkeypatch, routine, d, n):
+        # A failing panel call, in the cut loop or in the one trailing call,
+        # stops update_R with LAPACK's info in today's message form.
+        lapack = threads._lapack
+
+        def failing(*args):
+            args[-1]._obj.value = -4  # the info argument, passed by reference
+
+        monkeypatch.setattr(threads, "_lapack",
+                            lambda name: failing if name == routine else lapack(name))
+        R, X = qr_case(d, n)
+        with pytest.raises(ValueError, match="^LAPACK tpqrt info -4$"):
+            update_R(R, X)
+
+    @pytest.mark.parametrize("R_shape, X_shape", [((0, 0), (0, 0)), ((4, 3), (2, 3)),
+                                                  ((4, 4), (2, 3)), ((4, 4), (8,))])
+    def test_shapes_are_checked_before_lapack(self, R_shape, X_shape):
+        with pytest.raises(ValueError, match=re.escape(f"shapes {R_shape} and {X_shape}")):
+            threads.split_tpqrt(np.ones(R_shape), np.ones(X_shape))
+
+    def test_missing_routine_is_named(self):
+        with pytest.raises(RuntimeError, match="no LAPACK routine dnosuchroutine$"):
+            threads._lapack("dnosuchroutine")
+
+
 class TestUpdateR:
     def test_scalar_case(self):
         out = update_R(np.array([[1.0]]), np.array([[1.0]]))

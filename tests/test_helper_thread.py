@@ -64,14 +64,19 @@ def test_cli_child_that_splits_exits(tmp_path):
 
 def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     # Six caller threads on two cores, switching every microsecond, each
-    # handing parts of split products, expansions and Grams to the one
-    # helper thread.
+    # handing parts of split products, expansions, Grams and QR panel updates
+    # to the one helper thread. The QR updates run in scipy's LAPACK without
+    # the GIL, so they also run concurrently with each other.
     rng = np.random.default_rng(0)
     A, B = rng.normal(size=(301, 700)), rng.normal(size=(700, 37))
     X, R = rng.normal(size=(130, 100)), np.triu(rng.normal(size=(100, 100))).T.copy().T
     weight = ExpanderParams(rng.normal(size=(700, 130)))
+    # d = 768 and n = 200 cut the first 13 panels' updates.
+    Rq = np.asfortranarray(np.triu(rng.normal(size=(768, 768))) + 5 * np.eye(768))
+    Xq = rng.normal(size=(200, 768))
     jobs = [lambda: threads.split_matmul(A, B), lambda: expand(A, weight),
-            lambda: threads.split_gram(X), lambda: threads.split_gram(R)]
+            lambda: threads.split_gram(X), lambda: threads.split_gram(R),
+            lambda: threads.split_tpqrt(Rq, Xq)[0]]
     expected = [job().tobytes() for job in jobs]
     results = []
 
@@ -92,7 +97,7 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert results == [True] * 240
+    assert results == [True] * 300
     assert [t.name for t in threading.enumerate()
             if t.name.startswith("acgl-matmul")] == ["acgl-matmul_0"]
 
