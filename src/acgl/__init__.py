@@ -9,6 +9,11 @@ whose column j scores class id j, and R, the upper-triangular Cholesky
 factor of the regularized Gram (R^T R = G). The paper's inverse G^{-1} is
 formed on demand as ``AnalyticState.inv_gram``.
 
+The package root exports that learner, the run harness, its two metrics and
+dataset I/O, the names the README documents. The building blocks stay in
+their modules: ``acgl.backbone``, ``acgl.graph``, ``acgl.expander``,
+``acgl.metrics`` and ``acgl.threads``.
+
 Importing the package pins BLAS to one thread unless the caller has set the
 thread variables. A BLAS reads them once, when numpy is first imported, so a
 program that imports numpy before acgl must set them itself.
@@ -29,82 +34,35 @@ from .analytic import (
     update_R,
     update_weights,
 )
-from .backbone import (
-    AdamState,
-    BackboneConfig,
-    BackboneParams,
-    adam_step,
-    gcn_backward,
-    gcn_forward,
-    masked_softmax_cross_entropy,
-    train_base,
-)
+from .backbone import BackboneConfig
 from .datasets import DatasetFormatError, load_dataset, save_dataset
-from .expander import ExpanderParams, expand, init_expander
-from .graph import (
-    Graph,
-    SessionPlan,
-    build_session_plan,
-    default_base_size,
-    normalize_adjacency,
-    session_subgraph,
-)
-from .harness import (
-    ExperimentConfig,
-    ExpanderConfig,
-    PerformanceMatrix,
-    RunResult,
-    evaluate_task,
-    run_experiment,
-)
-from .metrics import (
-    RunReport,
-    average_forgetting,
-    average_performance,
-    emit_report,
-)
+from .graph import Graph
+from .harness import ExperimentConfig, ExpanderConfig, RunResult, evaluate_task, run_experiment
+from .metrics import average_forgetting, average_performance
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "AnalyticState",
     "BackboneConfig",
-    "BackboneParams",
     "DatasetFormatError",
     "ExpanderConfig",
-    "ExpanderParams",
     "ExperimentConfig",
     "Graph",
-    "PerformanceMatrix",
-    "RunReport",
     "RunResult",
     "SessionBatch",
-    "SessionPlan",
     "SyntheticSpec",
-    "adam_step",
     "align_base",
     "average_forgetting",
     "average_performance",
-    "build_session_plan",
-    "default_base_size",
-    "emit_report",
     "evaluate_task",
-    "expand",
-    "gcn_backward",
-    "gcn_forward",
     "generate_synthetic",
-    "init_expander",
     "joint_solve",
     "load_dataset",
-    "masked_softmax_cross_entropy",
-    "normalize_adjacency",
     "predict",
     "run_experiment",
     "save_dataset",
-    "session_subgraph",
-    "train_base",
     "update_R",
     "update_weights",
 ]

@@ -42,15 +42,6 @@ import scipy.linalg.lapack
 
 from . import threads
 
-__all__ = [
-    "AnalyticState",
-    "SessionBatch",
-    "align_base",
-    "update_R",
-    "update_weights",
-    "joint_solve",
-    "predict",
-]
 
 @dataclass(frozen=True)
 class AnalyticState:
@@ -60,9 +51,11 @@ class AnalyticState:
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
     gamma itself is not kept; it stays in the Fortran order LAPACK returns.
-    Both arrays are read-only. The state's footprint is one (d, d) matrix
-    plus one (d, C) matrix, fixed in d regardless of how many samples have
-    been absorbed.
+    Both arrays are read-only. A caller's float64 array is kept, not copied,
+    and so turns read-only too: ``R`` in any layout, ``weights`` when it is
+    C-contiguous; any other is copied and the caller's stays writeable. The
+    state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed in
+    d regardless of how many samples have been absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
@@ -97,7 +90,10 @@ class SessionBatch:
 
     Each target column is one new class, in ascending class-id order. Every
     column needs at least one row: a class with no training row would get
-    an all-zero weight column and could never be predicted.
+    an all-zero weight column and could never be predicted. A caller's
+    C-contiguous float64 array is kept, not copied, and made read-only, so
+    the caller's array turns read-only too; any other is copied and the
+    caller's stays writeable.
     """
 
     features: np.ndarray        # (N, d)

@@ -18,6 +18,9 @@ from . import threads
 
 @dataclass(frozen=True)
 class ExpanderParams:
+    """The frozen expansion weight. A caller's C-contiguous float64 weight is kept, not
+    copied, and made read-only, so it turns read-only too; any other is copied."""
+
     weight: np.ndarray          # (h, d_out), frozen
 
     def __post_init__(self):

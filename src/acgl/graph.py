@@ -85,7 +85,11 @@ class Graph:
     [0, num_classes) and split codes in [0, len(SPLIT_CODES)), each a
     length-N vector. An endpoint, label or code out of range, or a
     non-finite feature, raises the :class:`FieldError` of its field,
-    naming the first row that holds one.
+    naming the first row that holds one. Features, labels and split that
+    are already C-contiguous of their dtype are kept, not copied, and made
+    read-only, so the caller's arrays turn read-only too (this is why
+    :func:`acgl.datasets.load_dataset` never copies its features); any other
+    is copied and the caller's stays writeable.
     """
 
     edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique

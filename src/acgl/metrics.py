@@ -175,7 +175,7 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def emit_report(report: RunReport, out_dir) -> list[Path]:
+def emit_report(report: RunReport, out_dir) -> None:
     """Write report.json, matrix.csv, and heatmap.svg into ``out_dir``.
 
     Deterministic byte output for a given report. I/O errors propagate
@@ -188,9 +188,6 @@ def emit_report(report: RunReport, out_dir) -> list[Path]:
         out / "matrix.csv": matrix_to_csv(report.matrix),
         out / "heatmap.svg": heatmap_svg(report.matrix),
     }
-    written = []
     for path, content in targets.items():
         path.write_text(content, encoding="utf-8")
-        written.append(path)
-    return written
 

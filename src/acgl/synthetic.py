@@ -46,11 +46,9 @@ class SyntheticSpec:
 def _class_split(n: int, rng: np.random.Generator) -> np.ndarray:
     """Split codes (0 train, 1 val, 2 test) of n in-class node slots, in random order."""
     order = rng.permutation(n)
-    n_train = max(1, round(_TRAIN_FRAC * n))
+    # For n >= 2 (SyntheticSpec's floor), n_train >= 1 and n_train + n_val < n.
+    n_train = round(_TRAIN_FRAC * n)
     n_val = int(_VAL_FRAC * n)
-    if n_train + n_val >= n:  # keep at least one test node
-        n_val = max(0, n - n_train - 1)
-    n_train = min(n_train, n - 1)
     codes = np.empty(n, dtype=np.int64)
     codes[order] = np.repeat([0, 1, 2], [n_train, n_val, n - n_train - n_val])
     return codes

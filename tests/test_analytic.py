@@ -185,6 +185,11 @@ class TestAlignBase:
         assert rel_fro(state.R.T @ state.R, gram) < 1e-12
         np.testing.assert_allclose(state.inv_gram @ gram, np.eye(6), atol=1e-8)
 
+    def test_inv_gram_of_singular_factor_rejected(self):
+        state = AnalyticState(weights=np.zeros((3, 0)), R=np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="^matrix numerically singular: LAPACK info 2$"):
+            state.inv_gram
+
 
 @st.composite
 def gram_inputs(draw):
@@ -793,6 +798,10 @@ class TestJointSolve:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             joint_solve([], gamma=1.0)
+
+    def test_sessions_of_different_widths_rejected(self):
+        with pytest.raises(ValueError, match="^all sessions must share the feature dimension$"):
+            joint_solve([(np.eye(3), np.eye(3)), (np.eye(2), np.eye(2))], gamma=1.0)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_gamma_must_be_finite_and_positive(self, gamma):

@@ -273,6 +273,11 @@ class TestAdam:
             assert g0.tobytes() == g0_before.tobytes()   # gradients are not written
         assert state.step == 5
 
+    def test_gradient_shapes_must_mirror_parameters(self):
+        params, state = self.make()
+        with pytest.raises(ValueError, match="^gradient shapes must mirror parameter shapes$"):
+            adam_step(params, (np.zeros_like(params.W1), np.zeros_like(params.W0)), state)
+
     def test_given_state_keeps_its_moments(self):
         params, state = self.make(decay=5e-4)
         moments = [getattr(state, f).copy() for f in ("m_W0", "v_W0", "m_W1", "v_W1")]
@@ -296,6 +301,23 @@ class TestAdam:
 def test_backbone_config_rejects_bad_values(kwargs, match):
     with pytest.raises(ValueError, match=match):
         BackboneConfig(**kwargs)
+
+
+@pytest.mark.parametrize("W0, W1, match", [
+    (np.ones(3), np.ones((3, 2)), r"^W0 and W1 must be matrices$"),
+    (np.ones((4, 3)), np.ones((2, 2)),
+     r"^hidden dims disagree: W0 is \(4, 3\), W1 is \(2, 2\)$"),
+    (np.ones((4, 3)), np.full((3, 2), np.nan), r"^parameters must be finite$"),
+], ids=["not_matrix", "hidden_mismatch", "non_finite"])
+def test_backbone_params_reject_bad_weights(W0, W1, match):
+    with pytest.raises(ValueError, match=match):
+        BackboneParams(W0=W0, W1=W1)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+def test_dropout_rate_outside_unit_interval_rejected(rate):
+    with pytest.raises(ValueError, match=r"^dropout rate must lie in \[0, 1\)$"):
+        sample_dropout_mask(np.random.default_rng(0), (2, 3), rate)
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acgl.backbone import BackboneConfig
-from acgl.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
+from acgl.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
 from acgl.datasets import SPLIT_CODES, DatasetFormatError, load_dataset, save_dataset
 from acgl.harness import ExpanderConfig, ExperimentConfig, run_experiment
@@ -435,7 +435,8 @@ def test_any_config_exits_cleanly(tiny_dataset, data):
 
 
 # The whole stderr line of each past-edge value on the default config (backbone.hidden = 256),
-# of two values past a bound the parser or a derived range sets, and of a removed key.
+# of two values past a bound the parser or a derived range sets, of a removed key, and of
+# a pair without "=".
 CONFIG_ERROR_LINES = {
     "synthetic.classes=1": "config key 'synthetic.classes' must be >= 2 (got 1)",
     "synthetic.nodes_per_class=1": "config key 'synthetic.nodes_per_class' must be >= 2 (got 1)",
@@ -453,6 +454,7 @@ CONFIG_ERROR_LINES = {
     "expander.dim=256": "config key 'expander.dim' must exceed backbone.hidden (got 256)",
     "gamma=0.0": "config key 'gamma' must be finite and positive (got 0.0)",
     "seed=-1": "config key 'seed' must be >= 0 (got -1)",
+    "foo": "override must look like key=value, got 'foo'",
 }
 
 
@@ -487,6 +489,21 @@ def test_non_integer_for_int_key_line_is_exact(tmp_path, capsys, command, extra)
     assert capsys.readouterr().err == \
         "config error: key 'expander.dim' expects an int, got 'notanint'\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra, error", [
+    ("run", [], "[Errno 17] File exists: '{out}'"),
+    ("sweep", ["--axis", "gamma", "--values", "1.0"],
+     "[Errno 20] Not a directory: '{out}/point_1.0'"),
+    ("gen-synth", [], "[Errno 17] File exists: '{out}'"),
+])
+def test_out_that_is_a_file_is_one_io_error_line(run_config_file, tmp_path, capsys,
+                                                  command, extra, error):
+    out = tmp_path / "taken"
+    out.write_text("")
+    config = [] if command == "gen-synth" else ["--config", str(run_config_file)]
+    assert main([command, *config, "--out", str(out), *extra]) == EXIT_IO
+    assert capsys.readouterr().err == f"i/o error: {error.format(out=out)}\n"
 
 
 class TestSweep:

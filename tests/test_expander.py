@@ -49,6 +49,16 @@ def test_must_widen():
         init_expander(16, 8, seed=0)
 
 
+def test_weight_must_be_a_matrix():
+    with pytest.raises(ValueError, match="^expansion weight must be a matrix$"):
+        ExpanderParams(weight=np.ones(4))
+
+
+def test_hidden_width_must_match_the_weight():
+    with pytest.raises(ValueError, match="^hidden dim 3 != expander input dim 4$"):
+        expand(np.ones((2, 3)), init_expander(4, 8, seed=0))
+
+
 def test_zero_input_maps_to_zero():
     p = init_expander(4, 8, seed=1)
     out = expand(np.zeros((5, 4)), p)

@@ -182,6 +182,22 @@ class TestGraphInvariants:
             Graph(edges=np.array(edges), features=g.features, labels=g.labels, split=g.split,
                   num_classes=2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("features", np.ones(3), "features must be (N, d) with N >= 1 nodes, got (3,)"),
+        ("features", np.ones((0, 2)), "features must be (N, d) with N >= 1 nodes, got (0, 2)"),
+        ("edges", np.array([[1, 0]]), "edges must be canonical (u < v, no self-loops)"),
+        ("edges", np.array([[1, 1]]), "edges must be canonical (u < v, no self-loops)"),
+        ("labels", np.zeros(2, dtype=np.int64), "labels must be a length-N vector"),
+        ("split", np.zeros(4, dtype=np.int64), "split must be a length-N vector"),
+    ], ids=["features_1d", "no_nodes", "reversed_edge", "self_loop", "short_labels",
+            "long_split"])
+    def test_rejects_malformed_field(self, field, value, message):
+        g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
+        fields = dict(edges=g.edges, features=g.features, labels=g.labels, split=g.split,
+                      num_classes=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(**{**fields, field: value})
+
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)
         np.testing.assert_array_equal(edges, [[0, 1]])
@@ -246,6 +262,13 @@ class TestSessionPlan:
             build_session_plan(g, 4, 1)
         with pytest.raises(ValueError):
             build_session_plan(g, 5, 1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_increment_out_of_range_rejected(self, k):
+        g = make_graph(4, [], [0, 1, 2, 3], 4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"increment size k={k} must satisfy 1 <= k <= C - c0 = 2")):
+            build_session_plan(g, 2, k)
 
     @pytest.mark.parametrize("groups", [((1,), (0,)), ((0, 2), (1,)), ((0,), ()), ((1, 2),)])
     def test_groups_must_be_nonempty_and_run_0_1_in_order(self, groups):

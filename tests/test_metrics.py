@@ -45,6 +45,10 @@ class TestAveragePerformance:
         m = PerformanceMatrix(rows=((0.7,),))
         assert average_performance(m) == pytest.approx(0.7)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^performance matrix is empty$"):
+            average_performance(PerformanceMatrix(rows=()))
+
     def test_invariant_to_final_row_reordering(self):
         a = PerformanceMatrix(rows=((0.5,), (0.2, 0.8)))
         b = PerformanceMatrix(rows=((0.5,), (0.8, 0.2)))
@@ -114,6 +118,11 @@ class TestSvg:
         assert svg.count("<circle") == 3
         assert "polyline" in svg
 
+    def test_flat_curve_sits_mid_plot_on_a_unit_axis(self):
+        svg = curve_svg(["a", "b"], {"AP": [0.5, 0.5]}, "t")
+        assert '<polyline points="64.0,152.0 464.0,152.0"' in svg
+        assert ">0.000</text>" in svg and ">1.000</text>" in svg
+
     def test_curve_svg_matches_golden_file(self):
         svg = curve_svg(["0.0001", "1.0", "100.0"],
                         {"AP": [0.6125, 0.8375, 0.55], "AF": [0.0375, -0.0125, 0.2]},
@@ -125,7 +134,7 @@ class TestSvg:
 class TestEmission:
     def test_report_json_fields(self, tmp_path):
         report = four_task_report()
-        emit_report(report, tmp_path)
+        assert emit_report(report, tmp_path) is None
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["schema_version"] == 1
         assert doc["ap"] == pytest.approx(0.753125)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from acgl.synthetic import generate_synthetic, intra_class_fraction
+from acgl.synthetic import _class_split, generate_synthetic, intra_class_fraction
+
+from conftest import make_graph
 
 # Shapes of the benchmark workloads and configs/synthetic.cfg, plus the extremes.
 SHAPES = {
@@ -74,6 +76,18 @@ def test_minimum_sizes_still_split():
     g = generate_synthetic(2, 2, 1, 0.5, seed=0)  # 8 edge draws merge into at most 6 pairs
     assert g.train_mask.sum() == 2  # one per class
     assert g.test_mask.sum() == 2
+
+
+def test_class_split_counts_for_every_class_size():
+    rng = np.random.default_rng(0)
+    for n in range(2, 1001):
+        counts = np.bincount(_class_split(n, rng), minlength=3)
+        assert counts.tolist() == [round(0.6 * n), int(0.2 * n), n - counts[0] - counts[1]], n
+        assert counts[2] >= 1, n
+
+
+def test_intra_fraction_of_edgeless_graph_is_one():
+    assert intra_class_fraction(make_graph(2, [], [0, 1], 2)) == 1.0
 
 
 def test_invalid_parameters_rejected():
