@@ -53,9 +53,11 @@ class AnalyticState:
     gamma itself is not kept; it stays in the Fortran order LAPACK returns.
     Both arrays are read-only. A caller's float64 array is kept, not copied,
     and so turns read-only too: ``R`` in any layout, ``weights`` when it is
-    C-contiguous; any other is copied and the caller's stays writeable. The
-    state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed in
-    d regardless of how many samples have been absorbed.
+    C-contiguous; any other is copied and the caller's stays writeable. A
+    kept array that is a view still shares memory with its base, and the
+    base stays writeable. The state's footprint is one (d, d) matrix plus
+    one (d, C) matrix, fixed in d regardless of how many samples have been
+    absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
@@ -93,7 +95,8 @@ class SessionBatch:
     an all-zero weight column and could never be predicted. A caller's
     C-contiguous float64 array is kept, not copied, and made read-only, so
     the caller's array turns read-only too; any other is copied and the
-    caller's stays writeable.
+    caller's stays writeable. A kept array that is a view still shares
+    memory with its base, and the base stays writeable.
     """
 
     features: np.ndarray        # (N, d)

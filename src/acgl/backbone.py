@@ -9,7 +9,9 @@ with A_hat the symmetrically normalized adjacency. One function,
 :func:`gcn_forward`, computes it for both training and inference; the
 backward pass reuses it. Gradients are derived by hand so training is
 exactly reproducible with plain numpy; dropout uses inverted scaling
-(mask / keep_prob at train time, no mask at inference).
+(mask / keep_prob at train time, no mask at inference). One loop,
+:func:`fit`, trains: full-batch Adam steps that update the weights and
+moments in place. :func:`train_base` runs it once, on the base session.
 
 The two largest products, ``X @ W0`` in the forward pass and
 ``adj_X.T @ d_z0`` in the backward pass, run as two row halves on the
@@ -20,8 +22,9 @@ product is one call on the calling thread.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,31 +53,6 @@ class BackboneParams:
             )
         if not (np.isfinite(self.W0).all() and np.isfinite(self.W1).all()):
             raise ValueError("parameters must be finite")
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Per-matrix first/second moments plus the step count; :func:`adam_step` writes none."""
-
-    m_W0: np.ndarray
-    v_W0: np.ndarray
-    m_W1: np.ndarray
-    v_W1: np.ndarray
-    step: int
-    lr: float
-    weight_decay: float = 0.0
-
-    @classmethod
-    def init(cls, params: BackboneParams, lr: float, weight_decay: float = 0.0) -> "AdamState":
-        return cls(
-            m_W0=np.zeros_like(params.W0),
-            v_W0=np.zeros_like(params.W0),
-            m_W1=np.zeros_like(params.W1),
-            v_W1=np.zeros_like(params.W1),
-            step=0,
-            lr=lr,
-            weight_decay=weight_decay,
-        )
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -175,39 +153,6 @@ def gcn_backward(
     return grad_W0, grad_W1
 
 
-def _adam_update(param, grad, m, v, state: AdamState, t: int):
-    """One Adam step of one matrix; returns the new (param, m, v) and writes no input."""
-    if state.weight_decay:
-        grad = grad + state.weight_decay * param
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    return param - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
-
-
-def adam_step(
-    params: BackboneParams,
-    grads: tuple[np.ndarray, np.ndarray],
-    state: AdamState,
-) -> tuple[BackboneParams, AdamState]:
-    """One bias-corrected Adam step over both weight matrices.
-
-    L2 weight decay is folded into the gradient before the moment update
-    (grad += decay * param), matching decay applied through the loss.
-    Returns new parameters and a new :class:`AdamState` with fresh moment
-    arrays; ``params``, ``grads`` and ``state`` are not written.
-    """
-    g0, g1 = grads
-    if g0.shape != params.W0.shape or g1.shape != params.W1.shape:
-        raise ValueError("gradient shapes must mirror parameter shapes")
-    t = state.step + 1
-    new_W0, m0, v0 = _adam_update(params.W0, g0, state.m_W0, state.v_W0, state, t)
-    new_W1, m1, v1 = _adam_update(params.W1, g1, state.m_W1, state.v_W1, state, t)
-    new_state = replace(state, m_W0=m0, v_W0=v0, m_W1=m1, v_W1=v1, step=t)
-    return BackboneParams(W0=new_W0, W1=new_W1), new_state
-
-
 @dataclass(frozen=True)
 class BackboneConfig:
     hidden: int = 256
@@ -226,31 +171,65 @@ class BackboneConfig:
         ])
 
 
+def adam_step(params: BackboneParams, grads: tuple[np.ndarray, np.ndarray],
+              moments: tuple[np.ndarray, ...], t: int, config: BackboneConfig) -> None:
+    """Step ``t`` (from 1) of bias-corrected Adam over both weight matrices, in place.
+
+    ``moments`` holds the first and second moments of W0, then of W1, all
+    zero before step 1. L2 weight decay is folded into the gradient before
+    the moment update (grad + decay * param), matching decay applied
+    through the loss. Writes ``params.W0``, ``params.W1`` and the four
+    moments; ``grads`` is not written.
+    """
+    g0, g1 = grads
+    if g0.shape != params.W0.shape or g1.shape != params.W1.shape:
+        raise ValueError("gradient shapes must mirror parameter shapes")
+    m0, v0, m1, v1 = moments
+    for param, grad, m, v in ((params.W0, g0, m0, v0), (params.W1, g1, m1, v1)):
+        if config.weight_decay:
+            grad = grad + config.weight_decay * param
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        param -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def fit(params: BackboneParams, adj: sp.csr_array, X: np.ndarray, labels: np.ndarray,
+        mask: np.ndarray, config: BackboneConfig, rng: np.random.Generator) -> BackboneParams:
+    """``config.epochs`` full-batch Adam steps of the whole GCN from ``params``.
+
+    Trains on the ``mask`` nodes of the graph ``adj`` with ``labels`` as head
+    columns; no early stopping. Each epoch draws its dropout mask from
+    ``rng`` (none at rate 0). Adam writes a copy of ``params``, not
+    ``params`` itself; the result is checked once, when wrapped.
+    """
+    work = copy.deepcopy(params)    # unchecked: params was checked when built
+    moments = tuple(np.zeros_like(w) for w in (work.W0, work.W0, work.W1, work.W1))
+    adj_X = adj @ X                 # constant across epochs
+    for t in range(1, config.epochs + 1):
+        mask_drop = None
+        if config.dropout > 0.0:
+            mask_drop = sample_dropout_mask(rng, (X.shape[0], config.hidden), config.dropout)
+        grads = gcn_backward(adj, X, work, labels, mask, mask_drop, adj_X=adj_X)
+        adam_step(work, grads, moments, t, config)
+    return BackboneParams(W0=work.W0, W1=work.W1)
+
+
 def train_base(graph: Graph, plan: SessionPlan, config: BackboneConfig,
                seed: int) -> BackboneParams:
     """Train the backbone on the base session's induced subgraph.
 
-    Runs ``config.epochs`` full-batch Adam steps on the train-mask nodes of
-    the base subgraph; no early stopping. The base group holds class ids
-    0..c0-1, so head column j is class id j. Init and dropout draw from ``seed``.
+    :func:`fit` from a Glorot init on the train-mask nodes of the base
+    subgraph. The base group holds class ids 0..c0-1, so head column j is
+    class id j. Init and dropout draw from ``seed``.
     """
     base = session_subgraph(graph, plan.base_classes)
-    train = base.train_mask
-    if not train.any():
+    if not base.train_mask.any():
         raise ValueError("base session has an empty train split")
-
-    adj = normalize_adjacency(base)
-    X = base.features
-    adj_X = adj @ X                 # constant across epochs
     rng = np.random.default_rng(seed)
-    params = init_backbone(X.shape[1], config.hidden, len(plan.base_classes), rng)
-    state = AdamState.init(params, lr=config.lr, weight_decay=config.weight_decay)
-
-    for _ in range(config.epochs):
-        mask_drop = None
-        if config.dropout > 0.0:
-            mask_drop = sample_dropout_mask(rng, (X.shape[0], config.hidden), config.dropout)
-        grads = gcn_backward(adj, X, params, base.labels, train, mask_drop, adj_X=adj_X)
-        params, state = adam_step(params, grads, state)
-    return params
-
+    params = init_backbone(base.features.shape[1], config.hidden, len(plan.base_classes), rng)
+    return fit(params, normalize_adjacency(base), base.features, base.labels, base.train_mask,
+               config, rng)

@@ -19,7 +19,8 @@ from . import threads
 @dataclass(frozen=True)
 class ExpanderParams:
     """The frozen expansion weight. A caller's C-contiguous float64 weight is kept, not
-    copied, and made read-only, so it turns read-only too; any other is copied."""
+    copied, and made read-only, so it turns read-only too; any other is copied. A kept
+    weight that is a view still shares memory with its base, and the base stays writeable."""
 
     weight: np.ndarray          # (h, d_out), frozen
 

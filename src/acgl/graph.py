@@ -49,12 +49,21 @@ def _check_range(field: str, values: np.ndarray, end: int) -> None:
                 f"row {{row}} holds {{value}}, outside [0, {end})")
 
 
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` as int64, kept if it already is; a shape other than (E, 2) raises ValueError."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be (E, 2), got {edges.shape}")
+    return edges
+
+
 def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
 
-    Accepts any (E, 2) integer array; returns int64 rows with u < v,
-    lexicographically sorted and unique: the int64 keys ``lo * num_nodes +
-    hi`` are sorted once and a neighbour mask drops repeats. An endpoint
+    Accepts any (E, 2) integer array, E = 0 included; any other shape raises
+    ValueError naming it. Returns int64 rows with u < v, lexicographically
+    sorted and unique: the int64 keys ``lo * num_nodes + hi`` are sorted
+    once and a neighbour mask drops repeats. An endpoint
     outside [0, num_nodes) raises the :class:`FieldError` of ``edges``
     naming its row; a ``num_nodes`` above 3,037,000,499 = isqrt(2**63 - 1),
     whose keys would overflow int64, raises ValueError.
@@ -62,7 +71,7 @@ def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     if num_nodes > math.isqrt(np.iinfo(np.int64).max):
         raise ValueError(f"num_nodes={num_nodes} exceeds 3037000499, the most whose "
                          "edge keys fit in int64")
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _edge_array(edges)
     _check_range("edges", edges, num_nodes)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
@@ -85,11 +94,13 @@ class Graph:
     [0, num_classes) and split codes in [0, len(SPLIT_CODES)), each a
     length-N vector. An endpoint, label or code out of range, or a
     non-finite feature, raises the :class:`FieldError` of its field,
-    naming the first row that holds one. Features, labels and split that
-    are already C-contiguous of their dtype are kept, not copied, and made
-    read-only, so the caller's arrays turn read-only too (this is why
+    naming the first row that holds one. Edges, features, labels and split
+    that are already C-contiguous of their dtype are kept, not copied, and
+    made read-only, so the caller's arrays turn read-only too (this is why
     :func:`acgl.datasets.load_dataset` never copies its features); any other
-    is copied and the caller's stays writeable.
+    is copied and the caller's stays writeable. A kept array that is a view
+    (say ``np.arange(6.0).reshape(3, 2)``) still shares memory with its
+    base, and the base stays writeable.
     """
 
     edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique
@@ -103,7 +114,7 @@ class Graph:
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError(f"features must be (N, d) with N >= 1 nodes, got {features.shape}")
         n = features.shape[0]
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _edge_array(self.edges)
         _check_range("edges", edges, n)
         if edges.size:
             if np.any(edges[:, 0] >= edges[:, 1]):

@@ -4,14 +4,11 @@ import pytest
 
 from acgl import harness, threads
 from acgl.backbone import (
-    AdamState,
     BackboneConfig,
     BackboneParams,
-    adam_step,
-    gcn_backward,
+    fit,
     gcn_forward,
     glorot_uniform,
-    sample_dropout_mask,
     train_base,
 )
 from acgl.expander import expand
@@ -115,7 +112,7 @@ def finetune_matrix(config: ExperimentConfig) -> PerformanceMatrix:
 
     Same graph, plan and ``train_base`` as ``run_experiment(config)``. Each
     later session appends Glorot head columns for its classes and runs
-    ``backbone.epochs`` Adam steps of the whole GCN on that session's
+    ``backbone.fit``, the loop ``train_base`` runs, on that session's
     subgraph and train nodes only. Each seen task is scored on its own
     subgraph's test nodes by argmax over every seen head column. New head
     columns and dropout masks draw from ``seed + 3``. This is the
@@ -134,16 +131,10 @@ def finetune_matrix(config: ExperimentConfig) -> PerformanceMatrix:
     for k, (sub, adj) in enumerate(tasks):
         if k:
             seen = np.concatenate([seen, plan.groups[k]])
-            params = BackboneParams(W0=params.W0, W1=np.hstack(
-                [params.W1, glorot_uniform(rng, cfg.hidden, len(plan.groups[k]))]))
+            head = np.hstack([params.W1, glorot_uniform(rng, cfg.hidden, len(plan.groups[k]))])
             # Head column of each node's class: seen is ascending, as the plan's groups are.
-            y = np.searchsorted(seen, sub.labels)
-            adam = AdamState.init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-            for _ in range(cfg.epochs):
-                drop = (sample_dropout_mask(rng, (sub.num_nodes, cfg.hidden), cfg.dropout)
-                        if cfg.dropout > 0.0 else None)
-                grads = gcn_backward(adj, sub.features, params, y, sub.train_mask, drop)
-                params, adam = adam_step(params, grads, adam)
+            params = fit(BackboneParams(W0=params.W0, W1=head), adj, sub.features,
+                         np.searchsorted(seen, sub.labels), sub.train_mask, cfg, rng)
         row = []
         for task, task_adj in tasks[:k + 1]:
             predicted = seen[gcn_forward(task_adj, task.features, params)[1].argmax(axis=1)]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from acgl import harness, threads
 from acgl.backbone import (
-    AdamState,
     BackboneConfig,
     BackboneParams,
     adam_step,
+    fit,
     gcn_backward,
     gcn_forward,
     init_backbone,
@@ -22,6 +22,7 @@ from acgl.backbone import (
 from acgl.graph import build_session_plan, normalize_adjacency, session_subgraph
 from acgl.synthetic import generate_synthetic
 
+import conftest
 from conftest import FIXTURE_EXPERIMENT, count_splits, make_graph, random_graph
 
 
@@ -206,88 +207,97 @@ class TestBackward:
         np.testing.assert_allclose(g0_one, per_node[2], atol=1e-12)
 
 
+def textbook_adam(W, m, v, grad, t, lr, decay):
+    """One bias-corrected Adam step written out, returning new (W, m, v)."""
+    grad = grad + decay * W if decay else grad
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad * grad
+    m_hat = m / (1.0 - 0.9**t)
+    v_hat = v / (1.0 - 0.999**t)
+    return W - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+
 class TestAdam:
-    def make(self, shape=(3, 2), lr=0.1, decay=0.0, seed=0):
+    def make(self, shape=(3, 2), seed=0):
         rng = np.random.default_rng(seed)
         params = BackboneParams(W0=rng.normal(size=shape), W1=rng.normal(size=(shape[1], 2)))
-        return params, AdamState.init(params, lr=lr, weight_decay=decay)
+        # Adam's four moments before step 1: W0's first and second, then W1's.
+        return params, tuple(np.zeros_like(w) for w in (params.W0, params.W0, params.W1, params.W1))
 
     def test_zero_gradient_leaves_params_unchanged(self):
-        params, state = self.make()
-        new_params, new_state = adam_step(
-            params, (np.zeros_like(params.W0), np.zeros_like(params.W1)), state
-        )
-        np.testing.assert_array_equal(new_params.W0, params.W0)
-        np.testing.assert_array_equal(new_params.W1, params.W1)
-        assert new_state.step == 1
+        params, moments = self.make()
+        before = (params.W0.copy(), params.W1.copy())
+        adam_step(params, (np.zeros_like(params.W0), np.zeros_like(params.W1)), moments, 1,
+                  BackboneConfig(lr=0.1, weight_decay=0.0))
+        np.testing.assert_array_equal(params.W0, before[0])
+        np.testing.assert_array_equal(params.W1, before[1])
+        assert not any(m.any() for m in moments)
 
     def test_first_step_matches_hand_formula(self):
-        params, state = self.make(lr=0.05)
+        params, moments = self.make()
+        W0, W1 = params.W0.copy(), params.W1.copy()
         rng = np.random.default_rng(1)
         g0 = rng.normal(size=params.W0.shape)
         g1 = rng.normal(size=params.W1.shape)
-        new_params, _ = adam_step(params, (g0, g1), state)
-        # After bias correction from a zero state: step = -lr * g / (|g| + eps).
-        expected0 = params.W0 - 0.05 * g0 / (np.abs(g0) + 1e-8)
-        expected1 = params.W1 - 0.05 * g1 / (np.abs(g1) + 1e-8)
-        np.testing.assert_allclose(new_params.W0, expected0, atol=1e-12)
-        np.testing.assert_allclose(new_params.W1, expected1, atol=1e-12)
+        adam_step(params, (g0, g1), moments, 1, BackboneConfig(lr=0.05, weight_decay=0.0))
+        # After bias correction from zero moments: step = -lr * g / (|g| + eps).
+        np.testing.assert_allclose(params.W0, W0 - 0.05 * g0 / (np.abs(g0) + 1e-8), atol=1e-12)
+        np.testing.assert_allclose(params.W1, W1 - 0.05 * g1 / (np.abs(g1) + 1e-8), atol=1e-12)
 
     def test_moments_do_not_cross_contaminate(self):
-        params, state = self.make()
-        g0 = np.ones_like(params.W0)
-        g1 = np.zeros_like(params.W1)
-        new_params, new_state = adam_step(params, (g0, g1), state)
-        assert not np.array_equal(new_params.W0, params.W0)
-        np.testing.assert_array_equal(new_params.W1, params.W1)
-        assert np.array_equal(new_state.m_W1, np.zeros_like(params.W1))
+        params, moments = self.make()
+        W0, W1 = params.W0.copy(), params.W1.copy()
+        adam_step(params, (np.ones_like(params.W0), np.zeros_like(params.W1)), moments, 1,
+                  BackboneConfig(lr=0.1, weight_decay=0.0))
+        assert not np.array_equal(params.W0, W0)
+        np.testing.assert_array_equal(params.W1, W1)
+        assert moments[0].any() and moments[1].any()
+        assert not moments[2].any() and not moments[3].any()
 
     def test_weight_decay_pulls_toward_zero(self):
-        params, state = self.make(decay=0.5)
-        new_params, _ = adam_step(
-            params, (np.zeros_like(params.W0), np.zeros_like(params.W1)), state
-        )
-        assert (np.abs(new_params.W0) <= np.abs(params.W0) + 1e-12).all()
-        assert not np.array_equal(new_params.W0, params.W0)
-
+        params, moments = self.make()
+        W0 = params.W0.copy()
+        adam_step(params, (np.zeros_like(params.W0), np.zeros_like(params.W1)), moments, 1,
+                  BackboneConfig(lr=0.1, weight_decay=0.5))
+        assert (np.abs(params.W0) <= np.abs(W0) + 1e-12).all()
+        assert not np.array_equal(params.W0, W0)
 
     @pytest.mark.parametrize("decay", [0.0, 5e-4])
     def test_five_steps_bit_equal_to_textbook_formula(self, decay):
         """Parameters and moments equal the textbook expression bit for bit."""
-        params, state = self.make(shape=(40, 16), lr=0.01, decay=decay)
-        W, m, v = params.W0, np.zeros_like(params.W0), np.zeros_like(params.W0)
+        params, moments = self.make(shape=(40, 16))
+        want = [(params.W0.copy(), np.zeros_like(params.W0), np.zeros_like(params.W0)),
+                (params.W1.copy(), np.zeros_like(params.W1), np.zeros_like(params.W1))]
+        config = BackboneConfig(lr=0.01, weight_decay=decay)
         rng = np.random.default_rng(2)
         for t in range(1, 6):
-            g0, g1 = rng.normal(size=params.W0.shape), rng.normal(size=params.W1.shape)
-            grad = g0 + decay * W if decay else g0
-            m = 0.9 * m + (1.0 - 0.9) * grad
-            v = 0.999 * v + (1.0 - 0.999) * grad * grad
-            m_hat = m / (1.0 - 0.9**t)
-            v_hat = v / (1.0 - 0.999**t)
-            W = W - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            g0_before = g0.copy()
-            params, state = adam_step(params, (g0, g1), state)
-            assert params.W0.tobytes() == W.tobytes()
-            assert state.m_W0.tobytes() == m.tobytes()
-            assert state.v_W0.tobytes() == v.tobytes()
-            assert g0.tobytes() == g0_before.tobytes()   # gradients are not written
-        assert state.step == 5
+            grads = (rng.normal(size=params.W0.shape), rng.normal(size=params.W1.shape))
+            want = [textbook_adam(W, m, v, g, t, 0.01, decay) for (W, m, v), g in zip(want, grads)]
+            adam_step(params, grads, moments, t, config)
+            got = [(params.W0, moments[0], moments[1]), (params.W1, moments[2], moments[3])]
+            assert [[a.tobytes() for a in w] for w in got] == [[a.tobytes() for a in w]
+                                                               for w in want]
 
-    def test_gradient_shapes_must_mirror_parameters(self):
-        params, state = self.make()
-        with pytest.raises(ValueError, match="^gradient shapes must mirror parameter shapes$"):
-            adam_step(params, (np.zeros_like(params.W1), np.zeros_like(params.W0)), state)
-
-    def test_given_state_keeps_its_moments(self):
-        params, state = self.make(decay=5e-4)
-        moments = [getattr(state, f).copy() for f in ("m_W0", "v_W0", "m_W1", "v_W1")]
+    @pytest.mark.parametrize("decay", [0.0, 5e-4])
+    def test_writes_params_and_moments_never_grads(self, decay):
+        params, moments = self.make()
+        arrays = (params.W0, params.W1, *moments)
+        before = [a.copy() for a in arrays]
         rng = np.random.default_rng(3)
         grads = (rng.normal(size=params.W0.shape), rng.normal(size=params.W1.shape))
-        _, new_state = adam_step(params, grads, state)
-        assert state.step == 0
-        for name, before in zip(("m_W0", "v_W0", "m_W1", "v_W1"), moments):
-            assert getattr(state, name).tobytes() == before.tobytes(), name
-            assert not np.array_equal(getattr(new_state, name), before), name
+        grads_before = [g.tobytes() for g in grads]
+        adam_step(params, grads, moments, 1, BackboneConfig(lr=0.1, weight_decay=decay))
+        assert all(a is b for a, b in zip((params.W0, params.W1, *moments), arrays))
+        assert all(not np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert [g.tobytes() for g in grads] == grads_before
+
+    def test_gradient_shapes_must_mirror_parameters(self):
+        params, moments = self.make()
+        before = [a.tobytes() for a in (params.W0, params.W1, *moments)]
+        with pytest.raises(ValueError, match="^gradient shapes must mirror parameter shapes$"):
+            adam_step(params, (np.zeros_like(params.W1), np.zeros_like(params.W0)), moments, 1,
+                      BackboneConfig())
+        assert [a.tobytes() for a in (params.W0, params.W1, *moments)] == before
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -372,11 +382,63 @@ class TestTrainBase:
         np.testing.assert_array_equal(a.W0, b.W0)
         np.testing.assert_array_equal(a.W1, b.W1)
 
+    @pytest.mark.parametrize("hidden", [16, 64])
+    def test_matches_reference_loop_bit_for_bit(self, fixture_graph, hidden):
+        """Glorot init, then per epoch a dropout draw, gcn_backward and textbook Adam."""
+        plan = build_session_plan(fixture_graph, 2, 1)
+        cfg = BackboneConfig(hidden=hidden, epochs=6, lr=0.01, dropout=0.5, weight_decay=5e-4)
+        got = train_base(fixture_graph, plan, cfg, seed=4)
+        base = session_subgraph(fixture_graph, plan.base_classes)
+        adj = normalize_adjacency(base)
+        rng = np.random.default_rng(4)
+        params = init_backbone(16, hidden, 2, rng)
+        state = [(params.W0, 0.0, 0.0), (params.W1, 0.0, 0.0)]
+        for t in range(1, 7):
+            drop = (rng.random((base.num_nodes, hidden)) >= 0.5) / (1.0 - 0.5)
+            grads = gcn_backward(adj, base.features, BackboneParams(state[0][0], state[1][0]),
+                                 base.labels, base.train_mask, drop)
+            state = [textbook_adam(*s, g, t, 0.01, 5e-4) for s, g in zip(state, grads)]
+        assert (got.W0.tobytes(), got.W1.tobytes()) == (state[0][0].tobytes(),
+                                                        state[1][0].tobytes())
+
     def test_empty_train_split_rejected(self):
         g = make_graph(4, [(0, 1), (2, 3)], [0, 0, 1, 1], 2, split=[2] * 4)
         plan = build_session_plan(g, 1, 1)
         with pytest.raises(ValueError, match="empty train split"):
             train_base(g, plan, BackboneConfig(hidden=4, epochs=1), seed=0)
+
+
+class TestFit:
+    def instance(self, fixture_graph, epochs=5):
+        sub = session_subgraph(fixture_graph, (0, 1))
+        params = init_backbone(16, 8, 2, np.random.default_rng(0))
+        cfg = BackboneConfig(hidden=8, epochs=epochs, lr=0.01)
+        return sub, normalize_adjacency(sub), params, cfg
+
+    @pytest.mark.parametrize("epochs", [0, 5])
+    def test_leaves_callers_params_unwritten(self, fixture_graph, epochs):
+        sub, adj, params, cfg = self.instance(fixture_graph, epochs)
+        before = (params.W0.tobytes(), params.W1.tobytes())
+        trained = fit(params, adj, sub.features, sub.labels, sub.train_mask, cfg,
+                      np.random.default_rng(1))
+        assert (params.W0.tobytes(), params.W1.tobytes()) == before
+        assert not np.shares_memory(trained.W0, params.W0)
+        assert not np.shares_memory(trained.W1, params.W1)
+        assert (trained.W0.tobytes() == before[0]) == (epochs == 0)
+
+    def test_finetune_leaves_the_base_backbone_unwritten(self, monkeypatch):
+        # finetune_matrix hands fit train_base's W0 itself, not a copy.
+        kept = []
+
+        def recording_train_base(*args):
+            params = train_base(*args)
+            kept.append((params, params.W0.tobytes(), params.W1.tobytes()))
+            return params
+
+        monkeypatch.setattr(conftest, "train_base", recording_train_base)
+        conftest.finetune_matrix(FIXTURE_EXPERIMENT)
+        [(params, W0, W1)] = kept
+        assert (params.W0.tobytes(), params.W1.tobytes()) == (W0, W1)
 
 
 @st.composite

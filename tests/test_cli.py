@@ -257,7 +257,7 @@ class TestRun:
 
     @pytest.mark.parametrize("key, value, stage", [
         ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
-        ("synthetic.class_sep", "1e300", "backbone._adam_update: overflow encountered"),
+        ("synthetic.class_sep", "1e300", "backbone.adam_step: overflow encountered"),
         # Finite, but gamma vanishes next to a Gram of about 1e300.
         ("synthetic.class_sep", "1e150", "analytic.align_base: the Gram after a session of"),
     ])

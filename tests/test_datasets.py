@@ -343,7 +343,7 @@ def drawn_graphs(draw):
     labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
     split = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     return Graph(
-        edges=canonical_edges(np.asarray(edges, dtype=np.int64), n),
+        edges=canonical_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n),
         features=np.asarray(cells, dtype=np.float64).reshape(n, d),
         labels=np.asarray(labels), split=split, num_classes=num_classes,
     )

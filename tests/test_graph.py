@@ -187,16 +187,35 @@ class TestGraphInvariants:
         ("features", np.ones((0, 2)), "features must be (N, d) with N >= 1 nodes, got (0, 2)"),
         ("edges", np.array([[1, 0]]), "edges must be canonical (u < v, no self-loops)"),
         ("edges", np.array([[1, 1]]), "edges must be canonical (u < v, no self-loops)"),
+        ("edges", np.array([[0, 1, 1, 2]]), "edges must be (E, 2), got (1, 4)"),
+        ("edges", np.array([0, 1]), "edges must be (E, 2), got (2,)"),
         ("labels", np.zeros(2, dtype=np.int64), "labels must be a length-N vector"),
         ("split", np.zeros(4, dtype=np.int64), "split must be a length-N vector"),
-    ], ids=["features_1d", "no_nodes", "reversed_edge", "self_loop", "short_labels",
-            "long_split"])
+    ], ids=["features_1d", "no_nodes", "reversed_edge", "self_loop", "edges_1x4", "edges_1d",
+            "short_labels", "long_split"])
     def test_rejects_malformed_field(self, field, value, message):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
         fields = dict(edges=g.edges, features=g.features, labels=g.labels, split=g.split,
                       num_classes=2)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Graph(**{**fields, field: value})
+
+    @pytest.mark.parametrize("edges, shape", [
+        ([[0, 1, 1, 2]], "(1, 4)"), ([0, 1, 1, 2], "(4,)"), ([], "(0,)"),
+    ], ids=["1x4", "1d", "empty_1d"])
+    def test_canonical_edges_rejects_a_shape_other_than_e_by_2(self, edges, shape):
+        message = f"edges must be (E, 2), got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            canonical_edges(np.array(edges, dtype=np.int64), 3)
+
+    def test_int64_edges_are_kept_and_frozen_others_copied(self):
+        g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
+        fields = dict(features=g.features, labels=g.labels, split=g.split, num_classes=2)
+        e = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        assert Graph(edges=e, **fields).edges is e and not e.flags.writeable
+        e32 = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        held = Graph(edges=e32, **fields).edges
+        assert held.dtype == np.int64 and not held.flags.writeable and e32.flags.writeable
 
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)

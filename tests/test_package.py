@@ -24,7 +24,7 @@ BACKTICKED = {m.group(0) for span in re.findall(r"`([^`\n]+)`", README)
               if (m := re.match(r"\w+", span))}
 # Each name that used to be exported from the package root, and the module that defines it.
 DROPPED = {
-    "AdamState": "backbone", "BackboneParams": "backbone", "adam_step": "backbone",
+    "BackboneParams": "backbone", "adam_step": "backbone",
     "gcn_backward": "backbone", "gcn_forward": "backbone",
     "masked_softmax_cross_entropy": "backbone", "train_base": "backbone",
     "ExpanderParams": "expander", "expand": "expander", "init_expander": "expander",
@@ -94,6 +94,8 @@ def test_a_kept_array_is_frozen_and_a_copied_one_is_not(keep):
     X = np.arange(6.0).reshape(3, 2)  # C-contiguous float64: kept as it is
     held = keep(X)
     assert held is X and not X.flags.writeable
+    # X is a view: only X turns read-only, its base stays writeable and shared.
+    assert X.base.flags.writeable and np.shares_memory(held, X.base)
     F = np.asfortranarray(np.arange(6.0).reshape(3, 2))  # Fortran order: copied
     held = keep(F)
     assert held is not F and not np.shares_memory(held, F)
