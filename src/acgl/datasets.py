@@ -13,8 +13,8 @@ numpy's ``.npy`` format, read by one rule (:func:`_read_array`) and
 round-tripped bit for bit. Big-endian or Fortran-ordered arrays are accepted
 (``Graph`` copies them to native, C-ordered arrays); every other dtype, object
 arrays, pickles and ``.npz`` archives are rejected. The values are checked by
-``Graph`` itself; the loader adds the file name to its error. Edges go through
-:func:`acgl.graph.canonical_edges`: directed or duplicated edges are
+``Graph`` itself; the loader adds the file name to its error. The ``Graph``
+constructor canonicalizes the edges: directed or duplicated edges are
 symmetrized and deduplicated, self-loops dropped (they are reintroduced
 during normalization).
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SPLIT_CODES, FieldError, Graph, canonical_edges
+from .graph import SPLIT_CODES, FieldError, Graph, check_node_count
 
 FORMAT_VERSION = 3
 
@@ -93,12 +93,11 @@ def load_dataset(path) -> Graph:
         if type(meta[key]) is not int or meta[key] <= 0:
             raise DatasetFormatError(f"{meta_path}: {key} must be a positive integer")
     n, d, c = meta["num_nodes"], meta["num_features"], meta["num_classes"]
+    check_node_count(n)  # before features.npy's shape is checked against it
 
     try:
-        # Edges first: canonical_edges rejects a num_nodes too large for its keys
-        # before features.npy's shape is checked against it.
-        edges = canonical_edges(_read_array(root / "edges.npy", "i", (None, 2)), n)
-        return Graph(edges=edges, features=_read_array(root / "features.npy", "f", (n, d)),
+        return Graph(edges=_read_array(root / "edges.npy", "i", (None, 2)),
+                     features=_read_array(root / "features.npy", "f", (n, d)),
                      labels=_read_array(root / "labels.npy", "i", (n,)),
                      split=_read_array(root / "split.npy", "i", (n,)), num_classes=c)
     except FieldError as exc:

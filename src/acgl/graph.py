@@ -3,10 +3,11 @@
 A :class:`Graph` is a single undirected attributed graph, holding what a
 dataset directory holds: edge list, dense node features, integer labels
 and one split code per node; its constructor is the one checker of these
-arrays. Edges are stored canonically (each pair once, smaller id first, no
-self-loops, rows in sorted order); the self-loop needed by GCN message
+arrays, and it canonicalizes the edges (each pair once, smaller id first,
+no self-loops, rows in sorted order); the self-loop needed by GCN message
 passing is added inside :func:`normalize_adjacency`, which writes the CSR
 arrays of the normalized matrix directly from the edge list and the degrees.
+A :class:`SessionPlan` is its class count, base size and increment.
 """
 
 from __future__ import annotations
@@ -49,29 +50,36 @@ def _check_range(field: str, values: np.ndarray, end: int) -> None:
                 f"row {{row}} holds {{value}}, outside [0, {end})")
 
 
-def _edge_array(edges) -> np.ndarray:
-    """``edges`` as int64, kept if it already is; a shape other than (E, 2) raises ValueError."""
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"edges must be (E, 2), got {edges.shape}")
-    return edges
+def _integers(field: str, values) -> np.ndarray:
+    """``values`` as int64, kept if it already is; a non-integer dtype raises FieldError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise FieldError(field, "must hold integers", values.dtype.name)
+    return values.astype(np.int64, copy=False)
 
 
-def canonical_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
-
-    Accepts any (E, 2) integer array, E = 0 included; any other shape raises
-    ValueError naming it. Returns int64 rows with u < v, lexicographically
-    sorted and unique: the int64 keys ``lo * num_nodes + hi`` are sorted
-    once and a neighbour mask drops repeats. An endpoint
-    outside [0, num_nodes) raises the :class:`FieldError` of ``edges``
-    naming its row; a ``num_nodes`` above 3,037,000,499 = isqrt(2**63 - 1),
-    whose keys would overflow int64, raises ValueError.
-    """
+def check_node_count(num_nodes: int) -> None:
+    """Raise ValueError for a ``num_nodes`` whose edge keys would overflow int64."""
     if num_nodes > math.isqrt(np.iinfo(np.int64).max):
         raise ValueError(f"num_nodes={num_nodes} exceeds 3037000499, the most whose "
                          "edge keys fit in int64")
-    edges = _edge_array(edges)
+
+
+def canonical_edges(edges, num_nodes: int) -> np.ndarray:
+    """Canonicalize an edge array: drop self-loops, undirect, sort, dedupe.
+
+    Accepts any (E, 2) integer array, E = 0 included; any other shape raises
+    ValueError naming it. Returns new int64 rows with u < v, lexicographically
+    sorted and unique: the int64 keys ``lo * num_nodes + hi`` are sorted
+    once and a neighbour mask drops repeats. A non-integer dtype or an endpoint
+    outside [0, num_nodes) raises the :class:`FieldError` of ``edges``; a
+    ``num_nodes`` above 3,037,000,499 = isqrt(2**63 - 1) raises ValueError.
+    """
+    check_node_count(num_nodes)
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be (E, 2), got {edges.shape}")
+    edges = _integers("edges", edges)
     _check_range("edges", edges, num_nodes)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
@@ -89,14 +97,15 @@ SPLIT_CODES = ("train", "val", "test", "none")  # split code i puts a node in SP
 class Graph:
     """Immutable attributed graph: the arrays of a dataset directory and its class count.
 
-    The node count N is the feature row count. Invariants (checked at
-    construction): N >= 1, canonical edge list, finite features, labels in
-    [0, num_classes) and split codes in [0, len(SPLIT_CODES)), each a
-    length-N vector. An endpoint, label or code out of range, or a
-    non-finite feature, raises the :class:`FieldError` of its field,
-    naming the first row that holds one. Edges, features, labels and split
-    that are already C-contiguous of their dtype are kept, not copied, and
-    made read-only, so the caller's arrays turn read-only too (this is why
+    The node count N is the feature row count; the edges, any (E, 2) integer
+    array, are held as the new array :func:`canonical_edges` makes. Invariants
+    (checked at construction): N >= 1, finite features, integer labels in
+    [0, num_classes) and integer split codes in [0, len(SPLIT_CODES)), each a
+    length-N vector, and an ``int`` num_classes >= 1. A value out of range,
+    a non-integer dtype or a non-finite feature raises the :class:`FieldError`
+    of its field, naming the first row that holds one. Features, labels and
+    split that are already C-contiguous of their dtype are kept, not copied,
+    and made read-only, so the caller's arrays turn read-only too (this is why
     :func:`acgl.datasets.load_dataset` never copies its features); any other
     is copied and the caller's stays writeable. A kept array that is a view
     (say ``np.arange(6.0).reshape(3, 2)``) still shares memory with its
@@ -110,23 +119,16 @@ class Graph:
     num_classes: int
 
     def __post_init__(self):
+        check_fields(self, [("num_classes", type(self.num_classes) is int and self.num_classes >= 1,
+                             "must be an int >= 1")])
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError(f"features must be (N, d) with N >= 1 nodes, got {features.shape}")
         n = features.shape[0]
-        edges = _edge_array(self.edges)
-        _check_range("edges", edges, n)
-        if edges.size:
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must be canonical (u < v, no self-loops)")
-            # Rows strictly increasing in lexicographic order: sorted and unique.
-            du = np.diff(edges[:, 0])
-            dv = np.diff(edges[:, 1])
-            if np.any((du < 0) | ((du == 0) & (dv <= 0))):
-                raise ValueError("edges must be sorted and free of duplicates")
+        edges = canonical_edges(self.edges, n)
         _check_rows("features", features, ~np.isfinite(features), "non-finite feature in row {row}")
-        labels = np.asarray(self.labels, dtype=np.int64)
-        split = np.asarray(self.split, dtype=np.int64)
+        labels = _integers("labels", self.labels)
+        split = _integers("split", self.split)
         for name, codes, end in (("labels", labels, self.num_classes),
                                  ("split", split, len(SPLIT_CODES))):
             if codes.shape != (n,):
@@ -200,22 +202,30 @@ def normalize_adjacency(graph: Graph) -> sp.csr_array:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """Ordered class groups for one class-incremental run.
+    """The class groups of one class-incremental run, from C, c0 and k.
 
-    ``groups[0]`` is the base group (size c0); the rest are incremental
-    groups of size k (the last may be smaller). The groups, concatenated,
-    are the class ids 0, 1, ... in order, so column j of the classifier's
-    weights is class id j.
+    ``groups[0]``, the base group, holds the ids 0..c0-1 and each later group
+    the next k ids (the last may be smaller), so column j of the classifier's
+    weights is class id j. A c0 or k outside 1 <= c0 < C, 1 <= k <= C - c0
+    raises ValueError.
     """
 
-    groups: tuple[tuple[int, ...], ...]
+    num_classes: int
+    c0: int
+    k: int
 
     def __post_init__(self):
-        if not all(self.groups):
-            raise ValueError("empty class group")
-        ids = [c for g in self.groups for c in g]
-        if ids != list(range(len(ids))):
-            raise ValueError(f"class groups must hold the ids 0, 1, ... in order, got {self.groups}")
+        c, c0, k = self.num_classes, self.c0, self.k
+        if not 1 <= c0 < c:
+            raise ValueError(f"base class count c0={c0} must satisfy 1 <= c0 < C={c}")
+        if not 1 <= k <= c - c0:
+            raise ValueError(f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}")
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        c, k = self.num_classes, self.k
+        return (self.base_classes,) + tuple(tuple(range(start, min(start + k, c)))
+                                           for start in range(self.c0, c, k))
 
     @property
     def num_sessions(self) -> int:
@@ -223,7 +233,7 @@ class SessionPlan:
 
     @property
     def base_classes(self) -> tuple[int, ...]:
-        return self.groups[0]
+        return tuple(range(self.c0))
 
 
 def default_base_size(num_classes: int) -> int:
@@ -232,21 +242,8 @@ def default_base_size(num_classes: int) -> int:
 
 
 def build_session_plan(graph: Graph, c0: int, k: int) -> SessionPlan:
-    """Split the classes, in ascending id order, into a base group and groups of size k.
-
-    The base group holds ids 0..c0-1 and each later group the next k ids
-    (the last may be smaller). Every class lands in exactly one group.
-    """
-    c = graph.num_classes
-    if not 1 <= c0 < c:
-        raise ValueError(f"base class count c0={c0} must satisfy 1 <= c0 < C={c}")
-    if not 1 <= k <= c - c0:
-        raise ValueError(f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}")
-
-    groups = [tuple(range(c0))]
-    for start in range(c0, c, k):
-        groups.append(tuple(range(start, min(start + k, c))))
-    return SessionPlan(groups=tuple(groups))
+    """The :class:`SessionPlan` of ``graph``'s classes with base size c0 and increment k."""
+    return SessionPlan(graph.num_classes, c0, k)
 
 
 def session_subgraph(graph: Graph, class_set) -> Graph:
@@ -254,8 +251,7 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
 
     Node ids are compacted (ascending original order); features, labels and
     split codes are restricted. Labels keep their original ids and num_classes is
-    inherited from the parent graph. The compaction is monotone, so the
-    parent's canonical edges stay canonical after remapping.
+    inherited from the parent graph.
     """
     class_arr = np.asarray(sorted(set(int(c) for c in class_set)), dtype=np.int64)
     if class_arr.size == 0:

@@ -7,7 +7,7 @@ different class, so the expected intra-class edge fraction equals
 ``homophily`` and homophily 1.0 yields purely intra-class edges. The
 edges come from numpy's bulk ``Generator`` draws, so a graph is
 bit-reproducible for a given seed and numpy version. Repeated pairs are
-merged by :func:`acgl.graph.canonical_edges`, as in a loaded dataset.
+merged by the :class:`~acgl.graph.Graph` constructor, as in a loaded dataset.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FieldError, Graph, canonical_edges, check_fields
+from .graph import FieldError, Graph, check_fields
 
 # Per-class split fractions; remainders go to test.
 _TRAIN_FRAC = 0.6
@@ -92,10 +92,9 @@ def generate_synthetic(
     v = np.where(same, first + j, j + nodes_per_class * (j >= first))
     clash = v == u  # only possible on the intra-class branch: take u's successor
     v[clash] = first[clash] + (u[clash] - first[clash] + 1) % nodes_per_class
-    edges = canonical_edges(np.stack((u, v), axis=1), n)
 
     split = np.concatenate([_class_split(nodes_per_class, rng) for _ in range(num_classes)])
-    return Graph(edges=edges, features=features, labels=labels, split=split,
+    return Graph(edges=np.stack((u, v), axis=1), features=features, labels=labels, split=split,
                  num_classes=num_classes)
 
 

@@ -94,6 +94,13 @@ def run_pair(here, there, madds: float) -> None:
         second.result()  # waits for the helper's part and raises its error
 
 
+def _cut(length: int, madds_per_unit: int) -> int | None:
+    """The multiple of :data:`SPLIT_ROW_BLOCK` nearest half of ``length`` rows or columns of
+    ``madds_per_unit`` multiply-adds each; None if a half would do <= SMALL_GEMM_MADDS."""
+    h = SPLIT_ROW_BLOCK * round(length / (2 * SPLIT_ROW_BLOCK))
+    return None if min(h, length - h) * madds_per_unit <= SMALL_GEMM_MADDS else h
+
+
 def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray, relu: bool) -> None:
     np.matmul(A, B, out=out)
     if relu:
@@ -111,9 +118,8 @@ def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray
     rows, inner = A.shape
     cols = B.shape[1]
     out = np.empty((rows, cols), dtype=np.result_type(A, B))
-    h = SPLIT_ROW_BLOCK * round(rows / (2 * SPLIT_ROW_BLOCK))
     madds = rows * inner * cols
-    if madds < SPLIT_MADDS or min(h, rows - h) * inner * cols <= SMALL_GEMM_MADDS:
+    if madds < SPLIT_MADDS or (h := _cut(rows, inner * cols)) is None:
         _product(A, B, out, relu)
     else:
         run_pair(functools.partial(_product, A[:h], B, out[:h], relu),
@@ -199,8 +205,7 @@ def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
     i = 0
     while i + nb < d:
         rest = d - i - nb
-        h = SPLIT_ROW_BLOCK * round(rest / (2 * SPLIT_ROW_BLOCK))
-        if min(h, rest - h) * n * nb <= SMALL_GEMM_MADDS:
+        if (h := _cut(rest, n * nb)) is None:
             break
         _lapack("dtpqrt2")(_int(n), _int(nb), _int(0), A[i:, i:].ctypes.data, _int(lda),
                            B[:, i:].ctypes.data, _int(ldb), T[:, i:].ctypes.data, _int(nb),

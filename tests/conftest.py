@@ -15,7 +15,6 @@ from acgl.expander import expand
 from acgl.graph import (
     Graph,
     build_session_plan,
-    canonical_edges,
     default_base_size,
     normalize_adjacency,
     session_subgraph,
@@ -29,7 +28,7 @@ def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0, split=None):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(num_nodes, d))
     return Graph(
-        edges=canonical_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_nodes),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
         features=features,
         labels=np.asarray(labels, dtype=np.int64),
         split=np.zeros(num_nodes, dtype=np.int64) if split is None else split,

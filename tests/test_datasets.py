@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acgl.datasets import SPLIT_CODES, DatasetFormatError, load_dataset, save_dataset
-from acgl.graph import Graph, canonical_edges
+from acgl.graph import Graph
 from acgl.synthetic import generate_synthetic
 
 from conftest import random_graph
@@ -123,6 +123,13 @@ class TestLoad:
             (tmp_path / name / name).unlink()
             with pytest.raises(DatasetFormatError, match=f"{name}: missing dataset file"):
                 load_dataset(tmp_path / name)
+
+    def test_node_count_past_int64_edge_keys_is_named_before_any_array_is_read(self, tmp_path):
+        root = write_toy_dataset(tmp_path / "toy", meta={**TOY_META, "num_nodes": 3_037_000_500})
+        for name in ARRAY_FILES:
+            (root / name).unlink()
+        with pytest.raises(ValueError, match="^num_nodes=3037000500 exceeds 3037000499, "):
+            load_dataset(root)
 
     def test_directed_duplicates_are_merged(self, tmp_path):
         write_toy_dataset(tmp_path / "toy", edges=np.array([[0, 1], [1, 0], [0, 1], [2, 1]]))
@@ -343,7 +350,7 @@ def drawn_graphs(draw):
     labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
     split = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     return Graph(
-        edges=canonical_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
         features=np.asarray(cells, dtype=np.float64).reshape(n, d),
         labels=np.asarray(labels), split=split, num_classes=num_classes,
     )

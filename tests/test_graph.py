@@ -172,27 +172,37 @@ class TestGraphInvariants:
         np.testing.assert_array_equal(g.train_mask, g.split == 0)
         np.testing.assert_array_equal(g.test_mask, g.split == 2)
 
-    @pytest.mark.parametrize("edges", [
-        [[2, 3], [1, 2], [0, 1]],   # canonical rows, reversed order
-        [[0, 1], [0, 1], [1, 2]],   # duplicate row
-    ])
-    def test_rejects_unsorted_or_duplicate_edges(self, edges):
+    @pytest.mark.parametrize("edges, canonical", [
+        ([[2, 3], [1, 2], [0, 1]], [[0, 1], [1, 2], [2, 3]]),
+        ([[0, 1], [0, 1], [1, 2]], [[0, 1], [1, 2]]),
+        ([[1, 0]], [[0, 1]]),
+        ([[1, 1]], np.zeros((0, 2))),
+    ], ids=["unsorted", "duplicate", "reversed_edge", "self_loop"])
+    def test_edges_are_canonicalized(self, edges, canonical):
         g = make_graph(4, [], [0, 1, 1, 0], 2)
-        with pytest.raises(ValueError, match="sorted and free of duplicates"):
-            Graph(edges=np.array(edges), features=g.features, labels=g.labels, split=g.split,
-                  num_classes=2)
+        held = Graph(edges=np.array(edges), features=g.features, labels=g.labels, split=g.split,
+                     num_classes=2).edges
+        assert held.dtype == np.int64
+        np.testing.assert_array_equal(held, np.asarray(canonical).reshape(-1, 2))
 
     @pytest.mark.parametrize("field, value, message", [
         ("features", np.ones(3), "features must be (N, d) with N >= 1 nodes, got (3,)"),
         ("features", np.ones((0, 2)), "features must be (N, d) with N >= 1 nodes, got (0, 2)"),
-        ("edges", np.array([[1, 0]]), "edges must be canonical (u < v, no self-loops)"),
-        ("edges", np.array([[1, 1]]), "edges must be canonical (u < v, no self-loops)"),
         ("edges", np.array([[0, 1, 1, 2]]), "edges must be (E, 2), got (1, 4)"),
         ("edges", np.array([0, 1]), "edges must be (E, 2), got (2,)"),
         ("labels", np.zeros(2, dtype=np.int64), "labels must be a length-N vector"),
         ("split", np.zeros(4, dtype=np.int64), "split must be a length-N vector"),
-    ], ids=["features_1d", "no_nodes", "reversed_edge", "self_loop", "edges_1x4", "edges_1d",
-            "short_labels", "long_split"])
+        ("edges", [[0.7, 1.9]], "edges must hold integers (got 'float64')"),
+        ("edges", np.array([[True, False]]), "edges must hold integers (got 'bool')"),
+        ("labels", [0.9, 1.2, 1.99], "labels must hold integers (got 'float64')"),
+        ("split", [0.5, 2.7, 0.0], "split must hold integers (got 'float64')"),
+        ("num_classes", 2.5, "num_classes must be an int >= 1 (got 2.5)"),
+        ("num_classes", True, "num_classes must be an int >= 1 (got True)"),
+        ("num_classes", np.int64(2), f"num_classes must be an int >= 1 (got {np.int64(2)!r})"),
+        ("num_classes", 0, "num_classes must be an int >= 1 (got 0)"),
+    ], ids=["features_1d", "no_nodes", "edges_1x4", "edges_1d", "short_labels", "long_split",
+            "float_edges", "bool_edges", "float_labels", "float_split", "float_classes",
+            "bool_classes", "numpy_int_classes", "zero_classes"])
     def test_rejects_malformed_field(self, field, value, message):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
         fields = dict(edges=g.edges, features=g.features, labels=g.labels, split=g.split,
@@ -208,14 +218,33 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             canonical_edges(np.array(edges, dtype=np.int64), 3)
 
-    def test_int64_edges_are_kept_and_frozen_others_copied(self):
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_edges_are_the_graphs_own_array_and_the_callers_stay_writeable(self, dtype):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
-        fields = dict(features=g.features, labels=g.labels, split=g.split, num_classes=2)
-        e = np.array([[0, 1], [1, 2]], dtype=np.int64)
-        assert Graph(edges=e, **fields).edges is e and not e.flags.writeable
-        e32 = np.array([[0, 1], [1, 2]], dtype=np.int32)
-        held = Graph(edges=e32, **fields).edges
-        assert held.dtype == np.int64 and not held.flags.writeable and e32.flags.writeable
+        e = np.array([[0, 1], [1, 2]], dtype=dtype)
+        held = Graph(edges=e, features=g.features, labels=g.labels, split=g.split,
+                     num_classes=2).edges
+        assert held.dtype == np.int64 and not held.flags.writeable
+        assert e.flags.writeable and not np.shares_memory(held, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12),
+           dtype=st.sampled_from([np.int64, np.int32, np.uint16]))
+    def test_a_graph_is_the_graph_of_its_canonical_edges(self, data, n, dtype):
+        # Any pairs: reversed, duplicated, self-loops, in any order.
+        endpoint = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=40))
+        raw = np.asarray(pairs, dtype=dtype).reshape(-1, 2)
+        rng = np.random.default_rng(n)
+        fields = dict(features=rng.normal(size=(n, 3)), labels=rng.integers(2, size=n),
+                      split=rng.integers(4, size=n), num_classes=2)
+        got = Graph(edges=raw, **fields)
+        want = Graph(edges=canonical_edges(raw, n), **fields)
+        for name in ("edges", "features", "labels", "split"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got.num_classes == want.num_classes
+        assert raw.flags.writeable
 
     def test_canonical_edges_dedupes_and_symmetrizes(self):
         edges = canonical_edges(np.array([[1, 0], [0, 1], [2, 2], [0, 1]]), 3)
@@ -289,11 +318,31 @@ class TestSessionPlan:
                 f"increment size k={k} must satisfy 1 <= k <= C - c0 = 2")):
             build_session_plan(g, 2, k)
 
-    @pytest.mark.parametrize("groups", [((1,), (0,)), ((0, 2), (1,)), ((0,), ()), ((1, 2),)])
-    def test_groups_must_be_nonempty_and_run_0_1_in_order(self, groups):
+    def test_every_valid_plan_runs_the_class_ids_in_groups_of_c0_then_k(self):
         # Column j of the classifier's weights is class id j only for such groups.
-        with pytest.raises(ValueError, match="empty class group|ids 0, 1, ... in order"):
-            SessionPlan(groups=groups)
+        for c in range(2, 61):
+            for c0 in range(1, c):
+                for k in range(1, c - c0 + 1):
+                    plan = SessionPlan(c, c0, k)
+                    groups = plan.groups
+                    assert [i for group in groups for i in group] == list(range(c))
+                    sizes = [len(group) for group in groups]
+                    assert sizes[0] == c0 and set(sizes[1:-1]) <= {k} and 1 <= sizes[-1] <= k
+                    assert plan.num_sessions == len(groups)
+                    assert plan.base_classes == groups[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.integers(-2, 62), c0=st.integers(-2, 62), k=st.integers(-2, 62))
+    def test_every_invalid_triple_raises_its_pinned_message(self, c, c0, k):
+        if not 1 <= c0 < c:
+            message = f"base class count c0={c0} must satisfy 1 <= c0 < C={c}"
+        elif not 1 <= k <= c - c0:
+            message = f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}"
+        else:
+            SessionPlan(c, c0, k)
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SessionPlan(c, c0, k)
 
     def test_default_base_size(self):
         assert default_base_size(7) == 4

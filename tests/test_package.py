@@ -71,6 +71,19 @@ def test_building_block_lives_in_its_module_only(name, module):
     assert hasattr(importlib.import_module(f"acgl.{module}"), name)
 
 
+def called_names(source: str) -> set[str]:
+    """Names that ``source`` calls, bare (``f(...)``) or as an attribute (``m.f(...)``)."""
+    return {getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+
+
+def test_only_graph_canonicalizes_edges():
+    # Graph's constructor canonicalizes its edges, so no producer of edges needs to.
+    callers = [path.name for path in sorted((ROOT / "src" / "acgl").glob("*.py"))
+               if "canonical_edges" in called_names(path.read_text(encoding="utf-8"))]
+    assert callers == ["graph.py"]
+
+
 def test_analytic_declares_no_second_surface():
     assert not hasattr(analytic, "__all__")
 
