@@ -2,9 +2,9 @@
 
 A single frozen random projection followed by relu lifts h-dimensional
 embeddings to a wider space where a linear classifier has enough capacity.
-The weight is drawn once from a seeded generator and never trained. From
-``threads.SPLIT_MADDS`` multiply-adds on, the lower rows' product and ReLU
-run on the helper thread (:func:`threads.split_matmul`), bit for bit.
+The weight is drawn once from a seeded generator and never trained. Where
+both row halves pass ``threads.SMALL_GEMM_MADDS`` multiply-adds, the lower
+rows' product and ReLU run on the helper thread (:func:`threads.split_matmul`).
 """
 
 from __future__ import annotations

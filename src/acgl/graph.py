@@ -50,11 +50,14 @@ def _check_range(field: str, values: np.ndarray, end: int) -> None:
                 f"row {{row}} holds {{value}}, outside [0, {end})")
 
 
-def _integers(field: str, values) -> np.ndarray:
-    """``values`` as int64, kept if it already is; a non-integer dtype raises FieldError."""
+def _integers(field: str, values, end: int) -> np.ndarray:
+    """``values`` as int64, kept if it already is; a non-integer dtype or a value outside
+    [0, end) raises FieldError. The range is checked before the cast, so an unsigned
+    value past int64 is named as the caller passed it."""
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise FieldError(field, "must hold integers", values.dtype.name)
+    _check_range(field, values, end)
     return values.astype(np.int64, copy=False)
 
 
@@ -79,8 +82,7 @@ def canonical_edges(edges, num_nodes: int) -> np.ndarray:
     edges = np.asarray(edges)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError(f"edges must be (E, 2), got {edges.shape}")
-    edges = _integers("edges", edges)
-    _check_range("edges", edges, num_nodes)
+    edges = _integers("edges", edges, num_nodes)
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keys = np.sort((lo * num_nodes + hi)[lo != hi])
@@ -127,16 +129,14 @@ class Graph:
         n = features.shape[0]
         edges = canonical_edges(self.edges, n)
         _check_rows("features", features, ~np.isfinite(features), "non-finite feature in row {row}")
-        labels = _integers("labels", self.labels)
-        split = _integers("split", self.split)
-        for name, codes, end in (("labels", labels, self.num_classes),
-                                 ("split", split, len(SPLIT_CODES))):
+        for name, end in (("labels", self.num_classes), ("split", len(SPLIT_CODES))):
+            codes = np.asarray(getattr(self, name))
             if codes.shape != (n,):
                 raise ValueError(f"{name} must be a length-N vector")
-            _check_range(name, codes, end)
+            object.__setattr__(self, name, _integers(name, codes, end))
 
-        for name, arr in (("edges", edges), ("features", features), ("labels", labels),
-                          ("split", split)):
+        for name, arr in (("edges", edges), ("features", features), ("labels", self.labels),
+                          ("split", self.split)):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -163,16 +163,18 @@ class Graph:
 
 
 def check_class_coverage(graph: Graph) -> None:
-    """Raise ValueError naming the first class id in [0, num_classes) that labels no node.
+    """Raise ValueError naming the first class id in [0, num_classes) with no train node.
 
-    A session plan covers every declared class, so such a class would get a
-    session with no node. O(N): when C > N some id <= N has no node, so only
-    ids up to N are looked at.
+    A session plan covers every declared class, and a session fits on its
+    classes' train nodes, so such a class fails every plan. O(N): when C
+    exceeds the train count T, some id <= T has no train node, so only ids
+    up to T are looked at.
     """
-    seen = np.zeros(min(graph.num_classes, graph.num_nodes + 1), dtype=bool)
-    seen[graph.labels[graph.labels < seen.size]] = True
+    trained = graph.labels[graph.train_mask]
+    seen = np.zeros(min(graph.num_classes, trained.size + 1), dtype=bool)
+    seen[trained[trained < seen.size]] = True
     if not seen.all():
-        raise ValueError(f"class {np.argmin(seen)} has no node; "
+        raise ValueError(f"class {np.argmin(seen)} has no train node; "
                          f"the graph declares {graph.num_classes} classes")
 
 
@@ -206,8 +208,9 @@ class SessionPlan:
 
     ``groups[0]``, the base group, holds the ids 0..c0-1 and each later group
     the next k ids (the last may be smaller), so column j of the classifier's
-    weights is class id j. A c0 or k outside 1 <= c0 < C, 1 <= k <= C - c0
-    raises ValueError.
+    weights is class id j. A field that is not an ``int`` (``bool`` and numpy
+    ints excluded) raises the :class:`FieldError` of that field, and a c0 or k
+    outside 1 <= c0 < C, 1 <= k <= C - c0 raises ValueError.
     """
 
     num_classes: int
@@ -215,6 +218,8 @@ class SessionPlan:
     k: int
 
     def __post_init__(self):
+        check_fields(self, [(name, type(getattr(self, name)) is int, "must be an int")
+                            for name in ("num_classes", "c0", "k")])
         c, c0, k = self.num_classes, self.c0, self.k
         if not 1 <= c0 < c:
             raise ValueError(f"base class count c0={c0} must satisfy 1 <= c0 < C={c}")

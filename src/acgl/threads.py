@@ -1,13 +1,13 @@
 """The helper thread: a second core for the library's large products.
 
-Each BLAS call runs on one thread. A product large enough to pay for the
-hand-off is cut into two parts that give the same bytes however they are
-scheduled: from :data:`SPLIT_MADDS` multiply-adds on, one part runs on the
-calling thread and the other on one helper thread kept for the process;
-below it both run on the calling thread. :func:`split_matmul` cuts the
-backbone's and the expander's products into row halves, :func:`split_gram`
-each analytic Gram into a tile and a block column, and :func:`split_tpqrt`
-each panel update of the QR path into two column halves.
+Each BLAS call runs on one thread. A product whose two parts each do more
+than :data:`SMALL_GEMM_MADDS` multiply-adds runs its first part on the
+calling thread and its second on one helper thread kept for the process;
+the parts give the same bytes however they are scheduled.
+:func:`split_matmul` cuts the backbone's and the expander's products into
+row halves, :func:`split_gram` each analytic Gram into a tile and a block
+column, and :func:`split_tpqrt` each panel update of the QR path into two
+column halves.
 
 The helper runs numpy products, element-wise ufuncs and LAPACK routines
 that release the GIL. scipy's f2py BLAS and LAPACK wrappers hold it: on
@@ -30,23 +30,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.linalg.cython_lapack
 
-# A product is split into two parts only from this many multiply-adds on.
-# Handing a part to the helper thread costs about 40 us, so smaller
-# products lose. Split at one BLAS thread (2 vCPU, OpenBLAS 0.3.31),
-# 200x64x128 (1.6M) went 0.09 -> 0.15 ms, 500x128x64 (4.1M) 0.22 -> 0.21 ms
-# and 1000x128x64 (8.2M) 0.45 -> 0.26 ms. The tiled Gram breaks even lower,
-# between 0.5M and 1M, and gains at most 0.02 ms below 4M.
-SPLIT_MADDS = 4_000_000
 # A split row or Gram tile edge is a multiple of this. With OpenBLAS 0.3.31's
 # SkylakeX kernel every split at a multiple of 12 rows kept every bit; other
 # splits changed the last bits of the trailing columns when the column count
 # was not a multiple of 16. 48 is also a multiple of 8 and 16.
 SPLIT_ROW_BLOCK = 48
-# Each half of a split product must do more multiply-adds than this,
-# whatever SPLIT_MADDS is. OpenBLAS may take a product of at most 10**6 of
-# them through a small-matrix kernel that rounds differently from the
-# blocked one, so a half that small could differ from the one-call product
-# in the last bit.
+# Each part of a cut product must do more multiply-adds than this: OpenBLAS
+# may take a product of at most 10**6 through a small-matrix kernel that
+# rounds differently from the blocked one. A cut product always hands its
+# second part to the helper thread (about 40 us), so from about 2M in all.
+# Split at one BLAS thread (2 vCPU, OpenBLAS 0.3.31), 200x64x128 (1.6M)
+# went 0.09 -> 0.15 ms, 500x128x64 (4.1M) 0.22 -> 0.21 ms and 1000x128x64
+# (8.2M) 0.45 -> 0.26 ms; the tiled Gram broke even between 0.5M and 1M. So
+# a Gram from 2M gains a little, and a row-split product from 2M to 4M sits
+# near break-even (not measured; no perfbench workload has one).
 SMALL_GEMM_MADDS = 1_000_000
 # A Gram's tile spans about this share of its d columns: alone, its syrk and
 # the block column's gemm took 47 and 54 ms at 6000 x 1024, 35 and 31 ms at
@@ -73,19 +70,13 @@ def _helper_thread(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="acgl-matmul")
 
 
-def run_pair(here, there, madds: float) -> None:
-    """Call ``here()`` and ``there()``, ``there`` on the helper thread from ``madds`` on.
+def run_pair(here, there) -> None:
+    """Call ``here()`` on the calling thread and ``there()`` on the helper thread.
 
-    ``madds`` is the pair's multiply-adds. Below :data:`SPLIT_MADDS` both
-    run on the calling thread, ``here`` first; the two must write disjoint
-    outputs, so the bytes are the same either way. The caller's
-    ``np.errstate`` also governs ``there``, and the helper is joined before
-    this returns or raises: an error of either is raised here.
+    The two must write disjoint outputs. The caller's ``np.errstate`` also
+    governs ``there``, and the helper is joined before this returns or
+    raises: an error of either is raised here.
     """
-    if madds < SPLIT_MADDS:
-        here()
-        there()
-        return
     # np.errstate does not reach another thread, so the caller's is applied there.
     second = _helper_thread(os.getpid()).submit(np.errstate(**np.geterr())(there))
     try:
@@ -111,19 +102,18 @@ def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray
     """``A @ B``, or ``relu(A @ B)`` with ``relu``, bit for bit, with its lower rows on the helper.
 
     Each half is one BLAS call (and one in-place ReLU) written into one
-    output, so the BLAS thread count is untouched. A product below
-    :data:`SPLIT_MADDS`, or whose halves would fall to OpenBLAS's
-    small-matrix kernel, is one call on the calling thread.
+    output, so the BLAS thread count is untouched. A product whose halves
+    would do at most :data:`SMALL_GEMM_MADDS` multiply-adds each is one call
+    on the calling thread.
     """
     rows, inner = A.shape
     cols = B.shape[1]
     out = np.empty((rows, cols), dtype=np.result_type(A, B))
-    madds = rows * inner * cols
-    if madds < SPLIT_MADDS or (h := _cut(rows, inner * cols)) is None:
+    if (h := _cut(rows, inner * cols)) is None:
         _product(A, B, out, relu)
     else:
         run_pair(functools.partial(_product, A[:h], B, out[:h], relu),
-                 functools.partial(_product, A[h:], B, out[h:], relu), madds)
+                 functools.partial(_product, A[h:], B, out[h:], relu))
     return out
 
 
@@ -131,15 +121,22 @@ def split_gram(X: np.ndarray) -> np.ndarray:
     """The upper triangle of ``X.T @ X`` in Fortran order, for LAPACK potrf.
 
     The upper-left (h, h) tile is one syrk here and the right block column
-    ``X.T @ X[:, h:]`` one gemm on the helper, both into one buffer
-    allocated here, h a multiple of :data:`SPLIT_ROW_BLOCK` near
-    :data:`GRAM_TILE_SHARE` d. The lower-left block stays zero.
+    ``X.T @ X[:, h:]`` one gemm, both into one buffer allocated here, h a
+    multiple of :data:`SPLIT_ROW_BLOCK` near :data:`GRAM_TILE_SHARE` d. The
+    block column runs on the helper when both parts do more than
+    :data:`SMALL_GEMM_MADDS` multiply-adds, else after the tile on the
+    calling thread; the bytes are the same. The lower-left block stays zero.
     """
     n, d = X.shape
     gram = np.zeros((d, d), order="F")
     h = min(SPLIT_ROW_BLOCK * round(GRAM_TILE_SHARE * d / SPLIT_ROW_BLOCK), d) or d
-    run_pair(functools.partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h]),
-             functools.partial(np.matmul, X.T, X[:, h:], out=gram[:, h:]), n * d * d / 2)
+    tile = functools.partial(np.matmul, X[:, :h].T, X[:, :h], out=gram[:h, :h])
+    column = functools.partial(np.matmul, X.T, X[:, h:], out=gram[:, h:])
+    if min(n * h * h / 2, n * d * (d - h)) > SMALL_GEMM_MADDS:  # a syrk does n h^2 / 2
+        run_pair(tile, column)
+    else:
+        tile()
+        column()
     return gram
 
 
@@ -212,10 +209,9 @@ def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
                            ctypes.byref(info))
         if info.value:
             return A, info.value
-        # A, B, T and work stay referenced here until run_pair has joined the
-        # helper. dtprfb's two products each take n * nb multiply-adds a column.
+        # A, B, T and work stay referenced here until run_pair has joined the helper.
         run_pair(functools.partial(reflect, i, i + nb, i + nb + h, 0),
-                 functools.partial(reflect, i, i + nb + h, d, 1), 2 * n * nb * rest)
+                 functools.partial(reflect, i, i + nb + h, d, 1))
         i += nb
     _lapack("dtpqrt")(_int(n), _int(d - i), _int(0), _int(nb), A[i:, i:].ctypes.data, _int(lda),
                       B[:, i:].ctypes.data, _int(ldb), T[:, i:].ctypes.data, _int(nb),

@@ -1,4 +1,6 @@
 import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy loads)
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ def count_splits(monkeypatch):
     helper = threads._helper_thread
     monkeypatch.setattr(threads, "_helper_thread", lambda pid: calls.append(pid) or helper(pid))
     return calls
+
+
+def one_call(monkeypatch):
+    """Make every split routine the one-call reference: no product is cut or handed off.
+
+    ``split_matmul`` and ``split_tpqrt`` become one BLAS or LAPACK call, and
+    ``split_gram`` runs its tile and block column in turn on the calling thread.
+    """
+    monkeypatch.setattr(threads, "SMALL_GEMM_MADDS", math.inf)
 
 
 def one_hot(labels, class_ids):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -24,7 +23,7 @@ from acgl.analytic import (
 from acgl.config import build_experiment, load_config
 from acgl.harness import evaluate_task
 
-from conftest import count_splits, one_hot, oracle_predict, run_recording_batches
+from conftest import count_splits, one_call, one_hot, oracle_predict, run_recording_batches
 
 
 def random_batch(rng, n, d, class_ids):
@@ -218,13 +217,17 @@ class TestGram:
     @example(X=np.asfortranarray(np.triu(np.ones((130, 130)))))  # a factor R
     @example(X=np.ones((40, 30), order="F"))                      # tile edge rounds to 0: d
     def test_bytes_do_not_depend_on_the_thread(self, X):
+        # With the floor at 0, a Gram hands off its block column whenever it
+        # has rows and the column is not empty; the floor never moves the tile.
+        n, d = X.shape
+        h = min(48 * round(0.707 * d / 48), d) or d
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threads, "SPLIT_MADDS", math.inf)
+            one_call(mp)
             here = threads.split_gram(X)
-            mp.setattr(threads, "SPLIT_MADDS", 0)
+            mp.setattr(threads, "SMALL_GEMM_MADDS", 0)
             calls = count_splits(mp)
             split = threads.split_gram(X)
-        assert calls
+        assert bool(calls) == (n > 0 and h < d)
         assert split.tobytes() == here.tobytes()
         assert split.flags.f_contiguous
         np.testing.assert_allclose(upper(split), upper(X.T @ X), rtol=1e-13, atol=1e-13)
@@ -237,13 +240,14 @@ class TestGram:
     # big_sessions' 1500 rows the last bits of the right block column move.
     @pytest.mark.parametrize("d", [512, 1024, 2048])
     def test_factor_gram_equals_the_whole_product_byte_for_byte(self, monkeypatch, d):
-        monkeypatch.setattr(threads, "SPLIT_MADDS", 0)
+        calls = count_splits(monkeypatch)
         R = np.asfortranarray(np.triu(np.random.default_rng(d).normal(size=(d, d))))
         assert upper(threads.split_gram(R)).tobytes() == upper(R.T @ R).tobytes()
+        assert calls
 
-    @pytest.mark.parametrize("threshold", [0, math.inf], ids=["helper", "one_thread"])
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["helper", "one_thread"])
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_peak_memory_is_the_result_plus_one_buffer_or_tile(self, monkeypatch, threshold,
+    def test_peak_memory_is_the_result_plus_one_buffer_or_tile(self, monkeypatch, one_thread,
                                                                 blocks):
         # One block, the base Gram, allocates only the result, bounded here by
         # the result plus its upper-left tile. Two blocks, update_R's Gram
@@ -251,7 +255,8 @@ class TestGram:
         # which potrf factors in place. A sum into a further buffer, or a
         # copy for potrf, would add d^2 doubles. 64 KiB covers the Python
         # objects of the hand-off.
-        monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+        if one_thread:
+            one_call(monkeypatch)
         rng = np.random.default_rng(0)
         d, n = 480, 600
         X = rng.normal(size=(n, d))
@@ -301,7 +306,7 @@ class TestSplitTpqrt:
         assert bool(calls) == cut
         assert got.tobytes() == want.tobytes()
         assert got.flags.f_contiguous
-        monkeypatch.setattr(threads, "SPLIT_MADDS", math.inf)
+        one_call(monkeypatch)
         assert threads.split_tpqrt(R, X)[0].tobytes() == want.tobytes()
         assert (R.tobytes(), X.tobytes()) == before
 

@@ -23,7 +23,7 @@ from acgl.graph import build_session_plan, normalize_adjacency, session_subgraph
 from acgl.synthetic import generate_synthetic
 
 import conftest
-from conftest import FIXTURE_EXPERIMENT, count_splits, make_graph, random_graph
+from conftest import FIXTURE_EXPERIMENT, count_splits, make_graph, one_call, random_graph
 
 
 def random_instance(seed, n=6, d=4, h=3, c=3):
@@ -459,9 +459,8 @@ def operands(rows, inner, cols, transposed, seed):
 
 
 class TestSplitMatmul:
-    # The split threshold is 0 throughout, so every product splits that the
-    # bit-identity rules let split (a 48-row aligned split, halves above
-    # OpenBLAS's small-matrix size).
+    # Every product splits that the bit-identity rules let split (a 48-row
+    # aligned split, halves above OpenBLAS's small-matrix size).
     @settings(max_examples=60, deadline=None)
     @given(shape=product_shapes())
     @example(shape=(2, 3000, 80, False, 0))          # rows = 2: no aligned split exists
@@ -470,13 +469,9 @@ class TestSplitMatmul:
     @example(shape=(777, 4000, 1, True, 3))          # one column: BLAS takes gemv
     def test_split_product_is_bit_identical(self, shape):
         A, B = operands(*shape)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threads, "SPLIT_MADDS", 0)
-            out = threads.split_matmul(A, B)
-        assert out.tobytes() == (A @ B).tobytes()
+        assert threads.split_matmul(A, B).tobytes() == (A @ B).tobytes()
 
     def test_examples_take_the_split(self, monkeypatch):
-        monkeypatch.setattr(threads, "SPLIT_MADDS", 0)
         calls = count_splits(monkeypatch)
         for shape in [(301, 700, 37, False, 1), (1433, 1548, 13, True, 2),
                       (777, 4000, 1, True, 3), (2, 3000, 80, False, 0)]:
@@ -517,24 +512,25 @@ def cora_shaped_base():
     return graph, build_session_plan(graph, 4, 1)
 
 
-@pytest.mark.parametrize("threshold", [0, math.inf], ids=["split", "one_call"])
-def test_cora_shaped_training_is_bit_identical_split_or_not(monkeypatch, threshold):
+@pytest.mark.parametrize("split", [True, False], ids=["split", "one_call"])
+def test_cora_shaped_training_is_bit_identical_split_or_not(monkeypatch, split):
     graph, plan = cora_shaped_base()
     cfg = BackboneConfig(hidden=256, epochs=2)
     reference = train_base(graph, plan, cfg, seed=6)
-    monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+    if not split:
+        one_call(monkeypatch)
     calls = count_splits(monkeypatch)
     params = train_base(graph, plan, cfg, seed=6)
     assert (params.W0.tobytes(), params.W1.tobytes()) == (reference.W0.tobytes(),
                                                           reference.W1.tobytes())
-    # Two split products per epoch (X @ W0 and adj_X.T @ d_z0) at the default threshold too.
-    assert len(calls) == (4 if threshold == 0 else 0)
+    # Two split products per epoch: X @ W0 and adj_X.T @ d_z0.
+    assert len(calls) == (4 if split else 0)
 
 
-# The fixture's products have halves below the small-matrix floor, so none
-# splits; split without that floor, this run's bits did change. At threshold
-# 0 its Grams still hand their second part to the helper thread. The widened
-# fixture's base forward and backward and its session extractions split.
+# The fixture's products and its d = 64 Grams have parts below the
+# small-matrix floor, so nothing is cut or handed off; cut without that
+# floor, this run's bits did change. The widened fixture's base forward and
+# backward, its session extractions and its Grams hand off.
 WIDE_FIXTURE = dataclasses.replace(
     FIXTURE_EXPERIMENT,
     synthetic=dataclasses.replace(FIXTURE_EXPERIMENT.synthetic, nodes_per_class=200,
@@ -547,13 +543,14 @@ WIDE_FIXTURE = dataclasses.replace(
 @pytest.mark.parametrize("config", [FIXTURE_EXPERIMENT, WIDE_FIXTURE],
                          ids=["fixture", "wide_fixture"])
 def test_run_is_bit_identical_split_or_not(monkeypatch, config):
-    def outputs(threshold):
-        monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+    def outputs():
         r = harness.run_experiment(config)
         return (r.matrix.rows, r.state.weights.tobytes(), r.state.R.tobytes(),
                 r.backbone.W0.tobytes(), r.backbone.W1.tobytes())
 
-    one_call = outputs(math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        one_call(mp)
+        reference = outputs()
     calls = count_splits(monkeypatch)
-    assert outputs(0) == one_call
-    assert calls
+    assert outputs() == reference
+    assert bool(calls) == (config is WIDE_FIXTURE)

@@ -211,7 +211,7 @@ class TestRun:
                      "--set", "expander.dim=16"])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert "session 1 (classes [2, 3]) has an empty train split for class 3" in err
+        assert err == "error: class 3 has no train node; the graph declares 4 classes\n"
         assert not out.exists()
 
     def test_plan_beyond_dataset_classes_is_runtime_error(self, tmp_path, capsys):
@@ -231,7 +231,7 @@ class TestRun:
         meta = ds / "meta.json"
         meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": 10**6}))
         capsys.readouterr()
-        line = "error: class 4 has no node; the graph declares 1000000 classes\n"
+        line = "error: class 4 has no train node; the graph declares 1000000 classes\n"
         assert main(["validate-dataset", "--path", str(ds)]) == EXIT_RUNTIME
         out, err = capsys.readouterr()
         assert (out, err) == ("", line)
@@ -240,6 +240,24 @@ class TestRun:
                      "--set", "expander.dim=16"])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == line
+
+    def test_validate_rejects_class_without_train_nodes_like_run(self, tmp_path, capsys):
+        # Class 3 keeps its nodes, but its train codes become test codes: no
+        # plan can fit it, so validate-dataset fails with run's own line.
+        ds = tmp_path / "ds"
+        assert main(["gen-synth", "--out", str(ds), "--classes", "4",
+                     "--nodes-per-class", "10", "--seed", "7"]) == EXIT_OK
+        labels, split = np.load(ds / "labels.npy"), np.load(ds / "split.npy")
+        split[(labels == 3) & (split == SPLIT_CODES.index("train"))] = SPLIT_CODES.index("test")
+        np.save(ds / "split.npy", split)
+        capsys.readouterr()
+        line = "error: class 3 has no train node; the graph declares 4 classes\n"
+        assert main(["validate-dataset", "--path", str(ds)]) == EXIT_RUNTIME
+        assert capsys.readouterr() == ("", line)
+        assert main(["run", "--out", str(tmp_path / "out"), "--set", f"dataset.path={ds}",
+                     "--set", "plan.base_classes=2", "--set", "plan.increment=1"]) == EXIT_RUNTIME
+        assert capsys.readouterr() == ("", line)
+        assert not (tmp_path / "out").exists()
 
     def test_class_without_nodes_fails_before_training(self, tmp_path, capsys):
         ds = tmp_path / "ds"
@@ -253,7 +271,7 @@ class TestRun:
                      "--set", "expander.dim=16"])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err == "error: class 4 has no node; the graph declares 1000000 classes\n"
+        assert err == "error: class 4 has no train node; the graph declares 1000000 classes\n"
 
     @pytest.mark.parametrize("key, value, stage", [
         ("backbone.lr", "1e300", "backbone.gcn_forward: overflow encountered in matmul"),
@@ -864,7 +882,7 @@ def test_label_past_int64_under_huge_class_count_exits_3(small_dataset_files, tm
     np.save(root / "labels.npy", labels)
     assert main(["validate-dataset", "--path", str(root)]) == EXIT_RUNTIME
     assert capsys.readouterr().err == \
-        f"error: class 3 has no node; the graph declares {10**30} classes\n"
+        f"error: class 3 has no train node; the graph declares {10**30} classes\n"
 
 
 class TestHelp:

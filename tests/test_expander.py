@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acgl import threads
 from acgl.expander import ExpanderParams, expand, init_expander
 
-from conftest import count_splits
+from conftest import count_splits, one_call
 
 
 def naive_expand(hidden, weight):
@@ -121,11 +118,11 @@ def expansions(draw):
 def test_split_expansion_is_bit_identical(case):
     hidden, p = case
     pre = hidden @ p.weight
-    one_call = np.maximum(pre, 0.0, out=pre).tobytes()
+    want = np.maximum(pre, 0.0, out=pre).tobytes()
+    assert expand(hidden, p).tobytes() == want
     with pytest.MonkeyPatch.context() as mp:
-        for threshold in (math.inf, 0):
-            mp.setattr(threads, "SPLIT_MADDS", threshold)
-            assert expand(hidden, p).tobytes() == one_call
+        one_call(mp)
+        assert expand(hidden, p).tobytes() == want
 
 
 def test_base_sized_expansion_takes_the_helper(monkeypatch):

@@ -200,9 +200,17 @@ class TestGraphInvariants:
         ("num_classes", True, "num_classes must be an int >= 1 (got True)"),
         ("num_classes", np.int64(2), f"num_classes must be an int >= 1 (got {np.int64(2)!r})"),
         ("num_classes", 0, "num_classes must be an int >= 1 (got 0)"),
+        # An unsigned value past int64 is named as passed, not wrapped to a negative int64.
+        ("edges", np.array([[0, 2**63]], dtype=np.uint64),
+         f"edges row 0 holds [0, {2**63}], outside [0, 3) (got {2**63})"),
+        ("labels", np.array([0, 1, 2**63], dtype=np.uint64),
+         f"labels row 2 holds {2**63}, outside [0, 2) (got {2**63})"),
+        ("split", np.array([0, 2**64 - 1, 0], dtype=np.uint64),
+         f"split row 1 holds {2**64 - 1}, outside [0, 4) (got {2**64 - 1})"),
     ], ids=["features_1d", "no_nodes", "edges_1x4", "edges_1d", "short_labels", "long_split",
             "float_edges", "bool_edges", "float_labels", "float_split", "float_classes",
-            "bool_classes", "numpy_int_classes", "zero_classes"])
+            "bool_classes", "numpy_int_classes", "zero_classes", "uint64_edges_past_int64",
+            "uint64_labels_past_int64", "uint64_split_past_int64"])
     def test_rejects_malformed_field(self, field, value, message):
         g = make_graph(3, [(0, 1)], [0, 1, 1], 2)
         fields = dict(edges=g.edges, features=g.features, labels=g.labels, split=g.split,
@@ -343,6 +351,19 @@ class TestSessionPlan:
             return
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SessionPlan(c, c0, k)
+
+    @pytest.mark.parametrize("field, args", [
+        ("num_classes", (4.0, 1, 1)), ("num_classes", (np.int64(4), 1, 1)),
+        ("c0", (4, 1.5, 1)), ("c0", (4, True, 1)), ("c0", (4, None, 1)),
+        ("k", (4, 1, "1")), ("k", (4, 1, np.int32(1))), ("k", (4, 2, False)),
+    ], ids=["num_classes_float", "num_classes_numpy_int", "c0_float", "c0_bool", "c0_none",
+            "k_str", "k_numpy_int", "k_bool"])
+    def test_fields_must_be_python_ints(self, field, args):
+        value = args[("num_classes", "c0", "k").index(field)]
+        with pytest.raises(FieldError) as info:
+            SessionPlan(*args)
+        assert info.value.field == field
+        assert str(info.value) == f"{field} must be an int (got {value!r})"
 
     def test_default_base_size(self):
         assert default_base_size(7) == 4

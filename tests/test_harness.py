@@ -121,11 +121,11 @@ class TestRunExperiment:
                 acc = evaluate_task(joint_state, *res.test_rows[i])
                 assert abs(acc - res.matrix.entry(k, i)) <= 1e-12
 
-    def test_empty_train_split_aborts_with_session_context(self, tmp_path):
+    def test_empty_train_split_aborts_naming_its_class(self, tmp_path):
         g = make_graph(6, [(0, 1), (2, 3), (4, 5)], [0, 0, 1, 1, 2, 2], 3,
                        split=[0, 2, 0, 2, 2, 2])
         # Class 2 (session 2) has no train nodes.
-        with pytest.raises(RuntimeError, match="session 2 .* empty train split"):
+        with pytest.raises(ValueError, match="^class 2 has no train node; the graph declares 3"):
             run_one_class_sessions(g, tmp_path)
 
     def test_empty_test_split_aborts_in_its_session(self, tmp_path):
@@ -235,7 +235,7 @@ class TestRunExperiment:
         assert dead_at_test_expand == [True] * res.plan.num_sessions
 
     @pytest.mark.parametrize("split, error, match", [
-        ([0, 2, 0, 2, 2, 2], RuntimeError, "session 2 .* empty train split for class 2"),
+        ([0, 2, 0, 2, 2, 2], ValueError, "^class 2 has no train node; the graph declares 3"),
         ([0, 2, 0, 2, 0, 3], ValueError, "session 2 .* empty test set"),
     ], ids=["train", "test"])
     def test_bad_last_split_fails_before_backbone_trains(self, tmp_path, monkeypatch,

@@ -1,6 +1,5 @@
 """The helper thread: none at import, at most one after runs, no hang at exit, shared safely."""
 
-import math
 import os
 import subprocess
 import sys
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import acgl
 from acgl import harness, threads
@@ -18,7 +18,7 @@ from acgl.expander import ExpanderParams, expand
 from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
 from acgl.metrics import matrix_to_csv
 
-from conftest import count_splits
+from conftest import count_splits, one_call
 
 SRC = str(Path(acgl.__file__).resolve().parents[1])
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.cfg"
@@ -69,7 +69,9 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     # the GIL, so they also run concurrently with each other.
     rng = np.random.default_rng(0)
     A, B = rng.normal(size=(301, 700)), rng.normal(size=(700, 37))
-    X, R = rng.normal(size=(130, 100)), np.triu(rng.normal(size=(100, 100))).T.copy().T
+    # Each part of these two Grams, a tile of 144 columns and a block column of
+    # 56, does more than 10**6 multiply-adds.
+    X, R = rng.normal(size=(130, 200)), np.triu(rng.normal(size=(200, 200))).T.copy().T
     weight = ExpanderParams(rng.normal(size=(700, 130)))
     # d = 768 and n = 200 cut the first 13 panels' updates.
     Rq = np.asfortranarray(np.triu(rng.normal(size=(768, 768))) + 5 * np.eye(768))
@@ -77,7 +79,9 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     jobs = [lambda: threads.split_matmul(A, B), lambda: expand(A, weight),
             lambda: threads.split_gram(X), lambda: threads.split_gram(R),
             lambda: threads.split_tpqrt(Rq, Xq)[0]]
-    expected = [job().tobytes() for job in jobs]
+    with pytest.MonkeyPatch.context() as mp:
+        one_call(mp)
+        expected = [job().tobytes() for job in jobs]
     results = []
 
     def work():
@@ -88,7 +92,7 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
     sys.setswitchinterval(1e-6)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threads, "SPLIT_MADDS", 0)
+            splits = count_splits(mp)
             callers = [threading.Thread(target=work) for _ in range(6)]
             for t in callers:
                 t.start()
@@ -98,6 +102,8 @@ def test_concurrent_callers_share_the_helper_and_keep_every_bit():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert results == [True] * 300
+    # Per round, one hand-off for each of the first four jobs and one per cut QR panel.
+    assert len(splits) == 60 * (4 + 13)
     assert [t.name for t in threading.enumerate()
             if t.name.startswith("acgl-matmul")] == ["acgl-matmul_0"]
 
@@ -117,8 +123,7 @@ BIG_SESSIONS_SHAPED = ExperimentConfig(
 
 
 def test_big_sessions_shaped_run_is_bit_identical_on_one_or_two_threads(monkeypatch):
-    def outputs(threshold):
-        monkeypatch.setattr(threads, "SPLIT_MADDS", threshold)
+    def outputs():
         r = harness.run_experiment(BIG_SESSIONS_SHAPED)
         return matrix_to_csv(r.matrix), r.state.weights.tobytes(), r.state.R.tobytes()
 
@@ -126,11 +131,64 @@ def test_big_sessions_shaped_run_is_bit_identical_on_one_or_two_threads(monkeypa
     split_gram = threads.split_gram
     monkeypatch.setattr(threads, "split_gram", lambda X: grams.append(X.shape[0]) or
                         split_gram(X))
-    one_thread = outputs(math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        one_call(mp)
+        one_thread = outputs()
     calls = count_splits(monkeypatch)
-    assert outputs(0) == one_thread
+    assert outputs() == one_thread
     assert calls
     # The rows of each Gram: the base's, then R's and the rows' of each session
     # through the Gram path, in each of the two runs.
     assert grams == [960, 128, 240, 128, 240] * 2
 
+
+def gram_parts_in_turn(X, h):
+    """The Gram's (h, h) tile and its block column right of h, in turn on the calling thread."""
+    gram = np.zeros((X.shape[1],) * 2, order="F")
+    np.matmul(X[:, :h].T, X[:, :h], out=gram[:h, :h])
+    np.matmul(X.T, X[:, h:], out=gram[:, h:])
+    return gram
+
+
+# (routine, shape, each part's multiply-adds). A row-split product's shape
+# is (rows, inner, cols) and its parts the row halves, cut at a multiple of
+# 48 rows; a Gram's is (n, d, h), h its tile edge, and its parts the tile's
+# syrk (n h^2 / 2) and the block column; a QR update's is (d, n), and its
+# parts are the first panel's column halves, n * 32 multiply-adds a column.
+RULE_CASES = {
+    "matmul_both_halves_above": ("matmul", (80, 626, 50), (48 * 626 * 50, 32 * 626 * 50)),
+    "matmul_one_half_at_the_floor": ("matmul", (80, 625, 50), (48 * 625 * 50, 32 * 625 * 50)),
+    "matmul_odd_rows": ("matmul", (301, 700, 37), (144 * 700 * 37, 157 * 700 * 37)),
+    "matmul_no_aligned_cut": ("matmul", (2, 3000, 80), (0, 2 * 3000 * 80)),
+    "gram_both_parts_above": ("gram", (97, 200, 144), (97 * 144**2 / 2, 97 * 200 * 56)),
+    "gram_tile_below": ("gram", (96, 200, 144), (96 * 144**2 / 2, 96 * 200 * 56)),
+    "gram_column_above": ("gram", (1389, 60, 48), (1389 * 48**2 / 2, 1389 * 60 * 12)),
+    "gram_column_below": ("gram", (1388, 60, 48), (1388 * 48**2 / 2, 1388 * 60 * 12)),
+    "gram_no_column": ("gram", (2000, 30, 30), (2000 * 30**2 / 2, 0)),
+    "tpqrt_both_halves_above": ("tpqrt", (768, 89), (89 * 32 * 384, 89 * 32 * 352)),
+    "tpqrt_one_half_below": ("tpqrt", (768, 88), (88 * 32 * 384, 88 * 32 * 352)),
+    "tpqrt_cora_session": ("tpqrt", (2048, 232), (232 * 32 * 1008,) * 2),
+}
+
+
+@pytest.mark.parametrize("routine, shape, parts", RULE_CASES.values(), ids=RULE_CASES)
+def test_a_product_hands_off_exactly_when_each_part_exceeds_the_floor(monkeypatch, routine,
+                                                                       shape, parts):
+    rng = np.random.default_rng(sum(shape))
+    if routine == "matmul":
+        rows, inner, cols = shape
+        A, B = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+        run, want = lambda: threads.split_matmul(A, B), A @ B
+    elif routine == "gram":
+        n, d, h = shape
+        X = rng.normal(size=(n, d))
+        run, want = lambda: threads.split_gram(X), gram_parts_in_turn(X, h)
+    else:
+        d, n = shape
+        R = np.asfortranarray(np.triu(rng.normal(size=(d, d))) + 5 * np.eye(d))
+        X = rng.normal(size=(n, d))
+        run, want = lambda: threads.split_tpqrt(R, X)[0], scipy.linalg.lapack.dtpqrt(0, 32, R, X)[0]
+    calls = count_splits(monkeypatch)
+    got = run()
+    assert bool(calls) == (min(parts) > threads.SMALL_GEMM_MADDS)
+    assert got.tobytes() == want.tobytes()
