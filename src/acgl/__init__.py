@@ -14,16 +14,19 @@ dataset I/O, the names the README documents. The building blocks stay in
 their modules: ``acgl.backbone``, ``acgl.graph``, ``acgl.expander``,
 ``acgl.metrics`` and ``acgl.threads``.
 
-Importing the package pins BLAS to one thread unless the caller has set the
-thread variables. A BLAS reads them once, when numpy is first imported, so a
-program that imports numpy before acgl must set them itself.
+Importing the package pins BLAS to one thread unless the caller has set one
+of the thread variables: it sets them where unset, for a BLAS that loads
+later, and sets every OpenBLAS already loaded to one thread
+(:func:`acgl.threads.pin_openblas`), so the bits do not depend on whether
+numpy was imported first.
 """
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_caller_chose_threads = any(var in os.environ for var in _thread_vars)
+for _var in _thread_vars:
     os.environ.setdefault(_var, "1")
-del _var
 
 from .analytic import (
     AnalyticState,
@@ -40,6 +43,11 @@ from .graph import Graph
 from .harness import ExperimentConfig, ExpanderConfig, RunResult, evaluate_task, run_experiment
 from .metrics import average_forgetting, average_performance
 from .synthetic import SyntheticSpec, generate_synthetic
+from . import threads
+
+if not _caller_chose_threads:
+    threads.pin_openblas()
+del _var, _thread_vars, _caller_chose_threads
 
 __version__ = "0.1.0"
 

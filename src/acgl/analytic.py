@@ -41,6 +41,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from . import threads
+from .graph import FieldError, frozen
 
 
 @dataclass(frozen=True)
@@ -50,28 +51,24 @@ class AnalyticState:
     ``weights`` has one column per seen class, column j for class id j.
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
-    gamma itself is not kept; it stays in the Fortran order LAPACK returns.
-    Both arrays are read-only. A caller's float64 array is kept, not copied,
-    and so turns read-only too: ``R`` in any layout, ``weights`` when it is
-    C-contiguous; any other is copied and the caller's stays writeable. A
-    kept array that is a view still shares memory with its base, and the
-    base stays writeable. The state's footprint is one (d, d) matrix plus
-    one (d, C) matrix, fixed in d regardless of how many samples have been
-    absorbed.
+    gamma itself is not kept. Both float64 arrays are held by
+    :func:`acgl.graph.frozen`'s rule: ``weights`` C-contiguous, ``R`` in any
+    layout, so the Fortran-ordered factor LAPACK returns is kept, not copied.
+    The state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed
+    in d regardless of how many samples have been absorbed.
     """
 
     weights: np.ndarray              # (d, C_seen)
     R: np.ndarray                    # (d, d), upper triangular
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
         R = np.asarray(self.R, dtype=np.float64)
         d, _ = weights.shape
         if R.shape != (d, d):
             raise ValueError(f"R shape {R.shape} incompatible with weights {weights.shape}")
-        for name, arr in (("weights", weights), ("R", R)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weights", frozen(weights))
+        object.__setattr__(self, "R", frozen(R, order="K"))
 
     @property
     def feature_dim(self) -> int:
@@ -92,24 +89,19 @@ class SessionBatch:
 
     Each target column is one new class, in ascending class-id order. Every
     column needs at least one row: a class with no training row would get
-    an all-zero weight column and could never be predicted. A caller's
-    C-contiguous float64 array is kept, not copied, and made read-only, so
-    the caller's array turns read-only too; any other is copied and the
-    caller's stays writeable. A kept array that is a view still shares
-    memory with its base, and the base stays writeable.
+    an all-zero weight column and could never be predicted. Both arrays are
+    held as C-contiguous float64 by :func:`acgl.graph.frozen`'s rule.
     """
 
     features: np.ndarray        # (N, d)
     targets: np.ndarray         # (N, C_new), one-hot rows
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.features, dtype=np.float64)
-        Y = np.ascontiguousarray(self.targets, dtype=np.float64)
+        X = np.asarray(self.features, dtype=np.float64)
+        Y = np.asarray(self.targets, dtype=np.float64)
         _check_targets(X, Y)
-        X.setflags(write=False)
-        Y.setflags(write=False)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "targets", Y)
+        object.__setattr__(self, "features", frozen(X))
+        object.__setattr__(self, "targets", frozen(Y))
 
 
 def _check_targets(X: np.ndarray, Y: np.ndarray) -> None:
@@ -125,9 +117,10 @@ def _check_targets(X: np.ndarray, Y: np.ndarray) -> None:
         raise ValueError(f"target column {empty[0]} has no training rows")
 
 
-def _check_gamma(gamma: float) -> None:
+def check_gamma(gamma: float) -> None:
+    """Raise the :class:`FieldError` of ``gamma`` unless it is finite and positive."""
     if not 0 < gamma < np.inf:  # NaN fails too
-        raise ValueError(f"gamma must be finite and positive (got {gamma!r})")
+        raise FieldError("gamma", "must be finite and positive", gamma)
 
 
 def _singular_gram(stage: str, n: int, d: int, evidence: str) -> ValueError:
@@ -182,7 +175,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     :class:`SessionBatch`'s rule, non-finite features and a Gram in which
     gamma is lost to rounding (:func:`_factor`). The inputs are not written.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     X0 = np.asarray(X0, dtype=np.float64)
     Y0 = np.asarray(Y0, dtype=np.float64)
     _check_targets(X0, Y0)
@@ -276,7 +269,7 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
     order, as in the recursion. gamma must be finite and positive, and the
     features finite.
     """
-    _check_gamma(gamma)
+    check_gamma(gamma)
     batches = list(batches)
     if not batches:
         raise ValueError("at least one session required")

@@ -39,7 +39,7 @@ def _schema_epilog() -> str:
     rows = []
     for key, field in cfgmod.SCHEMA.items():
         default = "unset" if field.default is None else str(field.default)
-        rows.append(f"  {key:<26}{field.kind:<6}{default:<8}{field.help}")
+        rows.append(f"  {key:<26}{field.kind.__name__:<6}{default:<8}{field.help}")
     return "config keys (set in --config or with --set KEY=VALUE):\n" + "\n".join(rows)
 
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, field in cfgmod.SCHEMA.items():  # one flag per synthetic.* key and --seed
         if key.startswith("synthetic.") or key == "seed":
             p_gen.add_argument("--" + key.removeprefix("synthetic.").replace("_", "-"),
-                               type=int if field.kind == "int" else float,
+                               type=field.kind,
                                default=field.default, help=field.help)
 
     p_val = sub.add_parser("validate-dataset", help="check a dataset directory")

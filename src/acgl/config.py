@@ -35,29 +35,29 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
-    kind: str            # "int" | "float" | "str"
+    kind: type           # int, float or str: what parse_value calls on the raw text
     default: object
     help: str
 
 
 SCHEMA: dict[str, Field] = {
-    "dataset.path": Field("str", None, "dataset directory; unset means synthetic data"),
-    "synthetic.classes": Field("int", SyntheticSpec.classes, "number of classes"),
-    "synthetic.nodes_per_class": Field("int", SyntheticSpec.nodes_per_class, "nodes per class"),
-    "synthetic.features": Field("int", SyntheticSpec.features, "feature dimension"),
-    "synthetic.homophily": Field("float", SyntheticSpec.homophily, "intra-class edge probability"),
-    "synthetic.class_sep": Field("float", SyntheticSpec.class_sep, "class mean separation scale"),
-    "plan.base_classes": Field("int", 0, "base class count c0; 0 means half of C rounded up"),
-    "plan.increment": Field("int", ExperimentConfig.k, "classes added per incremental session"),
-    "backbone.hidden": Field("int", BackboneConfig.hidden, "GCN hidden width"),
-    "backbone.epochs": Field("int", BackboneConfig.epochs, "base-session training epochs"),
-    "backbone.lr": Field("float", BackboneConfig.lr, "Adam learning rate"),
-    "backbone.dropout": Field("float", BackboneConfig.dropout, "dropout rate on the hidden layer"),
-    "backbone.weight_decay": Field("float", BackboneConfig.weight_decay,
+    "dataset.path": Field(str, None, "dataset directory; unset means synthetic data"),
+    "synthetic.classes": Field(int, SyntheticSpec.classes, "number of classes"),
+    "synthetic.nodes_per_class": Field(int, SyntheticSpec.nodes_per_class, "nodes per class"),
+    "synthetic.features": Field(int, SyntheticSpec.features, "feature dimension"),
+    "synthetic.homophily": Field(float, SyntheticSpec.homophily, "intra-class edge probability"),
+    "synthetic.class_sep": Field(float, SyntheticSpec.class_sep, "class mean separation scale"),
+    "plan.base_classes": Field(int, 0, "base class count c0; 0 means half of C rounded up"),
+    "plan.increment": Field(int, ExperimentConfig.k, "classes added per incremental session"),
+    "backbone.hidden": Field(int, BackboneConfig.hidden, "GCN hidden width"),
+    "backbone.epochs": Field(int, BackboneConfig.epochs, "base-session training epochs"),
+    "backbone.lr": Field(float, BackboneConfig.lr, "Adam learning rate"),
+    "backbone.dropout": Field(float, BackboneConfig.dropout, "dropout rate on the hidden layer"),
+    "backbone.weight_decay": Field(float, BackboneConfig.weight_decay,
                                    "L2 decay folded into gradients"),
-    "expander.dim": Field("int", ExpanderConfig.dim, "feature expansion output dimension"),
-    "gamma": Field("float", ExperimentConfig.gamma, "ridge regularization strength"),
-    "seed": Field("int", ExperimentConfig.seed,
+    "expander.dim": Field(int, ExpanderConfig.dim, "feature expansion output dimension"),
+    "gamma": Field(float, ExperimentConfig.gamma, "ridge regularization strength"),
+    "seed": Field(int, ExperimentConfig.seed,
                   "global seed: graph from seed, backbone seed + 1, expander seed + 2"),
 }
 
@@ -68,21 +68,26 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
-        if field.kind == "int":
-            return int(raw)
-        if field.kind == "float":
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError(raw)
-            return value
-        return raw
+        value = field.kind(raw)
+        if field.kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError:
-        kind = "a finite float" if field.kind == "float" else "an int"  # str never fails
+        kind = "a finite float" if field.kind is float else "an int"  # str never fails
         raise ConfigError(f"key {key!r} expects {kind}, got {raw!r}") from None
 
 
 def default_config() -> dict:
     return {key: field.default for key, field in SCHEMA.items()}
+
+
+def _assign(cfg: dict, text: str, malformed: str) -> None:
+    """Set ``cfg[key]`` from one ``key = value`` text; raise ConfigError(``malformed``)
+    when it holds no ``=``."""
+    if "=" not in text:
+        raise ConfigError(malformed)
+    key, raw = text.split("=", 1)
+    cfg[key.strip()] = parse_value(key.strip(), raw)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -91,12 +96,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
         try:
-            cfg[key] = parse_value(key, raw)
+            _assign(cfg, stripped, f"expected 'key = value', got {line!r}")
         except ConfigError as exc:
             raise ConfigError(f"{source}:{line_no}: {exc}") from None
     return cfg
@@ -116,10 +117,7 @@ def load_config(path) -> dict:
 def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
     out = dict(cfg)
     for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        out[key.strip()] = parse_value(key.strip(), raw)
+        _assign(out, pair, f"override must look like key=value, got {pair!r}")
     return out
 
 

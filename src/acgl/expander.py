@@ -14,22 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import threads
+from .graph import frozen
 
 
 @dataclass(frozen=True)
 class ExpanderParams:
-    """The frozen expansion weight. A caller's C-contiguous float64 weight is kept, not
-    copied, and made read-only, so it turns read-only too; any other is copied. A kept
-    weight that is a view still shares memory with its base, and the base stays writeable."""
+    """The frozen expansion weight, a matrix held as C-contiguous float64 by
+    :func:`acgl.graph.frozen`'s rule."""
 
     weight: np.ndarray          # (h, d_out), frozen
 
     def __post_init__(self):
-        if self.weight.ndim != 2:
+        weight = np.asarray(self.weight, dtype=np.float64)
+        if weight.ndim != 2:
             raise ValueError("expansion weight must be a matrix")
-        w = np.ascontiguousarray(self.weight, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", frozen(weight))
 
     @property
     def input_dim(self) -> int:

@@ -45,11 +45,6 @@ def _check_rows(field: str, values: np.ndarray, bad: np.ndarray, rule: str) -> N
                          values.flat[first].item())
 
 
-def _check_range(field: str, values: np.ndarray, end: int) -> None:
-    _check_rows(field, values, (values < 0) | (values >= end),
-                f"row {{row}} holds {{value}}, outside [0, {end})")
-
-
 def _integers(field: str, values, end: int) -> np.ndarray:
     """``values`` as int64, kept if it already is; a non-integer dtype or a value outside
     [0, end) raises FieldError. The range is checked before the cast, so an unsigned
@@ -57,8 +52,19 @@ def _integers(field: str, values, end: int) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         raise FieldError(field, "must hold integers", values.dtype.name)
-    _check_range(field, values, end)
+    _check_rows(field, values, (values < 0) | (values >= end),
+                f"row {{row}} holds {{value}}, outside [0, {end})")
     return values.astype(np.int64, copy=False)
+
+
+def frozen(values: np.ndarray, order: str = "C") -> np.ndarray:
+    """``np.asarray(values, order=order)`` made read-only, the rule for every array a type
+    holds, after the type has converted it to its dtype and checked it: an array already
+    in that layout is kept, not copied, and so turns read-only too (a kept view's base
+    stays writeable); any other is copied."""
+    values = np.asarray(values, order=order)
+    values.setflags(write=False)
+    return values
 
 
 def check_node_count(num_nodes: int) -> None:
@@ -106,12 +112,8 @@ class Graph:
     length-N vector, and an ``int`` num_classes >= 1. A value out of range,
     a non-integer dtype or a non-finite feature raises the :class:`FieldError`
     of its field, naming the first row that holds one. Features, labels and
-    split that are already C-contiguous of their dtype are kept, not copied,
-    and made read-only, so the caller's arrays turn read-only too (this is why
-    :func:`acgl.datasets.load_dataset` never copies its features); any other
-    is copied and the caller's stays writeable. A kept array that is a view
-    (say ``np.arange(6.0).reshape(3, 2)``) still shares memory with its
-    base, and the base stays writeable.
+    split are held by :func:`frozen`'s rule, C-contiguous (this is why
+    :func:`acgl.datasets.load_dataset` never copies its features).
     """
 
     edges: np.ndarray        # (E, 2) int64, u < v, rows sorted and unique
@@ -137,9 +139,7 @@ class Graph:
 
         for name, arr in (("edges", edges), ("features", features), ("labels", self.labels),
                           ("split", self.split)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
     @property
     def train_mask(self) -> np.ndarray:

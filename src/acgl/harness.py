@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import AnalyticState, SessionBatch, align_base, predict, update_weights
+from .analytic import (AnalyticState, SessionBatch, align_base, check_gamma, predict,
+                       update_weights)
 from .backbone import BackboneConfig, BackboneParams, gcn_forward, train_base
 from .datasets import load_dataset
 from .expander import ExpanderParams, expand, init_expander
@@ -67,8 +68,8 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_fields(self, [("gamma", 0 < self.gamma < np.inf, "must be finite and positive"),
-                            ("seed", self.seed >= 0, "must be >= 0")])
+        check_gamma(self.gamma)
+        check_fields(self, [("seed", self.seed >= 0, "must be >= 0")])
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset_path and synthetic must be set")
 

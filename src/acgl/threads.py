@@ -60,6 +60,33 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
+def pin_openblas() -> None:
+    """Set every OpenBLAS the process has loaded to one thread, through its own export.
+
+    An OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, so one
+    that numpy loaded before acgl was imported keeps the count it chose
+    then. The loaded libraries are read from ``/proc/self/maps``; numpy's
+    build exports ``scipy_openblas_set_num_threads64_`` and scipy's
+    ``scipy_openblas_set_num_threads``. Where no such library is found,
+    nothing is done.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 @functools.cache
 def _helper_thread(pid: int) -> ThreadPoolExecutor:
     """One helper thread per process, started by its first task.

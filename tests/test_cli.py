@@ -906,6 +906,20 @@ class TestHelp:
             assert key in help_text, key
             assert field.help in help_text, key
 
+    def test_every_schema_row_names_its_kind(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        rows = dict(re.findall(r"^  ([\w.]+) +(int|float|str) ", capsys.readouterr().out,
+                               re.MULTILINE))
+        assert rows == {key: field.kind.__name__ for key, field in SCHEMA.items()}
+        assert (rows["seed"], rows["gamma"], rows["dataset.path"]) == ("int", "float", "str")
+
+    def test_gen_synth_flags_parse_to_their_kinds(self):
+        args = build_parser().parse_args(
+            ["gen-synth", "--out", "d", "--classes", "3", "--homophily", "0.5"])
+        assert type(args.classes) is int and args.classes == 3
+        assert type(args.homophily) is float and args.homophily == 0.5
+
     def test_commands_enumerated(self):
         help_text = build_parser().format_help()
         for cmd in ("run", "sweep", "gen-synth", "validate-dataset"):

@@ -49,6 +49,9 @@ def test_must_widen():
 def test_weight_must_be_a_matrix():
     with pytest.raises(ValueError, match="^expansion weight must be a matrix$"):
         ExpanderParams(weight=np.ones(4))
+    with pytest.raises(ValueError, match="^expansion weight must be a matrix$"):
+        ExpanderParams(weight=[0.5, 1.0])  # converted before its ndim is read
+    assert ExpanderParams(weight=[[0.5, 1.0]]).weight.shape == (1, 2)
 
 
 def test_hidden_width_must_match_the_weight():

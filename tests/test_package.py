@@ -14,6 +14,7 @@ import pytest
 import acgl
 from acgl import AnalyticState, Graph, SessionBatch, analytic
 from acgl.expander import ExpanderParams
+from acgl.graph import frozen
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -95,22 +96,28 @@ def _features(X):
 
 
 KEEPERS = {
+    "frozen": frozen,
     "Graph.features": _features,
     "SessionBatch.features": lambda X: SessionBatch(X, np.ones((3, 1))).features,
     "AnalyticState.weights": lambda X: AnalyticState(weights=X, R=np.eye(3)).weights,
+    "AnalyticState.R": lambda X: AnalyticState(weights=np.ones((3, 1)), R=X).R,
     "ExpanderParams.weight": lambda X: ExpanderParams(weight=X).weight,
 }
 
 
-@pytest.mark.parametrize("keep", KEEPERS.values(), ids=KEEPERS.keys())
-def test_a_kept_array_is_frozen_and_a_copied_one_is_not(keep):
-    X = np.arange(6.0).reshape(3, 2)  # C-contiguous float64: kept as it is
+@pytest.mark.parametrize("name", KEEPERS)
+def test_a_kept_array_is_frozen_and_a_copied_one_is_not(name):
+    keep = KEEPERS[name]
+    X = np.arange(9.0).reshape(3, 3)  # C-contiguous float64: kept as it is; square for R
     held = keep(X)
     assert held is X and not X.flags.writeable
     # X is a view: only X turns read-only, its base stays writeable and shared.
     assert X.base.flags.writeable and np.shares_memory(held, X.base)
-    F = np.asfortranarray(np.arange(6.0).reshape(3, 2))  # Fortran order: copied
+    F = np.asfortranarray(np.arange(9.0).reshape(3, 3))
     held = keep(F)
-    assert held is not F and not np.shares_memory(held, F)
+    if name == "AnalyticState.R":  # R keeps the Fortran order LAPACK returns: kept
+        assert held is F and not F.flags.writeable
+        return
+    assert held is not F and not np.shares_memory(held, F)  # any other: copied
     assert F.flags.writeable and not held.flags.writeable
-    assert held.tobytes() == np.arange(6.0).tobytes()
+    assert held.tobytes() == np.arange(9.0).tobytes()
