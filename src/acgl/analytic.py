@@ -12,9 +12,10 @@ one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
 R^T R + X^T X and factors it again (LAPACK potrf), the faster path once n
 reaches d. Each Gram, X^T X or R^T R, is one :func:`threads.split_gram`,
-and each QR step one :func:`threads.split_tpqrt`, part of each on the
-helper thread; potrf and cho_solve stay on the calling thread, because
-scipy's LAPACK wrappers hold the GIL. Each factor
+each QR step one :func:`threads.split_tpqrt`, and the scores and the
+weight update's products each one :func:`threads.split_matmul`, part of
+each on the helper thread; potrf and cho_solve stay on the calling thread,
+because scipy's LAPACK wrappers hold the GIL. Each factor
 is checked where it is made: a session in which float64 loses gamma to
 rounding raises one ValueError form, naming ``analytic.align_base`` or
 ``analytic.update_R``.
@@ -64,7 +65,9 @@ class AnalyticState:
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
         R = np.asarray(self.R, dtype=np.float64)
-        d, _ = weights.shape
+        if weights.ndim != 2:
+            raise ValueError(f"weights must be a (d, C) matrix: weights shape {weights.shape}")
+        d = weights.shape[0]
         if R.shape != (d, d):
             raise ValueError(f"R shape {R.shape} incompatible with weights {weights.shape}")
         object.__setattr__(self, "weights", frozen(weights))
@@ -242,14 +245,16 @@ def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     R absorbs the new session first; then, with G the Gram R^T R, existing
     class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
     columns G^{-1} X^T Y are appended, both from one solve against R, so the
-    batch's target columns become the next class ids. :func:`update_R`
-    rejects non-finite features and a session in which gamma is lost to rounding.
+    batch's target columns become the next class ids. The solve's right-hand
+    side X^T [-X W_prev, Y] and X W_prev within it are each one
+    :func:`threads.split_matmul`. :func:`update_R` rejects non-finite
+    features and a session in which gamma is lost to rounding.
     """
     X, Y = batch.features, batch.targets
     R_new = update_R(state.R, X)
     W = state.weights
-    weights = scipy.linalg.cho_solve((R_new, False), X.T @ np.hstack([-(X @ W), Y]),
-                                     check_finite=False)
+    rhs = threads.split_matmul(X.T, np.hstack([-threads.split_matmul(X, W), Y]))
+    weights = scipy.linalg.cho_solve((R_new, False), rhs, check_finite=False)
     weights[:, :W.shape[1]] += W
     return AnalyticState(weights=weights, R=R_new)
 
@@ -291,9 +296,10 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     """Class id of the largest linear score X @ W in each row, as int64.
 
-    One GEMM, then one argmax over the score columns; column j is class id
-    j. argmax returns the first maximal column, so a tie (an all-zero row,
-    or +0.0 against -0.0) goes to the smallest tied class id. Non-finite
+    One product by :func:`threads.split_matmul`, the same bytes as one
+    GEMM, then one argmax over the score columns; column j is class id j.
+    argmax returns the first maximal column, so a tie (an all-zero row, or
+    +0.0 against -0.0) goes to the smallest tied class id. Non-finite
     scores (from NaN or inf features or weights) raise ValueError rather
     than yielding an arbitrary id, and so does an ``X`` of any shape but
     (n, d).
@@ -301,7 +307,7 @@ def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != state.feature_dim:
         raise ValueError(f"X must be (n, d) with d = {state.feature_dim}: X shape {X.shape}")
-    scores = X @ state.weights
+    scores = threads.split_matmul(X, state.weights)
     if not np.isfinite(scores).all():
         raise ValueError("non-finite classifier scores; features or weights contain NaN or inf")
     return scores.argmax(axis=1).astype(np.int64, copy=False)

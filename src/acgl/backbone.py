@@ -39,20 +39,27 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class BackboneParams:
-    """Weights of the two GCN layers. W0: (d, h), W1: (h, c0)."""
+    """Weights of the two GCN layers. W0: (d, h), W1: (h, c0).
+
+    Both are converted to float64 before they are checked, as
+    :class:`acgl.expander.ExpanderParams` converts, but not frozen:
+    :func:`fit`'s Adam step writes a copy of them in place.
+    """
 
     W0: np.ndarray
     W1: np.ndarray
 
     def __post_init__(self):
-        if self.W0.ndim != 2 or self.W1.ndim != 2:
+        W0 = np.asarray(self.W0, dtype=np.float64)
+        W1 = np.asarray(self.W1, dtype=np.float64)
+        if W0.ndim != 2 or W1.ndim != 2:
             raise ValueError("W0 and W1 must be matrices")
-        if self.W0.shape[1] != self.W1.shape[0]:
-            raise ValueError(
-                f"hidden dims disagree: W0 is {self.W0.shape}, W1 is {self.W1.shape}"
-            )
-        if not (np.isfinite(self.W0).all() and np.isfinite(self.W1).all()):
+        if W0.shape[1] != W1.shape[0]:
+            raise ValueError(f"hidden dims disagree: W0 is {W0.shape}, W1 is {W1.shape}")
+        if not (np.isfinite(W0).all() and np.isfinite(W1).all()):
             raise ValueError("parameters must be finite")
+        object.__setattr__(self, "W0", W0)
+        object.__setattr__(self, "W1", W1)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

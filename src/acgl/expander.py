@@ -38,8 +38,10 @@ class ExpanderParams:
 def init_expander(h: int, d_out: int, seed: int) -> ExpanderParams:
     """Draw the frozen expansion weight, uniform in [-1/sqrt(h), 1/sqrt(h)].
 
-    Requires d_out > h: the expansion must widen the representation.
+    Requires h >= 1 and d_out > h: the expansion must widen the representation.
     """
+    if h < 1:
+        raise ValueError(f"expander input dim h={h} must be at least 1")
     if d_out <= h:
         raise ValueError(f"expansion dim {d_out} must exceed input dim {h}")
     rng = np.random.default_rng(seed)

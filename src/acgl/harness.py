@@ -127,11 +127,15 @@ def resolve_graph(config: ExperimentConfig) -> Graph:
 def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of one task's test rows that ``predict`` labels right, over all seen classes.
 
-    One ``predict`` call per task, so one GEMM and one argmax. The count of
-    hits over the row count is the same float64 quotient as the mean of the
-    hit mask. An empty task, or labels that do not match the feature rows
-    one to one, raise ValueError.
+    One ``predict`` call per task, so one score product and one argmax. The
+    count of hits over the row count is the same float64 quotient as the
+    mean of the hit mask. An empty task, or labels that are not a vector of
+    one label per feature row, raise ValueError.
     """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a vector: labels shape {labels.shape}, "
+                         f"features shape {np.shape(features)}")
     if len(labels) == 0:
         raise ValueError("task has an empty test set")
     if len(labels) != len(features):

@@ -4,10 +4,11 @@ Each BLAS call runs on one thread. A product whose two parts each do more
 than :data:`SMALL_GEMM_MADDS` multiply-adds runs its first part on the
 calling thread and its second on one helper thread kept for the process;
 the parts give the same bytes however they are scheduled.
-:func:`split_matmul` cuts the backbone's and the expander's products into
-row halves, :func:`split_gram` each analytic Gram into a tile and a block
-column, and :func:`split_tpqrt` each panel update of the QR path into two
-column halves.
+:func:`split_matmul` cuts into row halves the backbone's and the
+expander's products, each task's scores and the weight update's two
+products; :func:`split_gram` cuts each analytic Gram into a tile and a
+block column, and :func:`split_tpqrt` the QR path's copies of its inputs
+and each of its panel updates into two column halves.
 
 The helper runs numpy products, element-wise ufuncs and LAPACK routines
 that release the GIL. scipy's f2py BLAS and LAPACK wrappers hold it: on
@@ -42,8 +43,8 @@ SPLIT_ROW_BLOCK = 48
 # Split at one BLAS thread (2 vCPU, OpenBLAS 0.3.31), 200x64x128 (1.6M)
 # went 0.09 -> 0.15 ms, 500x128x64 (4.1M) 0.22 -> 0.21 ms and 1000x128x64
 # (8.2M) 0.45 -> 0.26 ms; the tiled Gram broke even between 0.5M and 1M. So
-# a Gram from 2M gains a little, and a row-split product from 2M to 4M sits
-# near break-even (not measured; no perfbench workload has one).
+# a Gram from 2M gains a little. The narrow score products gain from 2.6M:
+# 312x2048x4 went 0.45 -> 0.33 ms and 500x1024x5 0.45 -> 0.29 ms.
 SMALL_GEMM_MADDS = 1_000_000
 # A Gram's tile spans about this share of its d columns: alone, its syrk and
 # the block column's gemm took 47 and 54 ms at 6000 x 1024, 35 and 31 ms at
@@ -128,19 +129,24 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray, relu: bool) -> None:
 def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray:
     """``A @ B``, or ``relu(A @ B)`` with ``relu``, bit for bit, with its lower rows on the helper.
 
-    Each half is one BLAS call (and one in-place ReLU) written into one
-    output, so the BLAS thread count is untouched. A product whose halves
-    would do at most :data:`SMALL_GEMM_MADDS` multiply-adds each is one call
-    on the calling thread.
+    A product whose row halves would do at most :data:`SMALL_GEMM_MADDS`
+    multiply-adds each is plain ``A @ B`` (and one in-place ReLU) on the
+    calling thread. Any other is cut at a multiple of :data:`SPLIT_ROW_BLOCK`
+    rows; each half is one BLAS call (and one in-place ReLU) written into one
+    output, so the BLAS thread count is untouched.
     """
     rows, inner = A.shape
     cols = B.shape[1]
+    # No product of at most twice the floor has two halves above it; testing
+    # that first keeps a small product within about 0.4 us of a bare A @ B.
+    if rows * inner * cols <= 2 * SMALL_GEMM_MADDS or (h := _cut(rows, inner * cols)) is None:
+        out = A @ B
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
     out = np.empty((rows, cols), dtype=np.result_type(A, B))
-    if (h := _cut(rows, inner * cols)) is None:
-        _product(A, B, out, relu)
-    else:
-        run_pair(functools.partial(_product, A[:h], B, out[:h], relu),
-                 functools.partial(_product, A[h:], B, out[h:], relu))
+    run_pair(functools.partial(_product, A[:h], B, out[:h], relu),
+             functools.partial(_product, A[h:], B, out[h:], relu))
     return out
 
 
@@ -196,7 +202,9 @@ def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
 
     ``R_prev`` is (d, d) upper triangular, ``Xn`` (n, d); neither is
     written. This is dtpqrt's own loop (L = 0, NB = min(32, d)) run in one
-    Fortran copy of each: each panel of NB columns is one dtpqrt2, and its
+    Fortran copy of each, made as two column halves, the second on the
+    helper thread where each half copies more than :data:`SMALL_GEMM_MADDS`
+    entries. Each panel of NB columns is one dtpqrt2, and its
     block reflector is applied to the trailing columns by two dtprfb calls
     on column halves, the second on the helper thread (:func:`run_pair`).
     The halves' cut, counted from the panel's end, is a multiple of
@@ -210,11 +218,22 @@ def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
     if d == 0 or np.shape(R_prev) != (d, d) or np.shape(Xn)[1:] != (d,):
         raise ValueError(f"split_tpqrt needs a (d, d) R_prev and an (n, d) Xn with d >= 1: "
                          f"shapes {np.shape(R_prev)} and {np.shape(Xn)}")
+    R_prev, Xn = np.asarray(R_prev, dtype=np.float64), np.asarray(Xn, dtype=np.float64)
     n = Xn.shape[0]
     nb = min(_QR_BLOCK, d)
     lda, ldb = d, max(1, n)
-    A = np.array(R_prev, dtype=np.float64, order="F")
-    B = np.array(Xn, dtype=np.float64, order="F")
+    A = np.empty((d, d), order="F")
+    B = np.empty((n, d), order="F")
+
+    def copy(lo: int, hi: int) -> None:
+        """Copy columns lo:hi of R_prev into A and of Xn into B."""
+        A[:, lo:hi] = R_prev[:, lo:hi]
+        B[:, lo:hi] = Xn[:, lo:hi]
+
+    if (h := _cut(d, d + n)) is None:
+        copy(0, d)
+    else:
+        run_pair(functools.partial(copy, 0, h), functools.partial(copy, h, d))
     T = np.empty((nb, d), order="F")
     work = np.empty((2, nb * d))  # one per half; the helper's half never shares the caller's
 

@@ -287,7 +287,10 @@ class TestSplitTpqrt:
     # (d, n, whether the first panel is cut). cora_csv's sessions are (2048, 232)
     # and stream40's (512, 60). At d = 768 the first panel's halves are 384 and
     # 352 columns of n * 32 rows, so n = 89 is the smallest cut: 89 * 32 * 352
-    # is just above 10**6 multiply-adds, 88 * 32 * 352 just below.
+    # is just above 10**6 multiply-adds, 88 * 32 * 352 just below. A cut panel
+    # is two dtprfb calls. The Fortran copies of R_prev and Xn are one more
+    # hand-off where each column half copies more than 10**6 entries, which
+    # among these cases is at d = 1536 and d = 2048 alone.
     @pytest.mark.parametrize("d, n, cut", [
         (2048, 232, True), (2048, 336, True), (1024, 600, True), (1024, 500, True),
         (1536, 777, True), (768, 200, True), (2048, 100, True), (2048, 20, False),
@@ -301,9 +304,13 @@ class TestSplitTpqrt:
         want, _, _, info = scipy.linalg.lapack.dtpqrt(0, min(32, d), R, X)
         assert info == 0
         calls = count_splits(monkeypatch)
+        lapack, routines = threads._lapack, []
+        monkeypatch.setattr(threads, "_lapack", lambda name: routines.append(name) or lapack(name))
         got, info = threads.split_tpqrt(R, X)
         assert info == 0
-        assert bool(calls) == cut
+        panels = routines.count("dtprfb") // 2
+        assert bool(panels) == cut
+        assert len(calls) == panels + (d >= 1536)
         assert got.tobytes() == want.tobytes()
         assert got.flags.f_contiguous
         one_call(monkeypatch)
@@ -931,6 +938,12 @@ class TestStateStructure:
     def test_invalid_states_rejected(self):
         with pytest.raises(ValueError, match="R shape"):
             AnalyticState(weights=np.ones((2, 1)), R=np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (), (3, 2, 1)])
+    def test_weights_not_a_matrix_name_their_shape(self, shape):
+        message = f"weights must be a (d, C) matrix: weights shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AnalyticState(weights=np.ones(shape), R=np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_batch_features_must_be_finite(self, bad):

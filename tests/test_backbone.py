@@ -324,6 +324,15 @@ def test_backbone_params_reject_bad_weights(W0, W1, match):
         BackboneParams(W0=W0, W1=W1)
 
 
+def test_backbone_params_convert_before_checking():
+    with pytest.raises(ValueError, match="^W0 and W1 must be matrices$"):
+        BackboneParams(W0=[1.0], W1=[[1.0]])
+    params = BackboneParams(W0=[[1.0]], W1=[[2]])
+    for w in (params.W0, params.W1):
+        assert w.dtype == np.float64 and w.shape == (1, 1)
+        assert w.flags.writeable  # fit's Adam step writes its copy in place
+
+
 @pytest.mark.parametrize("rate", [-0.1, 1.0])
 def test_dropout_rate_outside_unit_interval_rejected(rate):
     with pytest.raises(ValueError, match=r"^dropout rate must lie in \[0, 1\)$"):

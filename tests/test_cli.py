@@ -5,12 +5,15 @@ import io
 import json
 import re
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from acgl import cli, threads
+from acgl.analytic import AnalyticState, SessionBatch
 from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
@@ -309,7 +312,9 @@ class TestRun:
 
     @pytest.mark.parametrize("part, stage", [("gram_column", "analytic.align_base"),
                                              ("session_gram_column", "analytic.update_R"),
-                                             ("expand_rows", "expander.expand")])
+                                             ("expand_rows", "expander.expand"),
+                                             ("predict_rows", "analytic.predict"),
+                                             ("update_weights", "analytic.update_weights")])
     def test_overflow_in_a_helper_part_names_its_stage(self, run_config_file, tmp_path,
                                                         capsys, monkeypatch, part, stage):
         # Finite rows that overflow only in the part on the helper thread: the
@@ -319,9 +324,16 @@ class TestRun:
         # of 500 nodes, hidden 128, dim 256) is large enough that both
         # products hand their part to the helper, and the session (one class,
         # 300 train rows) takes update_R's Gram path.
+        #
+        # The score and weight-update products need wider runs to be cut:
+        # 2000 nodes a class at dim 1024, so the base task's 800 test rows
+        # are cut at row 384 once three classes are scored, and the
+        # session's 1200 train rows at row 576 in X @ W. There the last row
+        # alone meets a weight of 1e308 through an entry of 2, which no
+        # other row has.
         import acgl.harness as harness
 
-        expand = harness.expand
+        expand, predict, update_weights = harness.expand, harness.predict, harness.update_weights
         expanded = []
 
         def poisoned(hidden, params):
@@ -336,16 +348,49 @@ class TestRun:
                 rows[:, -1] = 1e160
             return rows
 
-        monkeypatch.setattr(harness, "expand", poisoned)
+        def last_row_overflows(X, state):
+            X, W = X.copy(), state.weights.copy()
+            X[:, -1] = 0.0
+            X[-1, -1] = 2.0
+            W[-1, 0] = 1e308
+            return X, AnalyticState(weights=W, R=state.R)
+
+        def poisoned_predict(X, state):
+            if threads._cut(len(X), X.shape[1] * state.weights.shape[1]) is not None:
+                X, state = last_row_overflows(X, state)
+            return predict(X, state)
+
+        def poisoned_update(state, batch):
+            X, state = last_row_overflows(batch.features, state)
+            return update_weights(state, SessionBatch(X, batch.targets))
+
+        if part == "predict_rows":
+            monkeypatch.setattr(harness, "predict", poisoned_predict)
+        elif part == "update_weights":
+            monkeypatch.setattr(harness, "update_weights", poisoned_update)
+        else:
+            monkeypatch.setattr(harness, "expand", poisoned)
+        wide = part in ("predict_rows", "update_weights")
         calls = count_splits(monkeypatch)
+        errors = []
+        failing_stage = cli._failing_stage
+        monkeypatch.setattr(cli, "_failing_stage", lambda exc: errors.append(exc) or
+                            failing_stage(exc))
         code = main(["run", "--config", str(run_config_file), "--out", str(tmp_path / "o"),
-                     "--set", "synthetic.classes=3", "--set", "synthetic.nodes_per_class=500",
-                     "--set", "synthetic.features=128", "--set", "plan.base_classes=2",
-                     "--set", "backbone.hidden=128", "--set", "backbone.epochs=1",
-                     "--set", "expander.dim=256"])
+                     "--set", "synthetic.classes=3",
+                     "--set", f"synthetic.nodes_per_class={2000 if wide else 500}",
+                     "--set", f"synthetic.features={16 if wide else 128}",
+                     "--set", "plan.base_classes=2",
+                     "--set", f"backbone.hidden={16 if wide else 128}",
+                     "--set", "backbone.epochs=1",
+                     "--set", f"expander.dim={1024 if wide else 256}"])
         assert code == EXIT_RUNTIME
         assert calls
         assert capsys.readouterr().err == f"error: {stage}: overflow encountered in matmul\n"
+        # The error was raised on the helper thread and re-raised by its future.
+        [error] = errors
+        assert any(Path(f.filename).match("concurrent/futures/thread.py")
+                   for f in traceback.extract_tb(error.__traceback__))
         if part == "session_gram_column":
             assert expanded == [600, 200, 300]
 

@@ -46,6 +46,13 @@ def test_must_widen():
         init_expander(16, 8, seed=0)
 
 
+@pytest.mark.parametrize("h", [0, -1])
+def test_input_dim_must_be_positive(h):
+    # Checked before 1 / sqrt(h) is taken, which warns and overflows at h = 0.
+    with pytest.raises(ValueError, match=f"^expander input dim h={h} must be at least 1$"):
+        init_expander(h, 4, seed=0)
+
+
 def test_weight_must_be_a_matrix():
     with pytest.raises(ValueError, match="^expansion weight must be a matrix$"):
         ExpanderParams(weight=np.ones(4))

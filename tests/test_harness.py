@@ -302,6 +302,15 @@ class TestEvaluateTask:
         with pytest.raises(ValueError, match="3 feature rows but 1 labels"):
             evaluate_task(state, np.eye(2)[[0, 0, 0]], np.array([0]))
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), ()])
+    def test_labels_not_a_vector_rejected(self, shape):
+        # An (n, 1) column would broadcast against the (n,) predictions to an
+        # (n, n) hit mask, an accuracy of 2.0 here.
+        state = AnalyticState(weights=np.ones((3, 2)), R=np.eye(3))
+        message = f"labels must be a vector: labels shape {shape}, features shape (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_task(state, np.ones((2, 3)), np.zeros(shape, dtype=np.int64))
+
     def test_empty_test_set_rejected(self, fixture_result):
         state = fixture_result.state
         with pytest.raises(ValueError, match="empty test set"):

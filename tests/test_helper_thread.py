@@ -12,6 +12,7 @@ import scipy.linalg
 
 import acgl
 from acgl import harness, threads
+from acgl.analytic import AnalyticState, SessionBatch, predict, update_R, update_weights
 from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_OK, main
 from acgl.expander import ExpanderParams, expand
@@ -192,3 +193,58 @@ def test_a_product_hands_off_exactly_when_each_part_exceeds_the_floor(monkeypatc
     got = run()
     assert bool(calls) == (min(parts) > threads.SMALL_GEMM_MADDS)
     assert got.tobytes() == want.tobytes()
+
+
+def scored_state(rng, d, C):
+    """C random weight columns at d features, with R = I."""
+    return AnalyticState(weights=rng.normal(size=(d, C)), R=np.eye(d))
+
+
+# (test rows, d, C, whether the score product is cut). stream40 scores 20
+# rows a task at d = 512 and cora_csv 78 rows a one-class task at d = 2048;
+# neither reaches the floor. cora_csv's base task (312 rows) is cut at row
+# 144 from C = 4, and big_sessions' one-class tasks (500 rows) at row 240
+# from C = 5.
+SCORE_CASES = [(20, 512, 40, False), (78, 2048, 7, False), (312, 2048, 4, True),
+               (500, 1024, 4, False), (500, 1024, 5, True), (500, 1024, 6, True)]
+
+
+@pytest.mark.parametrize("rows, d, C, cut", SCORE_CASES)
+def test_scores_are_cut_only_above_the_floor_and_keep_every_bit(monkeypatch, rows, d, C, cut):
+    rng = np.random.default_rng(rows + C)
+    X, state = np.abs(rng.normal(size=(rows, d))), scored_state(rng, d, C)
+    scores = X @ state.weights
+    with pytest.MonkeyPatch.context() as mp:
+        one_call(mp)
+        want = predict(X, state)
+    calls = count_splits(monkeypatch)
+    got = predict(X, state)
+    assert len(calls) == cut
+    assert got.tobytes() == want.tobytes() == scores.argmax(axis=1).tobytes()
+    assert threads.split_matmul(X, state.weights).tobytes() == scores.tobytes()
+
+
+# (session rows, d, C existing classes, products cut). At stream40's last
+# session neither X @ W nor X.T @ [-XW, Y] reaches the floor. cora_csv's
+# sessions cut the right-hand side from C = 4 (at row 1008 of d) and X @ W
+# from C = 6 (at row 96); big_sessions' both from C = 4.
+UPDATE_CASES = [(60, 512, 39, 0), (232, 2048, 3, 0), (232, 2048, 4, 1), (232, 2048, 6, 2),
+                (500, 1024, 6, 2), (1500, 1024, 4, 2)]
+
+
+@pytest.mark.parametrize("n, d, C, cut", UPDATE_CASES)
+def test_weight_update_products_are_cut_only_above_the_floor_and_keep_every_bit(
+        monkeypatch, n, d, C, cut):
+    rng = np.random.default_rng(n + C)
+    state = scored_state(rng, d, C)
+    batch = SessionBatch(np.abs(rng.normal(size=(n, d))), np.ones((n, 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        one_call(mp)
+        want = update_weights(state, batch)
+    calls = count_splits(monkeypatch)
+    update_R(state.R, batch.features)
+    factor_parts = len(calls)
+    got = update_weights(state, batch)
+    assert len(calls) == 2 * factor_parts + cut
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.R.tobytes() == want.R.tobytes()
