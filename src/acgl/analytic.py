@@ -13,20 +13,22 @@ least squares. A session of at least d rows forms the upper triangle of
 R^T R + X^T X and factors it again (LAPACK potrf), the faster path once n
 reaches d. Each Gram, X^T X or R^T R, is one :func:`threads.split_gram`,
 each QR step one :func:`threads.split_tpqrt`, and the scores and the
-weight update's products each one :func:`threads.split_matmul`, part of
+weight step's products each one :func:`threads.split_matmul`, part of
 each on the helper thread; potrf and cho_solve stay on the calling thread,
 because scipy's LAPACK wrappers hold the GIL. Each factor
 is checked where it is made: a session in which float64 loses gamma to
 rounding raises one ValueError form, naming ``analytic.align_base`` or
 ``analytic.update_R``.
 Column j of W scores class id j, so sessions bring their classes in
-ascending id order and :func:`predict` returns the argmax column. The weight
-update corrects the existing columns and appends one column per new class,
+ascending id order and :func:`predict` returns the argmax column. Every
+session's weights, the base's included, come from one weight step: it
+corrects the existing columns and appends one column per new class,
 
     W_new = [W_prev - G^{-1} X^T X W_prev,  G^{-1} X^T Y]
 
-with both products taken by one solve against the new R. This reproduces
-the one-shot joint solution up to float error, within the README's bound
+with both products taken by one solve against the new R. The base is the
+step with no earlier columns, so its W solves G W = X_0^T Y_0. This
+reproduces the one-shot joint solution up to float error, within the README's bound
 8 (kappa(G) + 16) eps, as measured for gamma from 1e-4 to 1e2 up to 200
 sessions at d = 64, at 40 sessions of d = 512, and at d = 2048 (tpqrt path)
 and d = 1024 (Gram path). :func:`joint_solve` is the independent oracle for
@@ -52,7 +54,10 @@ class AnalyticState:
     ``weights`` has one column per seen class, column j for class id j.
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
-    gamma itself is not kept. Both float64 arrays are held by
+    gamma itself is not kept. R's strictly lower triangle must be zero:
+    :func:`update_R`'s QR path carries it into the new factor while its
+    Gram path reads R as full, and nothing checks it (a check costs O(d^2)
+    per state). Both float64 arrays are held by
     :func:`acgl.graph.frozen`'s rule: ``weights`` C-contiguous, ``R`` in any
     layout, so the Fortran-ordered factor LAPACK returns is kept, not copied.
     The state's footprint is one (d, d) matrix plus one (d, C) matrix, fixed
@@ -172,8 +177,9 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     """Closed-form ridge fit of the base session; seeds W and R.
 
     Factors G = X^T X + gamma I by Cholesky into R (R^T R = G), the
-    recursion's state, and solves G W = X^T Y against it, so Y's column j
-    becomes class id j's weight column. A gamma that is not finite and
+    recursion's state, then takes :func:`update_weights`' weight step with
+    no earlier columns, so W solves G W = X^T Y and Y's column j becomes
+    class id j's weight column. A gamma that is not finite and
     positive raises ValueError, and so do targets that break
     :class:`SessionBatch`'s rule, non-finite features and a Gram in which
     gamma is lost to rounding (:func:`_factor`). The inputs are not written.
@@ -187,10 +193,7 @@ def align_base(X0: np.ndarray, Y0: np.ndarray, gamma: float) -> AnalyticState:
     gram = threads.split_gram(X0)
     gram[np.diag_indices_from(gram)] += gamma
     R = _factor(gram, "analytic.align_base", X0.shape[0])
-    return AnalyticState(
-        weights=scipy.linalg.cho_solve((R, False), X0.T @ Y0, check_finite=False),
-        R=R,
-    )
+    return _solve_weights(R, X0, Y0, np.empty((X0.shape[1], 0)))
 
 
 def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
@@ -242,21 +245,30 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
 def update_weights(state: AnalyticState, batch: SessionBatch) -> AnalyticState:
     """One recursive class-incremental step; returns the successor state.
 
-    R absorbs the new session first; then, with G the Gram R^T R, existing
-    class columns are corrected by -G^{-1} X^T X W_prev and the new classes'
-    columns G^{-1} X^T Y are appended, both from one solve against R, so the
-    batch's target columns become the next class ids. The solve's right-hand
-    side X^T [-X W_prev, Y] and X W_prev within it are each one
-    :func:`threads.split_matmul`. :func:`update_R` rejects non-finite
-    features and a session in which gamma is lost to rounding.
+    R absorbs the new session first (:func:`update_R`); then, with G the
+    Gram R^T R, the weight step, the same one that ends :func:`align_base`,
+    corrects the existing class columns by -G^{-1} X^T X W_prev and appends
+    the new classes' columns G^{-1} X^T Y, both from one solve against R, so
+    the batch's target columns become the next class ids. :func:`update_R`
+    rejects non-finite features and a session in which gamma is lost to
+    rounding.
     """
-    X, Y = batch.features, batch.targets
-    R_new = update_R(state.R, X)
-    W = state.weights
+    X = batch.features
+    return _solve_weights(update_R(state.R, X), X, batch.targets, state.weights)
+
+
+def _solve_weights(R: np.ndarray, X: np.ndarray, Y: np.ndarray, W: np.ndarray) -> AnalyticState:
+    """The weight step: the state of factor R and weights [W, 0] + G^{-1} X^T [-X W, Y].
+
+    G = R^T R already holds the session X. The right-hand side X^T [-X W, Y]
+    and X W within it are each one :func:`threads.split_matmul`, solved
+    against R by one cho_solve; W is added to the first columns. With W of
+    no columns this is the ridge fit G^{-1} X^T Y.
+    """
     rhs = threads.split_matmul(X.T, np.hstack([-threads.split_matmul(X, W), Y]))
-    weights = scipy.linalg.cho_solve((R_new, False), rhs, check_finite=False)
+    weights = scipy.linalg.cho_solve((R, False), rhs, check_finite=False)
     weights[:, :W.shape[1]] += W
-    return AnalyticState(weights=weights, R=R_new)
+    return AnalyticState(weights=weights, R=R)
 
 
 def _as_xy(batch) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +283,9 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 
     Accumulates sum X_i^T X_i + gamma I and stacks the per-session blocks
     X_i^T Y_i as label columns, then solves once. Column order is session
-    order, as in the recursion. gamma must be finite and positive, and the
-    features finite.
+    order, as in the recursion. gamma must be finite and positive, the
+    features finite, and each session's targets must keep
+    :class:`SessionBatch`'s rule.
     """
     check_gamma(gamma)
     batches = list(batches)
@@ -283,6 +296,7 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
     blocks = []
     for batch in batches:
         X, Y = _as_xy(batch)
+        _check_targets(X, Y)
         if X.shape[1] != d:
             raise ValueError("all sessions must share the feature dimension")
         if not np.isfinite(X).all():

@@ -174,14 +174,17 @@ _PRODUCT_ROUTINES = ("threads.",)
 
 
 def _failing_stage(exc: BaseException) -> str:
-    """``module.function`` of the innermost acgl frame in ``exc``'s traceback.
+    """``module.function`` of the innermost public acgl function in ``exc``'s traceback.
 
-    Frames of the product routines are passed over.
+    Frames of the product routines and of private (``_``-prefixed) functions
+    are passed over, so an error in a helper, such as the weight step both
+    ``analytic.align_base`` and ``analytic.update_weights`` end with, is named
+    after the public stage that called it.
     """
     package = Path(__file__).parent
     stages = [f"{Path(f.filename).stem}.{f.name}"
               for f in traceback.extract_tb(exc.__traceback__)
-              if Path(f.filename).parent == package]
+              if Path(f.filename).parent == package and not f.name.startswith("_")]
     return [s for s in stages if not s.startswith(_PRODUCT_ROUTINES)][-1]
 
 

@@ -256,11 +256,14 @@ def session_subgraph(graph: Graph, class_set) -> Graph:
 
     Node ids are compacted (ascending original order); features, labels and
     split codes are restricted. Labels keep their original ids and num_classes is
-    inherited from the parent graph.
+    inherited from the parent graph. ``class_set`` is any iterable of class ids
+    held to the graph's integer rule: a float, bool or str id, or one outside
+    [0, num_classes), raises the :class:`FieldError` of ``class_set``.
     """
-    class_arr = np.asarray(sorted(set(int(c) for c in class_set)), dtype=np.int64)
-    if class_arr.size == 0:
+    class_ids = list(class_set)
+    if not class_ids:
         raise ValueError("class_set must be non-empty")
+    class_arr = _integers("class_set", class_ids, graph.num_classes)
     keep = np.flatnonzero(np.isin(graph.labels, class_arr))
     if keep.size == 0:
         raise ValueError(f"no nodes with labels in {class_arr.tolist()}")

@@ -129,10 +129,14 @@ def evaluate_task(state: AnalyticState, features: np.ndarray, labels: np.ndarray
 
     One ``predict`` call per task, so one score product and one argmax. The
     count of hits over the row count is the same float64 quotient as the
-    mean of the hit mask. An empty task, or labels that are not a vector of
-    one label per feature row, raise ValueError.
+    mean of the hit mask. An empty task, or labels that are not an integer
+    vector of one label per feature row, raise ValueError. The labels' range
+    is not checked: a class the state has no column for is never predicted,
+    so its rows score as misses.
     """
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class ids: labels dtype {labels.dtype}")
     if labels.ndim != 1:
         raise ValueError(f"labels must be a vector: labels shape {labels.shape}, "
                          f"features shape {np.shape(features)}")

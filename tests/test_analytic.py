@@ -184,6 +184,28 @@ class TestAlignBase:
         assert rel_fro(state.R.T @ state.R, gram) < 1e-12
         np.testing.assert_allclose(state.inv_gram @ gram, np.eye(6), atol=1e-8)
 
+    # (n, d, C, whether the right-hand side X^T Y is cut). cora_csv's base
+    # session is 929 rows at d = 2048 with four classes, whose X^T Y is cut at
+    # row 1008 of d; stream40's is 60 rows at d = 512 with one class, one plain
+    # product.
+    @pytest.mark.parametrize("n, d, C, cut", [(929, 2048, 4, True), (60, 512, 1, False)])
+    def test_weight_step_keeps_the_bytes_of_one_solve_of_xt_y(self, monkeypatch, n, d, C,
+                                                               cut):
+        rng = np.random.default_rng(n)
+        X = np.abs(rng.normal(size=(n, d)))
+        Y = one_hot(np.arange(n) % C, range(C))
+        calls = count_splits(monkeypatch)
+        gram = threads.split_gram(X)
+        gram_parts = len(calls)
+        gram[np.diag_indices_from(gram)] += 1.0
+        R, info = scipy.linalg.lapack.dpotrf(gram, lower=0, clean=1)
+        assert info == 0
+        W = scipy.linalg.cho_solve((R, False), X.T @ Y, check_finite=False)
+        state = align_base(X, Y, gamma=1.0)
+        assert len(calls) == 2 * gram_parts + cut
+        assert state.weights.tobytes() == W.tobytes()
+        assert state.R.tobytes() == R.tobytes()
+
     def test_inv_gram_of_singular_factor_rejected(self):
         state = AnalyticState(weights=np.zeros((3, 0)), R=np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="^matrix numerically singular: LAPACK info 2$"):
@@ -814,6 +836,16 @@ class TestJointSolve:
     def test_sessions_of_different_widths_rejected(self):
         with pytest.raises(ValueError, match="^all sessions must share the feature dimension$"):
             joint_solve([(np.eye(3), np.eye(3)), (np.eye(2), np.eye(2))], gamma=1.0)
+
+    # Unchecked, 1-D targets would solve to a 1-D W, and rows that do not match
+    # the features' would fail inside numpy's matmul with a message naming no field.
+    @pytest.mark.parametrize("targets", [np.ones(3), np.ones((4, 1))],
+                             ids=["one_dimensional", "row_mismatch"])
+    def test_targets_must_be_2d_with_the_features_rows(self, targets):
+        message = (f"features and targets must be 2-D and share their row count: "
+                   f"features shape (3, 2), targets shape {targets.shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            joint_solve([(np.ones((3, 2)), targets)], gamma=1.0)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
     def test_gamma_must_be_finite_and_positive(self, gamma):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acgl import cli, threads
-from acgl.analytic import AnalyticState, SessionBatch
+from acgl.analytic import AnalyticState, SessionBatch, update_weights
 from acgl.backbone import BackboneConfig
 from acgl.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from acgl.config import SCHEMA
@@ -314,7 +314,8 @@ class TestRun:
                                              ("session_gram_column", "analytic.update_R"),
                                              ("expand_rows", "expander.expand"),
                                              ("predict_rows", "analytic.predict"),
-                                             ("update_weights", "analytic.update_weights")])
+                                             ("update_weights", "analytic.update_weights"),
+                                             ("base_rhs_rows", "analytic.align_base")])
     def test_overflow_in_a_helper_part_names_its_stage(self, run_config_file, tmp_path,
                                                         capsys, monkeypatch, part, stage):
         # Finite rows that overflow only in the part on the helper thread: the
@@ -330,7 +331,11 @@ class TestRun:
         # are cut at row 384 once three classes are scored, and the
         # session's 1200 train rows at row 576 in X @ W. There the last row
         # alone meets a weight of 1e308 through an entry of 2, which no
-        # other row has.
+        # other row has. The base's right-hand side X0^T Y0, its 2400 train
+        # rows against dim 1024, is cut at row 528 of X0^T; its last row sums
+        # the last expanded column, 1e308 in every base row, past the largest
+        # float. The Gram of those rows would overflow first, so here it is
+        # taken with that column zeroed.
         import acgl.harness as harness
 
         expand, predict, update_weights = harness.expand, harness.predict, harness.update_weights
@@ -364,13 +369,28 @@ class TestRun:
             X, state = last_row_overflows(batch.features, state)
             return update_weights(state, SessionBatch(X, batch.targets))
 
-        if part == "predict_rows":
+        align_base, split_gram = harness.align_base, threads.split_gram
+
+        def poisoned_align(X0, Y0, gamma):
+            X0 = X0.copy()
+            X0[:, -1] = 1e308
+            return align_base(X0, Y0, gamma)
+
+        def gram_without_last_column(X):
+            X = X.copy()
+            X[:, -1] = 0.0
+            return split_gram(X)
+
+        if part == "base_rhs_rows":
+            monkeypatch.setattr(harness, "align_base", poisoned_align)
+            monkeypatch.setattr(threads, "split_gram", gram_without_last_column)
+        elif part == "predict_rows":
             monkeypatch.setattr(harness, "predict", poisoned_predict)
         elif part == "update_weights":
             monkeypatch.setattr(harness, "update_weights", poisoned_update)
         else:
             monkeypatch.setattr(harness, "expand", poisoned)
-        wide = part in ("predict_rows", "update_weights")
+        wide = part in ("predict_rows", "update_weights", "base_rhs_rows")
         calls = count_splits(monkeypatch)
         errors = []
         failing_stage = cli._failing_stage
@@ -393,6 +413,17 @@ class TestRun:
                    for f in traceback.extract_tb(error.__traceback__))
         if part == "session_gram_column":
             assert expanded == [600, 200, 300]
+
+    def test_error_in_a_private_function_is_named_after_its_public_caller(self):
+        # X @ W overflows in the weight step, a private function that both
+        # align_base and update_weights end with.
+        state = AnalyticState(weights=np.full((2, 1), 1e308), R=np.eye(2))
+        batch = SessionBatch(np.full((3, 2), 2.0), np.ones((3, 1)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            update_weights(state, batch)
+        frames = [f.name for f in traceback.extract_tb(info.value.__traceback__)]
+        assert frames[-3:] == ["update_weights", "_solve_weights", "split_matmul"]
+        assert cli._failing_stage(info.value) == "analytic.update_weights"
 
     def test_out_of_memory_is_runtime_error(self, run_config_file, tmp_path, capsys,
                                             monkeypatch):

@@ -419,6 +419,30 @@ class TestSessionSubgraph:
         np.testing.assert_array_equal(sub.edges.reshape(-1, 2),
                                       np.asarray(induced, dtype=np.int64).reshape(-1, 2))
 
+    # Cast by int(), 0.9 would read as class 0, and True, "1" and 1.7 as class 1.
+    @pytest.mark.parametrize("class_set, rule", [
+        ([0.9], "must hold integers (got 'float64')"),
+        ([True], "must hold integers (got 'bool')"),
+        (["1"], "must hold integers (got 'str32')"),
+        ([np.float64(1.7)], "must hold integers (got 'float64')"),
+        ([0, 3], "row 1 holds 3, outside [0, 3) (got 3)"),
+        ({-1}, "row 0 holds -1, outside [0, 3) (got -1)"),
+    ])
+    def test_class_ids_follow_the_integer_rule(self, class_set, rule):
+        g = make_graph(3, [], [0, 1, 2], 3)
+        with pytest.raises(FieldError, match=f"^{re.escape('class_set ' + rule)}$") as info:
+            session_subgraph(g, class_set)
+        assert info.value.field == "class_set"
+
+    @pytest.mark.parametrize("class_set", [(2, 0), {0, 2}, [2, 0, 2], range(0, 3, 2),
+                                           np.array([2, 0], dtype=np.uint8),
+                                           [np.int64(0), 2]])
+    def test_any_iterable_of_integer_ids_is_accepted(self, class_set):
+        g = make_graph(3, [(0, 2)], [0, 1, 2], 3)
+        sub = session_subgraph(g, class_set)
+        np.testing.assert_array_equal(sub.labels, [0, 2])
+        np.testing.assert_array_equal(sub.edges, [(0, 1)])
+
     def test_empty_induced_set_rejected(self):
         g = make_graph(3, [], [0, 0, 1], 3)
         with pytest.raises(ValueError, match="no nodes"):

@@ -311,6 +311,15 @@ class TestEvaluateTask:
         with pytest.raises(ValueError, match=re.escape(message)):
             evaluate_task(state, np.ones((2, 3)), np.zeros(shape, dtype=np.int64))
 
+    # Float labels would be compared by value: 0.5 would miss and 1.0 hit, an accuracy of 0.5.
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.0], [False, True]])
+    def test_labels_must_be_integers(self, labels):
+        state = AnalyticState(weights=np.eye(2), R=np.eye(2))
+        labels = np.array(labels)
+        message = f"labels must be integer class ids: labels dtype {labels.dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_task(state, [[1.0, 0.0], [0.0, 1.0]], labels)
+
     def test_empty_test_set_rejected(self, fixture_result):
         state = fixture_result.state
         with pytest.raises(ValueError, match="empty test set"):
