@@ -11,11 +11,8 @@ the session's row count n against d. A session of fewer than d rows is
 one QR step of [R; X] (LAPACK tpqrt), the square-root form of recursive
 least squares. A session of at least d rows forms the upper triangle of
 R^T R + X^T X and factors it again (LAPACK potrf), the faster path once n
-reaches d. Each Gram, X^T X or R^T R, is one :func:`threads.split_gram`,
-each QR step one :func:`threads.split_tpqrt`, and the scores and the
-weight step's products each one :func:`threads.split_matmul`, part of
-each on the helper thread; potrf and cho_solve stay on the calling thread,
-because scipy's LAPACK wrappers hold the GIL. Each factor
+reaches d. :mod:`acgl.threads` lists which of these products run partly
+on the helper thread, under its one size rule. Each factor
 is checked where it is made: a session in which float64 loses gamma to
 rounding raises one ValueError form, naming ``analytic.align_base`` or
 ``analytic.update_R``.
@@ -28,11 +25,10 @@ corrects the existing columns and appends one column per new class,
 
 with both products taken by one solve against the new R. The base is the
 step with no earlier columns, so its W solves G W = X_0^T Y_0. This
-reproduces the one-shot joint solution up to float error, within the README's bound
-8 (kappa(G) + 16) eps, as measured for gamma from 1e-4 to 1e2 up to 200
-sessions at d = 64, at 40 sessions of d = 512, and at d = 2048 (tpqrt path)
-and d = 1024 (Gram path). :func:`joint_solve` is the independent oracle for
-that equivalence. G^{-1} is :attr:`AnalyticState.inv_gram`, never formed by the recursion.
+reproduces the one-shot joint solution within the bound 8 (kappa(G) + 16) eps;
+README.md's "Exactness" section gives the range over which it is measured.
+:func:`joint_solve` is the independent oracle for that equivalence. G^{-1} is
+:attr:`AnalyticState.inv_gram`, never formed by the recursion.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from .graph import FieldError, frozen
 class AnalyticState:
     """Everything retained between sessions: W and R.
 
-    ``weights`` has one column per seen class, column j for class id j.
+    ``weights`` has one column per seen class, at least one; column j is class id j.
     ``R`` is the upper-triangular factor of the regularized Gram,
     R^T R = sum_i X_i^T X_i + gamma I, with gamma already folded in, so
     gamma itself is not kept. R's strictly lower triangle must be zero:
@@ -72,6 +68,9 @@ class AnalyticState:
         R = np.asarray(self.R, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError(f"weights must be a (d, C) matrix: weights shape {weights.shape}")
+        if weights.shape[1] == 0:
+            raise ValueError(f"weights need at least one class column: weights shape "
+                             f"{weights.shape}")
         d = weights.shape[0]
         if R.shape != (d, d):
             raise ValueError(f"R shape {R.shape} incompatible with weights {weights.shape}")
@@ -95,10 +94,10 @@ class AnalyticState:
 class SessionBatch:
     """One session's expanded training features and one-hot targets.
 
-    Each target column is one new class, in ascending class-id order. Every
-    column needs at least one row: a class with no training row would get
-    an all-zero weight column and could never be predicted. Both arrays are
-    held as C-contiguous float64 by :func:`acgl.graph.frozen`'s rule.
+    Each target column is one new class, in ascending class-id order. The
+    session and each column need at least one row: a class with no training
+    row would get an all-zero weight column and could never be predicted.
+    Both arrays are held as C-contiguous float64 by :func:`acgl.graph.frozen`'s rule.
     """
 
     features: np.ndarray        # (N, d)
@@ -114,10 +113,12 @@ class SessionBatch:
 
 def _check_targets(X: np.ndarray, Y: np.ndarray) -> None:
     """Raise ValueError unless ``Y`` is 2-D, one one-hot row per row of the 2-D ``X``,
-    and every column of ``Y`` has a row."""
+    ``X`` has a row, and every column of ``Y`` has a row."""
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"features and targets must be 2-D and share their row count: "
                          f"features shape {X.shape}, targets shape {Y.shape}")
+    if X.shape[0] == 0:
+        raise ValueError(f"a session needs at least one row: features shape {X.shape}")
     if not np.all(np.isin(Y, (0.0, 1.0))) or not np.all(Y.sum(axis=1) == 1.0):
         raise ValueError("every target row must be one-hot")
     empty = np.flatnonzero(Y.sum(axis=0) == 0)
@@ -204,9 +205,8 @@ def update_R(R_prev: np.ndarray, Xn: np.ndarray) -> np.ndarray:
     follows the session's row count n against d:
 
     - n < d: the triangle of the QR factorization of [R_prev; Xn] by
-      LAPACK tpqrt's panel loop, its panel updates split between two
-      threads (:func:`threads.split_tpqrt`), bit for bit one tpqrt call,
-      at about 2nd^2 flops. Its diagonal may carry either sign.
+      LAPACK tpqrt's panel loop (:func:`threads.split_tpqrt`), at about
+      2nd^2 flops. Its diagonal may carry either sign.
     - n >= d: the upper triangle of R_prev^T R_prev + Xn^T Xn, each term
       one :func:`threads.split_gram`, then its Cholesky factor by potrf, at
       about nd^2 + 4d^3/3 flops. Its diagonal is positive.
@@ -261,9 +261,8 @@ def _solve_weights(R: np.ndarray, X: np.ndarray, Y: np.ndarray, W: np.ndarray) -
     """The weight step: the state of factor R and weights [W, 0] + G^{-1} X^T [-X W, Y].
 
     G = R^T R already holds the session X. The right-hand side X^T [-X W, Y]
-    and X W within it are each one :func:`threads.split_matmul`, solved
-    against R by one cho_solve; W is added to the first columns. With W of
-    no columns this is the ridge fit G^{-1} X^T Y.
+    is solved against R by one cho_solve; W is added to the first columns.
+    With W of no columns this is the ridge fit G^{-1} X^T Y.
     """
     rhs = threads.split_matmul(X.T, np.hstack([-threads.split_matmul(X, W), Y]))
     weights = scipy.linalg.cho_solve((R, False), rhs, check_finite=False)
@@ -310,8 +309,8 @@ def joint_solve(batches, gamma: float) -> np.ndarray:
 def predict(X: np.ndarray, state: AnalyticState) -> np.ndarray:
     """Class id of the largest linear score X @ W in each row, as int64.
 
-    One product by :func:`threads.split_matmul`, the same bytes as one
-    GEMM, then one argmax over the score columns; column j is class id j.
+    One product (:func:`threads.split_matmul`), then one argmax over the
+    score columns; column j is class id j.
     argmax returns the first maximal column, so a tie (an all-zero row, or
     +0.0 against -0.0) goes to the smallest tied class id. Non-finite
     scores (from NaN or inf features or weights) raise ValueError rather

@@ -13,11 +13,9 @@ exactly reproducible with plain numpy; dropout uses inverted scaling
 :func:`fit`, trains: full-batch Adam steps that update the weights and
 moments in place. :func:`train_base` runs it once, on the base session.
 
-The two largest products, ``X @ W0`` in the forward pass and
-``adj_X.T @ d_z0`` in the backward pass, run as two row halves on the
-calling and the helper thread (:func:`threads.split_matmul`), each half one
-ordinary BLAS call. Every bit equals the one-call product; every other
-product is one call on the calling thread.
+The two largest products, ``X @ W0`` (forward) and ``adj_X.T @ d_z0``
+(backward), are :func:`threads.split_matmul` calls; :mod:`acgl.threads`
+says when they run partly on the helper thread.
 """
 
 from __future__ import annotations

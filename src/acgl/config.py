@@ -69,11 +69,11 @@ def parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
         value = field.kind(raw)
-        if field.kind is float and not math.isfinite(value):
+        if (field.kind is float and not math.isfinite(value)) or value == "":
             raise ValueError(raw)
         return value
     except ValueError:
-        kind = "a finite float" if field.kind is float else "an int"  # str never fails
+        kind = {int: "an int", float: "a finite float", str: "a nonempty string"}[field.kind]
         raise ConfigError(f"key {key!r} expects {kind}, got {raw!r}") from None
 
 

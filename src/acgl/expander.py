@@ -2,9 +2,8 @@
 
 A single frozen random projection followed by relu lifts h-dimensional
 embeddings to a wider space where a linear classifier has enough capacity.
-The weight is drawn once from a seeded generator and never trained. Where
-both row halves pass ``threads.SMALL_GEMM_MADDS`` multiply-adds, the lower
-rows' product and ReLU run on the helper thread (:func:`threads.split_matmul`).
+The weight is drawn once from a seeded generator and never trained. The
+product is one :func:`threads.split_matmul` (:mod:`acgl.threads`).
 """
 
 from __future__ import annotations

@@ -1,24 +1,36 @@
 """The helper thread: a second core for the library's large products.
 
-Each BLAS call runs on one thread. A product whose two parts each do more
-than :data:`SMALL_GEMM_MADDS` multiply-adds runs its first part on the
-calling thread and its second on one helper thread kept for the process;
-the parts give the same bytes however they are scheduled.
-:func:`split_matmul` cuts into row halves the backbone's and the
-expander's products, each task's scores and the weight update's two
-products; :func:`split_gram` cuts each analytic Gram into a tile and a
-block column, and :func:`split_tpqrt` the QR path's copies of its inputs
-and each of its panel updates into two column halves.
+This module is the one place that says which products are split. Each BLAS
+call runs on one thread; a split product runs its first part on the calling
+thread and its second on one helper thread kept for the process (:func:`run_pair`):
+
+- :func:`split_matmul`, as two row halves: the backbone's ``X @ W0``
+  (forward) and ``adj_X.T @ d_z0`` (backward), the expander's
+  ``relu(H @ W)``, each task's scores ``X @ W`` in ``analytic.predict``,
+  and the weight step's ``X @ W`` and right-hand side ``X^T [-X W, Y]``,
+  the base's ``X_0^T Y_0`` among them;
+- :func:`split_gram`, every analytic Gram (the base's ``X_0^T X_0``, and
+  ``R^T R`` and ``X^T X`` of a session of n >= d rows), as an upper-left
+  tile (one syrk) and its right block column (one gemm);
+- :func:`split_tpqrt`, the QR update of a session of n < d rows: LAPACK
+  tpqrt's own panel loop, its input copies and each panel's reflector
+  update as two column halves.
+
+One size rule decides every cut: a product is cut only where each part
+does more than :data:`SMALL_GEMM_MADDS` multiply-adds, at a multiple of
+:data:`SPLIT_ROW_BLOCK` rows or columns, and a cut product always runs its
+second part on the helper. A Gram is always tiled; its block column runs
+on the helper under the same rule, else after the tile on the calling
+thread. Which thread runs a part never changes a byte: each split gives
+the bytes of one call, and a Gram those of its tile and column in turn.
 
 The helper runs numpy products, element-wise ufuncs and LAPACK routines
-that release the GIL. scipy's f2py BLAS and LAPACK wrappers hold it: on
-2 vCPU, two concurrent ``scipy.linalg.blas.dsyrk`` calls of a 3000 x 1024
-matrix took as long as two in turn (0.97-0.99x), while two numpy
-``A.T @ A`` calls overlapped 1.7-1.8x. So the QR path calls scipy's LAPACK
-through the ``nogil`` C functions of ``scipy.linalg.cython_lapack``, bound
-here by ctypes (:func:`_lapack`); ``potrf`` and ``cho_solve`` stay on the
-calling thread. A helper task never submits to the helper, which has one
-worker and would deadlock.
+that release the GIL. scipy's f2py BLAS and LAPACK wrappers hold it, so two
+of their calls on two threads take as long as two in turn. So the QR path
+calls scipy's LAPACK through the ``nogil`` C functions of
+``scipy.linalg.cython_lapack``, bound here by ctypes (:func:`_lapack`);
+``potrf`` and ``cho_solve`` stay on the calling thread. A helper task never
+submits to the helper, which has one worker and would deadlock.
 """
 
 from __future__ import annotations
@@ -129,11 +141,8 @@ def _product(A: np.ndarray, B: np.ndarray, out: np.ndarray, relu: bool) -> None:
 def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray:
     """``A @ B``, or ``relu(A @ B)`` with ``relu``, bit for bit, with its lower rows on the helper.
 
-    A product whose row halves would do at most :data:`SMALL_GEMM_MADDS`
-    multiply-adds each is plain ``A @ B`` (and one in-place ReLU) on the
-    calling thread. Any other is cut at a multiple of :data:`SPLIT_ROW_BLOCK`
-    rows; each half is one BLAS call (and one in-place ReLU) written into one
-    output, so the BLAS thread count is untouched.
+    Each half, or the whole product where the size rule leaves it whole, is
+    one BLAS call (and one in-place ReLU) written into one output.
     """
     rows, inner = A.shape
     cols = B.shape[1]
@@ -153,12 +162,10 @@ def split_matmul(A: np.ndarray, B: np.ndarray, relu: bool = False) -> np.ndarray
 def split_gram(X: np.ndarray) -> np.ndarray:
     """The upper triangle of ``X.T @ X`` in Fortran order, for LAPACK potrf.
 
-    The upper-left (h, h) tile is one syrk here and the right block column
-    ``X.T @ X[:, h:]`` one gemm, both into one buffer allocated here, h a
-    multiple of :data:`SPLIT_ROW_BLOCK` near :data:`GRAM_TILE_SHARE` d. The
-    block column runs on the helper when both parts do more than
-    :data:`SMALL_GEMM_MADDS` multiply-adds, else after the tile on the
-    calling thread; the bytes are the same. The lower-left block stays zero.
+    The upper-left (h, h) tile is one syrk and the right block column
+    ``X.T @ X[:, h:]`` one gemm, both into one buffer, h a multiple of
+    :data:`SPLIT_ROW_BLOCK` near :data:`GRAM_TILE_SHARE` d. The lower-left
+    block stays zero.
     """
     n, d = X.shape
     gram = np.zeros((d, d), order="F")
@@ -202,17 +209,14 @@ def split_tpqrt(R_prev: np.ndarray, Xn: np.ndarray) -> tuple[np.ndarray, int]:
 
     ``R_prev`` is (d, d) upper triangular, ``Xn`` (n, d); neither is
     written. This is dtpqrt's own loop (L = 0, NB = min(32, d)) run in one
-    Fortran copy of each, made as two column halves, the second on the
-    helper thread where each half copies more than :data:`SMALL_GEMM_MADDS`
-    entries. Each panel of NB columns is one dtpqrt2, and its
-    block reflector is applied to the trailing columns by two dtprfb calls
-    on column halves, the second on the helper thread (:func:`run_pair`).
-    The halves' cut, counted from the panel's end, is a multiple of
-    :data:`SPLIT_ROW_BLOCK`; from the first panel where a half would do
-    at most :data:`SMALL_GEMM_MADDS` multiply-adds, the trailing block is
-    one dtpqrt call, which makes the same panel calls. Returns the new
-    factor in Fortran order and the first nonzero info, else 0. Shapes
-    other than these raise ValueError before LAPACK sees a pointer.
+    Fortran copy of each, copied as two column halves. Each panel of NB
+    columns is one dtpqrt2, and its block reflector is applied to the
+    trailing columns by two dtprfb calls on column halves, cut counted from
+    the panel's end. From the first panel the size rule leaves whole, the
+    trailing block is one dtpqrt call, which makes the same panel calls.
+    Returns the new factor in Fortran order and the first nonzero info,
+    else 0. Shapes other than these raise ValueError before LAPACK sees a
+    pointer.
     """
     d = np.shape(R_prev)[0] if np.ndim(R_prev) else 0
     if d == 0 or np.shape(R_prev) != (d, d) or np.shape(Xn)[1:] != (d,):

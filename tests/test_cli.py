@@ -118,6 +118,19 @@ class TestRun:
                      "--set", f"dataset.path={tmp_path / 'empty'}"])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("value", ["", " "])
+    def test_empty_dataset_path_is_config_error_naming_key(self, tmp_path, monkeypatch,
+                                                           capsys, value):
+        # Inside a dataset directory, an empty path used to load that directory.
+        assert main(["gen-synth", "--out", str(tmp_path / "ds"), "--classes", "4"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "ds")
+        capsys.readouterr()
+        code = main(["run", "--out", str(tmp_path / "o"), "--set", f"dataset.path={value}"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: key 'dataset.path' expects a nonempty string, got ''\n"
+        assert not (tmp_path / "o").exists()
+
     def test_seed_42_reproduces_golden_matrix(self, run_config_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--config", str(run_config_file), "--out", str(out),

@@ -57,6 +57,13 @@ def test_type_errors_name_the_key():
         parse_config_text("gamma = small")
 
 
+def test_empty_dataset_path_rejected_naming_the_key():
+    # Left empty, the path would name the working directory.
+    with pytest.raises(ConfigError, match=r"^<config>:2: key 'dataset.path' expects a "
+                                          r"nonempty string, got ''$"):
+        parse_config_text("gamma = 0.5\ndataset.path =  \n")
+
+
 def test_malformed_line_carries_position():
     with pytest.raises(ConfigError, match="<config>:2"):
         parse_config_text("gamma = 1.0\nbroken line\n")
