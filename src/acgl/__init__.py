@@ -23,9 +23,9 @@ numpy was imported first.
 
 import os
 
-_thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_caller_chose_threads = any(var in os.environ for var in _thread_vars)
-for _var in _thread_vars:
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_caller_chose_threads = any(var in os.environ for var in _THREAD_VARS)
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from .analytic import (
@@ -47,7 +47,7 @@ from . import threads
 
 if not _caller_chose_threads:
     threads.pin_openblas()
-del _var, _thread_vars, _caller_chose_threads
+del _var, _caller_chose_threads
 
 __version__ = "0.1.0"
 

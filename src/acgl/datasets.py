@@ -73,7 +73,9 @@ def _read_array(path: Path, kind: str, shape: tuple) -> np.ndarray:
 
 
 def load_dataset(path) -> Graph:
-    """Load a dataset directory into a validated :class:`Graph`."""
+    """Load a dataset directory into a validated :class:`Graph`; an empty path is refused."""
+    if not str(path):  # Path("") is the working directory
+        raise DatasetFormatError("dataset path is empty")
     root = Path(path)
     meta_path = _existing(root / "meta.json")
     try:

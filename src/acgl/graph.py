@@ -246,9 +246,10 @@ def default_base_size(num_classes: int) -> int:
     return math.ceil(num_classes / 2)
 
 
-def build_session_plan(graph: Graph, c0: int, k: int) -> SessionPlan:
-    """The :class:`SessionPlan` of ``graph``'s classes with base size c0 and increment k."""
-    return SessionPlan(graph.num_classes, c0, k)
+def build_session_plan(graph: Graph, c0: int | None, k: int) -> SessionPlan:
+    """``graph``'s :class:`SessionPlan`: base c0 (None: :func:`default_base_size`), increment k."""
+    c = graph.num_classes
+    return SessionPlan(c, default_base_size(c) if c0 is None else c0, k)
 
 
 def session_subgraph(graph: Graph, class_set) -> Graph:

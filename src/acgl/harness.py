@@ -35,7 +35,6 @@ from .graph import (
     build_session_plan,
     check_class_coverage,
     check_fields,
-    default_base_size,
     normalize_adjacency,
     session_subgraph,
 )
@@ -179,8 +178,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     graph = resolve_graph(config)
     t_load = time.perf_counter() - t0
     check_class_coverage(graph)
-    c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
-    plan = build_session_plan(graph, c0, config.k)
+    plan = build_session_plan(graph, config.c0, config.k)
     # Every session's test set is checked before the backbone trains on any of them.
     test_count = np.bincount(graph.labels[graph.test_mask], minlength=graph.num_classes)
     for k, class_ids in enumerate(plan.groups):

@@ -90,34 +90,33 @@ def _text(x, y, size: int, body, *, anchor: str | None = "middle", fill: str | N
             f'font-size="{size}"{fill_attr}>{body}</text>')
 
 
+def _svg(width: int, height: int, parts: list[str]) -> str:
+    """An SVG document of ``parts`` on a white ``width`` x ``height`` canvas."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">')
+    background = f'<rect width="{width}" height="{height}" fill="white"/>'
+    return "\n".join([head, background, *parts, "</svg>"]) + "\n"
+
+
 def heatmap_svg(matrix: PerformanceMatrix) -> str:
     """Lower-triangular accuracy heatmap; row = after-session, column = task."""
     n = matrix.num_sessions
-    width = _MARGIN + n * _CELL + 16
-    height = _MARGIN + n * _CELL + 16
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        _text(f"{_MARGIN + n * _CELL / 2:.0f}", 16, 12, "accuracy on task i after session k"),
-    ]
+    width = height = _MARGIN + n * _CELL + 16
+    parts = [_text(f"{_MARGIN + n * _CELL / 2:.0f}", 16, 12, "accuracy on task i after session k")]
     for k in range(n):
         y = _MARGIN + k * _CELL
         parts.append(_text(_MARGIN - 8, f"{y + _CELL / 2 + 4:.0f}", 11, f"k={k}", anchor="end"))
         for i in range(k + 1):
             x = _MARGIN + i * _CELL
             v = matrix.entry(k, i)
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_ramp_color(v)}" stroke="white" stroke-width="1"/>'
-            )
+            parts.append(f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
+                         f'fill="{_ramp_color(v)}" stroke="white" stroke-width="1"/>')
             parts.append(_text(f"{x + _CELL / 2:.0f}", f"{y + _CELL / 2 + 4:.0f}", 10,
                                f"{v * 100:.1f}", fill="#ffffff" if v < 0.5 else "#000000"))
     for i in range(n):
         x = _MARGIN + i * _CELL
         parts.append(_text(f"{x + _CELL / 2:.0f}", _MARGIN - 8, 11, f"i={i}"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def curve_svg(xs: list[str], series: dict[str, list[float]], title: str) -> str:
@@ -139,9 +138,6 @@ def curve_svg(xs: list[str], series: dict[str, list[float]], title: str) -> str:
         return top + plot_h * (1.0 - (v - lo) / (hi - lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
         _text(f"{width / 2:.0f}", 18, 12, title),
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>',
@@ -153,14 +149,11 @@ def curve_svg(xs: list[str], series: dict[str, list[float]], title: str) -> str:
     for idx, (name, vals) in enumerate(series.items()):
         color = colors[idx % len(colors)]
         points = " ".join(f"{px(i):.1f},{py(v):.1f}" for i, v in enumerate(vals))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-        )
+        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
         for i, v in enumerate(vals):
             parts.append(f'<circle cx="{px(i):.1f}" cy="{py(v):.1f}" r="3" fill="{color}"/>')
         parts.append(_text(left + 8, top + 16 + 14 * idx, 11, name, anchor=None, fill=color))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def report_to_json(report: RunReport) -> str:

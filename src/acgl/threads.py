@@ -31,6 +31,8 @@ calls scipy's LAPACK through the ``nogil`` C functions of
 ``scipy.linalg.cython_lapack``, bound here by ctypes (:func:`_lapack`);
 ``potrf`` and ``cho_solve`` stay on the calling thread. A helper task never
 submits to the helper, which has one worker and would deadlock.
+
+Importing acgl with no thread variable set runs :func:`pin_openblas` over :func:`loaded_openblas`.
 """
 
 from __future__ import annotations
@@ -73,31 +75,35 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def pin_openblas() -> None:
-    """Set every OpenBLAS the process has loaded to one thread, through its own export.
-
-    An OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, so one
-    that numpy loaded before acgl was imported keeps the count it chose
-    then. The loaded libraries are read from ``/proc/self/maps``; numpy's
-    build exports ``scipy_openblas_set_num_threads64_`` and scipy's
-    ``scipy_openblas_set_num_threads``. Where no such library is found,
-    nothing is done.
-    """
+def loaded_openblas() -> list[tuple[str, ctypes.CDLL, str | None]]:
+    """(path, library, suffix) of each OpenBLAS this process has loaded, from ``/proc/self/maps``;
+    the suffix of its ``scipy_openblas_*`` exports is ``"64_"`` (numpy's), ``""`` (scipy's) or
+    None. A path ctypes cannot open is left out; an unreadable maps file gives an empty list."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
     except OSError:
-        return
+        return []
+    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+        known = [s for s in ("64_", "") if hasattr(lib, f"scipy_openblas_set_num_threads{s}")]
+        found.append((path, lib, known[0] if known else None))
+    return found
+
+
+def pin_openblas() -> None:
+    """Set each OpenBLAS of :func:`loaded_openblas` whose suffix is known to one thread: an
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, so one that numpy loaded
+    before acgl was imported keeps the count it chose then."""
+    for _, lib, suffix in loaded_openblas():
+        if suffix is not None:
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
 
 
 @functools.cache

@@ -1,5 +1,7 @@
-import acgl  # noqa: F401  (first: sets the BLAS thread defaults before numpy loads)
+import acgl  # first: sets the BLAS thread defaults before numpy loads
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,22 @@ from acgl.expander import expand
 from acgl.graph import (
     Graph,
     build_session_plan,
-    default_base_size,
     normalize_adjacency,
     session_subgraph,
 )
 from acgl.harness import ExpanderConfig, ExperimentConfig, PerformanceMatrix, SyntheticSpec
+
+
+SRC = str(Path(acgl.__file__).resolve().parents[1])
+
+
+def child_env(unset=(), **values) -> dict[str, str]:
+    """The environment of an acgl child process: this one's, less the variables in ``unset``,
+    with ``values`` set and :data:`SRC` first on ``PYTHONPATH``."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(values)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_graph(num_nodes, edges, labels, num_classes, d=2, seed=0, split=None):
@@ -129,8 +142,7 @@ def finetune_matrix(config: ExperimentConfig) -> PerformanceMatrix:
     "Fine-tune" lower bound of CGLB (Zhang, Song & Tao, NeurIPS 2022).
     """
     graph = harness.resolve_graph(config)
-    c0 = config.c0 if config.c0 is not None else default_base_size(graph.num_classes)
-    plan = build_session_plan(graph, c0, config.k)
+    plan = build_session_plan(graph, config.c0, config.k)
     cfg = config.backbone
     params = train_base(graph, plan, cfg, config.seed + 1)
     rng = np.random.default_rng(config.seed + 3)

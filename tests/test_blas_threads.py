@@ -1,24 +1,18 @@
 """Importing acgl pins BLAS to one thread unless the caller chose a count."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import acgl
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SRC = str(Path(acgl.__file__).resolve().parents[1])
+from conftest import child_env
 
 
 def thread_vars_after_import(**preset):
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(preset)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     code = ("import os, sys, acgl; assert 'numpy' in sys.modules; "
-            f"print(','.join(os.environ.get(v, '-') for v in {THREAD_VARS!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+            f"print(','.join(os.environ.get(v, '-') for v in {acgl._THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(acgl._THREAD_VARS, **preset),
+                         check=True, capture_output=True, text=True).stdout
     return out.strip().split(",")
 
 

@@ -754,6 +754,16 @@ class TestValidateDataset:
         assert code == EXIT_OK
         assert "dataset ok" in capsys.readouterr().out
 
+    def test_empty_path_is_refused_inside_a_dataset_directory(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # Path("") is the working directory, which here holds a valid dataset.
+        assert main(["gen-synth", "--out", str(tmp_path / "ds"), "--seed", "1"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "ds")
+        capsys.readouterr()
+        assert main(["validate-dataset", "--path", ""]) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: dataset path is empty\n")
+
     def test_corrupt_directory(self, tmp_path, capsys):
         main(["gen-synth", "--out", str(tmp_path / "ds"), "--seed", "1"])
         path = tmp_path / "ds" / "labels.npy"

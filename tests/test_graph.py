@@ -369,6 +369,11 @@ class TestSessionPlan:
         assert default_base_size(7) == 4
         assert default_base_size(6) == 3
 
+    @pytest.mark.parametrize("classes", [2, 6, 7])
+    def test_no_base_size_gives_the_default(self, classes):
+        g = make_graph(classes, [], list(range(classes)), classes)
+        assert build_session_plan(g, None, 1).c0 == default_base_size(g.num_classes)
+
 
 class TestSessionSubgraph:
     def test_full_class_set_is_identity(self):

@@ -1,6 +1,5 @@
 """The helper thread: none at import, at most one after runs, no hang at exit, shared safely."""
 
-import os
 import subprocess
 import sys
 import threading
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import acgl
 from acgl import harness, threads
 from acgl.analytic import AnalyticState, SessionBatch, predict, update_R, update_weights
 from acgl.backbone import BackboneConfig
@@ -19,9 +17,8 @@ from acgl.expander import ExpanderParams, expand
 from acgl.harness import ExpanderConfig, ExperimentConfig, SyntheticSpec
 from acgl.metrics import matrix_to_csv
 
-from conftest import count_splits, one_call
+from conftest import child_env, count_splits, one_call
 
-SRC = str(Path(acgl.__file__).resolve().parents[1])
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic.cfg"
 # The synthetic config widened so its base products split (400 rows x 128
 # features x hidden 128); three epochs keep it quick.
@@ -31,9 +28,7 @@ SPLITTING = ["--set", "synthetic.nodes_per_class=200", "--set", "synthetic.featu
 
 
 def child(*args, timeout):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
+    return subprocess.run([sys.executable, *args], env=child_env(), timeout=timeout,
                           capture_output=True, text=True)
 
 

@@ -12,7 +12,6 @@ loaded OpenBLAS names.
 import ctypes
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +21,8 @@ import pytest
 
 from acgl import threads
 
-SRC = str(Path(threads.__file__).resolve().parents[1])
+from conftest import child_env
+
 # Each kernel: the /proc/cpuinfo flag it needs, and the name OpenBLAS reports for
 # it. An x86-64 OpenBLAS reports its Prescott kernel as Katmai, an alias it checks
 # first.
@@ -45,16 +45,12 @@ TPQRTS = [(2048, 232)]
 
 def corenames() -> list[str]:
     """The kernel that each OpenBLAS loaded in this process reports."""
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
     names = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                names.append(getter().decode())
+    for _, lib, suffix in threads.loaded_openblas():
+        if suffix is not None:
+            getter = getattr(lib, f"scipy_openblas_get_corename{suffix}")
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            names.append(getter().decode())
     return names
 
 
@@ -105,11 +101,9 @@ def cpu_flags() -> set[str]:
 def children():
     """One child process running this file per kernel this CPU can run, all started at once."""
     flags = cpu_flags()
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     procs = {kernel: subprocess.Popen([sys.executable, __file__], text=True,
                                       stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                      env={**os.environ, "OPENBLAS_CORETYPE": kernel,
-                                           "PYTHONPATH": path})
+                                      env=child_env(OPENBLAS_CORETYPE=kernel))
              for kernel, (flag, _) in KERNELS.items() if flag in flags}
     yield procs
     for proc in procs.values():
