@@ -6,11 +6,11 @@ the schema below with a type and default; unknown keys are rejected, as
 are values of the wrong type. ``--set key=value`` overrides reuse the same
 parser.
 
-Each section's defaults and single-key ranges live on its dataclass
-(``SyntheticSpec``, ``BackboneConfig``, ``ExpanderConfig``, ``ExperimentConfig``):
-:func:`build_experiment` builds each from the keys under its prefix and maps a
-field that fails to its key. ``_validate`` holds only the checks that span keys
-or exist only in the flat config.
+This module only names keys: each range, and each check spanning keys, lives
+on the dataclass holding the fields (``SyntheticSpec``, ``BackboneConfig``,
+``ExpanderConfig``, ``ExperimentConfig`` and its ``SessionPlan``), and
+:func:`build_experiment` maps a field that fails to its key. Only the flat
+file's own rule is here: ``plan.base_classes >= 0``, 0 meaning the default.
 
 All randomness flows from the one global ``seed``, ``ExperimentConfig.seed``:
 :func:`acgl.harness.run_experiment` draws the synthetic graph from ``seed``,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
-from .graph import FieldError, default_base_size
+from .graph import FieldError
 from .harness import ExperimentConfig, ExpanderConfig
 from .synthetic import SyntheticSpec
 
@@ -122,34 +122,14 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 
 def _section(cfg: dict, prefix: str, cls, **extra):
-    """``cls`` from the keys under ``prefix`` plus ``extra``; a field that fails names its key."""
+    """``cls`` from the keys under ``prefix`` plus ``extra``; a field that fails names its key,
+    which for ExperimentConfig's ``c0`` and ``k`` is not their name."""
     fields = {key[len(prefix):]: value for key, value in cfg.items() if key.startswith(prefix)}
     try:
         return cls(**fields, **extra)
     except FieldError as exc:
-        raise ConfigError(
-            f"config key {prefix + exc.field!r} {exc.rule} (got {exc.value!r})") from None
-
-
-def _validate(cfg: dict) -> None:
-    """The checks that span keys or exist only in the flat config."""
-    checks = [
-        ("plan.increment", cfg["plan.increment"] >= 1, "must be >= 1"),
-        ("plan.base_classes", cfg["plan.base_classes"] >= 0, "must be >= 0"),
-        ("expander.dim", cfg["expander.dim"] > cfg["backbone.hidden"],
-         "must exceed backbone.hidden"),
-    ]
-    if cfg["dataset.path"] is None:  # a dataset's class count is known only after load
-        classes = cfg["synthetic.classes"]
-        c0 = cfg["plan.base_classes"] or default_base_size(classes)
-        checks += [
-            ("plan.base_classes", c0 < classes, f"must be below synthetic.classes = {classes}"),
-            ("plan.increment", cfg["plan.increment"] <= classes - c0,
-             f"must be at most synthetic.classes - base classes = {classes - c0}"),
-        ]
-    for key, ok, msg in checks:
-        if not ok:
-            raise ConfigError(f"config key {key!r} {msg} (got {cfg[key]!r})")
+        key = {"c0": "plan.base_classes", "k": "plan.increment"}.get(exc.field, prefix + exc.field)
+        raise ConfigError(f"config key {key!r} {exc.rule} (got {exc.value!r})") from None
 
 
 def build_experiment(cfg: dict) -> ExperimentConfig:
@@ -157,7 +137,9 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
     synthetic = _section(cfg, "synthetic.", SyntheticSpec)
     backbone = _section(cfg, "backbone.", BackboneConfig)
     expander = _section(cfg, "expander.", ExpanderConfig)
-    _validate(cfg)  # after the sections: synthetic.classes = 1 is its own error, not a plan's
+    if cfg["plan.base_classes"] < 0:  # 0 means the default, so only the file has this rule
+        raise ConfigError(
+            f"config key 'plan.base_classes' must be >= 0 (got {cfg['plan.base_classes']!r})")
     return _section(
         {"gamma": cfg["gamma"], "seed": cfg["seed"]}, "", ExperimentConfig,
         dataset_path=cfg["dataset.path"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,10 +30,11 @@ class FieldError(ValueError):
 
 
 def check_fields(config, checks) -> None:
-    """Raise :class:`FieldError` for the first ``(field, ok, rule)`` of ``config`` not ok."""
+    """Raise :class:`FieldError` for the first ``(field, ok, rule)`` of ``config`` not ok;
+    a dotted ``field`` is a field's field."""
     for field, ok, rule in checks:
         if not ok:
-            raise FieldError(field, rule, getattr(config, field))
+            raise FieldError(field, rule, attrgetter(field)(config))
 
 
 def _check_rows(field: str, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
@@ -208,23 +210,24 @@ class SessionPlan:
 
     ``groups[0]``, the base group, holds the ids 0..c0-1 and each later group
     the next k ids (the last may be smaller), so column j of the classifier's
-    weights is class id j. A field that is not an ``int`` (``bool`` and numpy
-    ints excluded) raises the :class:`FieldError` of that field, and a c0 or k
-    outside 1 <= c0 < C, 1 <= k <= C - c0 raises ValueError.
+    weights is class id j. A c0 of None means :func:`default_base_size`. A
+    field that is not an ``int`` (``bool`` and numpy ints excluded), or a c0 or
+    k outside 1 <= c0 < C, 1 <= k <= C - c0, raises its :class:`FieldError`.
     """
 
     num_classes: int
-    c0: int
+    c0: int | None
     k: int
 
     def __post_init__(self):
+        check_fields(self, [("num_classes", type(self.num_classes) is int, "must be an int")])
+        if self.c0 is None:
+            object.__setattr__(self, "c0", default_base_size(self.num_classes))
         check_fields(self, [(name, type(getattr(self, name)) is int, "must be an int")
-                            for name in ("num_classes", "c0", "k")])
+                            for name in ("c0", "k")])
         c, c0, k = self.num_classes, self.c0, self.k
-        if not 1 <= c0 < c:
-            raise ValueError(f"base class count c0={c0} must satisfy 1 <= c0 < C={c}")
-        if not 1 <= k <= c - c0:
-            raise ValueError(f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}")
+        check_fields(self, [("c0", 1 <= c0 < c, f"must satisfy 1 <= c0 < C = {c}"),
+                            ("k", 1 <= k <= c - c0, f"must satisfy 1 <= k <= C - c0 = {c - c0}")])
 
     @property
     def groups(self) -> tuple[tuple[int, ...], ...]:
@@ -248,8 +251,7 @@ def default_base_size(num_classes: int) -> int:
 
 def build_session_plan(graph: Graph, c0: int | None, k: int) -> SessionPlan:
     """``graph``'s :class:`SessionPlan`: base c0 (None: :func:`default_base_size`), increment k."""
-    c = graph.num_classes
-    return SessionPlan(c, default_base_size(c) if c0 is None else c0, k)
+    return SessionPlan(graph.num_classes, c0, k)
 
 
 def session_subgraph(graph: Graph, class_set) -> Graph:

@@ -48,13 +48,16 @@ class ExpanderConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs.
+    """Everything a run needs, checked when it is built.
 
     All randomness flows from ``seed``, by offsets :func:`run_experiment`
     applies. Exactly one of ``dataset_path`` and ``synthetic`` is set.
     Classes run in ascending id order: the base session takes the first
     ``c0`` ids, each later session the next ``k``, so class id j is column
-    j of the classifier's weights.
+    j of the classifier's weights. A ``k`` below 1, an ``expander.dim`` not
+    above ``backbone.hidden``, or a ``c0`` or ``k`` a synthetic run's
+    :class:`SessionPlan` cannot hold raises that field's ``FieldError``; a
+    dataset's plan is checked in :func:`run_experiment`, once it is loaded.
     """
 
     dataset_path: str | None = None
@@ -68,9 +71,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        check_fields(self, [("seed", self.seed >= 0, "must be >= 0")])
+        check_fields(self, [
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("k", self.k >= 1, "must be >= 1"),
+            ("expander.dim", self.expander.dim > self.backbone.hidden,
+             "must exceed backbone.hidden"),
+        ])
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset_path and synthetic must be set")
+        if self.synthetic is not None:
+            SessionPlan(self.synthetic.classes, self.c0, self.k)
 
 
 @dataclass(frozen=True)
@@ -185,8 +195,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         if not test_count[list(class_ids)].any():
             raise ValueError(f"session {k} (classes {list(class_ids)}) has an empty test set")
 
-    # The expander draws from its own generator, so it is made, and its width
-    # checked, before the backbone trains.
+    # ExperimentConfig has checked the expander's width; it draws from its own
+    # generator, so making it before the backbone trains changes no bit.
     expander = init_expander(config.backbone.hidden, config.expander.dim, seed=config.seed + 2)
 
     t0 = time.perf_counter()

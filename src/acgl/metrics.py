@@ -37,7 +37,7 @@ def average_forgetting(matrix: PerformanceMatrix) -> float:
     """Mean of (just-learned accuracy - final accuracy) over non-final tasks.
 
     The formula divides by k - 1, so it needs at least two sessions, which
-    every run has (``build_session_plan`` requires ``c0 < C``); fewer rows
+    every run has (``SessionPlan`` requires ``c0 < C``); fewer rows
     raise ValueError.
     """
     k = matrix.num_sessions

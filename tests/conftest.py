@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from acgl import harness, threads
+from acgl.analytic import SessionBatch, align_base, update_weights
 from acgl.backbone import (
     BackboneConfig,
     BackboneParams,
@@ -110,6 +111,15 @@ def one_call(monkeypatch):
     ``split_gram`` runs its tile and block column in turn on the calling thread.
     """
     monkeypatch.setattr(threads, "SMALL_GEMM_MADDS", math.inf)
+
+
+def run_recursion(sessions, gamma):
+    """The recursion's state after ``sessions``, each a SessionBatch or an (X, Y) pair."""
+    pairs = [(s.features, s.targets) if isinstance(s, SessionBatch) else s for s in sessions]
+    state = align_base(*pairs[0], gamma)
+    for X, Y in pairs[1:]:
+        state = update_weights(state, SessionBatch(X, Y))
+    return state
 
 
 def one_hot(labels, class_ids):

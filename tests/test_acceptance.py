@@ -36,6 +36,7 @@ from conftest import (
     one_hot,
     random_graph,
     run_recording_batches,
+    run_recursion,
 )
 from test_backbone import fd_gradients
 
@@ -70,13 +71,6 @@ def random_stream(rng, d, num_sessions):
         n = int(rng.integers(3, 21))
         batches.append(SessionBatch(features=rng.normal(size=(n, d)), targets=np.ones((n, 1))))
     return batches
-
-
-def run_recursion(batches, gamma):
-    state = align_base(batches[0].features, batches[0].targets, gamma)
-    for batch in batches[1:]:
-        state = update_weights(state, batch)
-    return state
 
 
 @criterion(1, "recursive classifier equals joint solve on 64 random streams, "

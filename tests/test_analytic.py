@@ -23,7 +23,14 @@ from acgl.analytic import (
 from acgl.config import build_experiment, load_config
 from acgl.harness import evaluate_task
 
-from conftest import count_splits, one_call, one_hot, oracle_predict, run_recording_batches
+from conftest import (
+    count_splits,
+    one_call,
+    one_hot,
+    oracle_predict,
+    run_recording_batches,
+    run_recursion,
+)
 
 
 def random_batch(rng, n, d, class_ids):
@@ -91,13 +98,6 @@ def tie_prone_cases(draw, min_rows=0):
     X = np.array(draw(st.lists(TIE_PRONE, min_size=n * d, max_size=n * d))).reshape(n, d)
     X[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)] = 0.0
     return X, W
-
-
-def run_recursion(batches, gamma):
-    state = align_base(batches[0].features, batches[0].targets, gamma)
-    for batch in batches[1:]:
-        state = update_weights(state, batch)
-    return state
 
 
 def rel_fro(a, b):
@@ -686,14 +686,6 @@ class TestUpdateWeights:
         assert rel_fro(state.weights, W_star) <= 8 * (kappa + 16) * np.finfo(float).eps
 
 
-def absorb(pairs, gamma):
-    """The recursion's state after the sessions ``pairs`` of (X, Y)."""
-    state = align_base(*pairs[0], gamma)
-    for X, Y in pairs[1:]:
-        state = update_weights(state, SessionBatch(X, Y))
-    return state
-
-
 def ridge_system(pairs, gamma):
     """[X; sqrt(gamma) I] and [Y; 0] for the sessions ``pairs`` of (X, Y), Y block-diagonal."""
     d = pairs[0][0].shape[1]
@@ -750,7 +742,7 @@ class TestExactnessAtScale:
         assert {X.shape[1] for X, _ in pairs} == {512}
         assert sum(len(X) for X, _ in pairs) == 2400
         W_star, kappa = svd_reference(pairs, gamma)
-        assert rel_fro(absorb(pairs, gamma).weights, W_star) <= \
+        assert rel_fro(run_recursion(pairs, gamma).weights, W_star) <= \
             8 * (kappa + 16) * np.finfo(float).eps
 
     # One-class sessions of relu rows lifted from h = 16 to d = 64: a

@@ -238,7 +238,7 @@ class TestRun:
         code = main(["run", "--out", str(tmp_path / "out"),
                      "--set", f"dataset.path={ds}", "--set", "plan.base_classes=9"])
         assert code == EXIT_RUNTIME
-        assert "base class count c0=9 must satisfy 1 <= c0 < C=4" in capsys.readouterr().err
+        assert "c0 must satisfy 1 <= c0 < C = 4 (got 9)" in capsys.readouterr().err
 
     def test_validate_rejects_class_without_nodes_like_run(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -323,7 +323,7 @@ class TestSessionPlan:
     def test_increment_out_of_range_rejected(self, k):
         g = make_graph(4, [], [0, 1, 2, 3], 4)
         with pytest.raises(ValueError, match=re.escape(
-                f"increment size k={k} must satisfy 1 <= k <= C - c0 = 2")):
+                f"k must satisfy 1 <= k <= C - c0 = 2 (got {k})")):
             build_session_plan(g, 2, k)
 
     def test_every_valid_plan_runs_the_class_ids_in_groups_of_c0_then_k(self):
@@ -343,9 +343,9 @@ class TestSessionPlan:
     @given(c=st.integers(-2, 62), c0=st.integers(-2, 62), k=st.integers(-2, 62))
     def test_every_invalid_triple_raises_its_pinned_message(self, c, c0, k):
         if not 1 <= c0 < c:
-            message = f"base class count c0={c0} must satisfy 1 <= c0 < C={c}"
+            message = f"c0 must satisfy 1 <= c0 < C = {c} (got {c0})"
         elif not 1 <= k <= c - c0:
-            message = f"increment size k={k} must satisfy 1 <= k <= C - c0 = {c - c0}"
+            message = f"k must satisfy 1 <= k <= C - c0 = {c - c0} (got {k})"
         else:
             SessionPlan(c, c0, k)
             return
@@ -354,9 +354,9 @@ class TestSessionPlan:
 
     @pytest.mark.parametrize("field, args", [
         ("num_classes", (4.0, 1, 1)), ("num_classes", (np.int64(4), 1, 1)),
-        ("c0", (4, 1.5, 1)), ("c0", (4, True, 1)), ("c0", (4, None, 1)),
+        ("c0", (4, 1.5, 1)), ("c0", (4, True, 1)),
         ("k", (4, 1, "1")), ("k", (4, 1, np.int32(1))), ("k", (4, 2, False)),
-    ], ids=["num_classes_float", "num_classes_numpy_int", "c0_float", "c0_bool", "c0_none",
+    ], ids=["num_classes_float", "num_classes_numpy_int", "c0_float", "c0_bool",
             "k_str", "k_numpy_int", "k_bool"])
     def test_fields_must_be_python_ints(self, field, args):
         value = args[("num_classes", "c0", "k").index(field)]

@@ -8,7 +8,7 @@ from acgl.analytic import AnalyticState, joint_solve, align_base, predict
 from acgl.backbone import BackboneConfig
 from acgl.datasets import save_dataset
 from acgl.expander import init_expander
-from acgl.graph import session_subgraph
+from acgl.graph import FieldError, session_subgraph
 from acgl.harness import (
     ExpanderConfig,
     ExperimentConfig,
@@ -248,17 +248,15 @@ class TestRunExperiment:
         assert trained == []
 
     @pytest.mark.parametrize("dim", [4, 8])
-    def test_narrow_expander_fails_before_backbone_trains(self, monkeypatch, dim):
-        trained = []
-        monkeypatch.setattr(harness, "train_base", lambda *args: trained.append(args))
-        cfg = ExperimentConfig(
-            synthetic=SyntheticSpec(classes=4, nodes_per_class=20, features=6),
-            c0=2, k=1, backbone=BackboneConfig(hidden=8, epochs=5),
-            expander=ExpanderConfig(dim=dim), seed=0,
-        )
-        with pytest.raises(ValueError, match=f"expansion dim {dim} must exceed input dim 8"):
-            run_experiment(cfg)
-        assert trained == []
+    def test_narrow_expander_fails_before_backbone_trains(self, dim):
+        # ExperimentConfig refuses the width when it is built, so no run starts.
+        with pytest.raises(FieldError, match=re.escape(
+                f"expander.dim must exceed backbone.hidden (got {dim})")):
+            ExperimentConfig(
+                synthetic=SyntheticSpec(classes=4, nodes_per_class=20, features=6),
+                c0=2, k=1, backbone=BackboneConfig(hidden=8, epochs=5),
+                expander=ExpanderConfig(dim=dim), seed=0,
+            )
 
 
 class TestEvaluateTask:
@@ -350,6 +348,27 @@ def test_gamma_must_be_finite_and_positive(gamma):
     with pytest.raises(ValueError, match=re.escape(
             f"gamma must be finite and positive (got {gamma!r})")):
         ExperimentConfig(synthetic=SyntheticSpec(), gamma=gamma)
+
+
+@pytest.mark.parametrize("settings, field, line", [
+    (dict(c0=4), "c0", "c0 must satisfy 1 <= c0 < C = 4 (got 4)"),
+    (dict(c0=2, k=3), "k", "k must satisfy 1 <= k <= C - c0 = 2 (got 3)"),
+    (dict(k=0), "k", "k must be >= 1 (got 0)"),
+], ids=["c0", "k_after_c0", "k_zero"])
+def test_bad_plan_refused_when_built(settings, field, line):
+    with pytest.raises(FieldError) as info:
+        ExperimentConfig(synthetic=SyntheticSpec(classes=4), **settings)
+    assert (info.value.field, str(info.value)) == (field, line)
+
+
+def test_dataset_plan_is_checked_by_the_run(tmp_path):
+    # A dataset's class count is known only after load: the config builds, the run refuses.
+    save_dataset(make_graph(8, [], [0, 0, 1, 1, 2, 2, 3, 3], 4, split=np.array([0, 2] * 4)),
+                 tmp_path)
+    cfg = ExperimentConfig(dataset_path=str(tmp_path), c0=9, backbone=BackboneConfig(hidden=4),
+                           expander=ExpanderConfig(dim=8))
+    with pytest.raises(FieldError, match=re.escape("c0 must satisfy 1 <= c0 < C = 4 (got 9)")):
+        run_experiment(cfg)
 
 
 def test_align_base_state_reproduces_first_row(fixture_run):

@@ -35,11 +35,14 @@ def load_tracing(monkeypatch):
 # update_R's tpqrt path; 120 nodes per class give 72 train rows per session,
 # more than d, which take its Gram path. The ids are the labels perfbench
 # gives the two cases, split at the same n vs d.
-# One-class base and sessions are the shape of perfbench's stream40.
+# One-class base and sessions are the shape of perfbench's stream40. The
+# default base size of an odd class count is where rounding up and down differ
+# (3 of 5 against 2), so that case checks perfbench's copy of the rule.
 @pytest.mark.parametrize("overrides", [
     pytest.param([], id="woodbury"),
     pytest.param(["synthetic.nodes_per_class=120"], id="direct"),
     pytest.param(["plan.base_classes=1", "plan.increment=1"], id="one_class_sessions"),
+    pytest.param(["synthetic.classes=5", "plan.base_classes=0"], id="default_base"),
 ])
 def test_synthetic_config_hits_every_wrapped_call_site(tmp_path, monkeypatch, overrides):
     tracing = load_tracing(monkeypatch)
